@@ -162,12 +162,19 @@ def cmd_plan(args) -> int:
 
 
 def cmd_check(args) -> int:
+    path = Path(args.intervals)
     intervals = []
-    for line in Path(args.intervals).read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        lo, hi = (float(tok) for tok in line.replace(",", " ").split())
+        try:
+            lo, hi = (float(tok) for tok in line.replace(",", " ").split())
+        except ValueError:  # not two tokens, or a token that is no number
+            lo = hi = math.nan
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"{path}, line {lineno}: expected two finite numbers 'lo hi', "
+                             f"got {line!r}")
         intervals.append((lo, hi))
     make_bandset(intervals)  # validation: nonempty, disjoint
     decoupled, witness = is_energy_decoupled(intervals)

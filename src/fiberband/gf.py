@@ -1,14 +1,20 @@
 """Finite-field arithmetic for Sidon-sequence construction.
 
-Supports GF(p^k) built as GF(p)[x] modulo a deterministic irreducible
-polynomial, and a further quadratic extension GF(N^2) over GF(N), which
-is where the exponent-set construction lives. Field elements are ints
-(prime fields) or coefficient tuples, constant term first (extensions).
+GF(p^k) is GF(p)[x] modulo the first irreducible monic polynomial of
+degree k, and its elements are the ints 0..p^k - 1: the base-p digits
+of an int are the polynomial's coefficients, constant term first.
+Multiplication reads log/antilog tables built from the field's first
+generator; addition reads a flat table of digit-wise sums. The
+quadratic extension GF(N^2) over GF(N), where the exponent-set
+construction lives, has elements (a0, a1) = a0 + a1 x with a0, a1 ints
+of GF(N).
 
 Polynomial and element enumeration order is fixed once and for all:
 index i maps to base-N digits of i, least significant digit = constant
 coefficient. "First irreducible" and "first generator" below always
 refer to this order, which makes every constructed field deterministic.
+The ints of GF(p^k) are exactly this order, and (a0, a1) in GF(N^2) is
+element a0 + a1 N.
 """
 
 from __future__ import annotations
@@ -45,131 +51,149 @@ def prime_power(n: int) -> tuple[int, int]:
     return p, k
 
 
-class PrimeField:
-    """GF(p); elements are ints 0..p-1."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.order = p
-        self.zero = 0
-        self.one = 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def element(self, index: int):
-        return index
-
-    def elements(self):
-        return range(self.p)
-
-
-class ExtField:
-    """GF(q^k) as polynomials over a base field modulo a monic irreducible.
-
-    `reduction` holds the k low coefficients (r0..r_{k-1}) of the monic
-    modulus x^k + r_{k-1} x^{k-1} + ... + r0, so
-    x^k = -(r0 + r1 x + ... + r_{k-1} x^{k-1}).
-    """
-
-    def __init__(self, base, reduction: tuple):
-        self.base = base
-        self.k = len(reduction)
-        self.reduction = tuple(reduction)
-        self.order = base.order ** self.k
-        self.zero = (base.zero,) * self.k
-        self.one = (base.one,) + (base.zero,) * (self.k - 1)
-
-    def add(self, a, b):
-        return tuple(self.base.add(x, y) for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(self.base.sub(x, y) for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        base, k = self.base, self.k
-        prod = [base.zero] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai == base.zero:
-                continue
-            for j, bj in enumerate(b):
-                prod[i + j] = base.add(prod[i + j], base.mul(ai, bj))
-        # fold x^(k+m) = -x^m * (r0 + ... + r_{k-1} x^{k-1}) from the top down
-        for i in range(2 * k - 2, k - 1, -1):
-            ci = prod[i]
-            if ci == base.zero:
-                continue
-            prod[i] = base.zero
-            for j, rj in enumerate(self.reduction):
-                prod[i - k + j] = base.sub(prod[i - k + j], base.mul(ci, rj))
-        return tuple(prod[:k])
-
-    def element(self, index: int):
-        digits = []
-        q = self.base.order
-        for _ in range(self.k):
-            digits.append(self.base.element(index % q))
-            index //= q
-        return tuple(digits)
-
-    def elements(self):
-        return (self.element(i) for i in range(self.order))
-
-
-def _poly_mul(field, a: list, b: list) -> list:
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(ai, bj))
+def _digits(a: int, p: int, k: int) -> list[int]:
+    """The k base-p digits of a, least significant first."""
+    out = []
+    for _ in range(k):
+        a, d = divmod(a, p)
+        out.append(d)
     return out
 
 
-def _poly_mod_monic(field, a: list, m: list) -> list:
-    """Remainder of a modulo monic m (coefficient lists, constant first)."""
-    a = list(a)
+def _poly_mod(a: list, m: list, p: int) -> list:
+    """Remainder of a modulo monic m over GF(p) (coefficient lists, constant first)."""
+    a = [c % p for c in a]
     dm = len(m) - 1
     for i in range(len(a) - 1, dm - 1, -1):
         c = a[i]
-        if c == field.zero:
-            continue
-        for j in range(dm + 1):
-            a[i - dm + j] = field.sub(a[i - dm + j], field.mul(c, m[j]))
+        if c:
+            for j in range(dm + 1):
+                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
     return a[:dm]
 
 
-def _is_irreducible(field, low_coeffs: tuple) -> bool:
-    """Check the monic poly with the given low coefficients over `field`.
+def _is_irreducible(p: int, low_coeffs: tuple) -> bool:
+    """Check the monic poly over GF(p) with the given low coefficients.
 
     Trial division by every monic polynomial of degree 1..deg/2; the
     fields used here are small enough that this is instantaneous.
     """
     deg = len(low_coeffs)
-    poly = list(low_coeffs) + [field.one]
+    poly = list(low_coeffs) + [1]
     for d in range(1, deg // 2 + 1):
-        for idx in range(field.order**d):
-            div = [field.element((idx // field.order**j) % field.order) for j in range(d)]
-            div.append(field.one)
-            rem = _poly_mod_monic(field, poly, div)
-            if all(c == field.zero for c in rem):
+        for idx in range(p**d):
+            if not any(_poly_mod(poly, _digits(idx, p, d) + [1], p)):
                 return False
     return True
 
 
-def first_irreducible(field, degree: int) -> tuple:
-    """Low coefficients of the first irreducible monic poly of `degree`."""
-    for idx in range(field.order**degree):
-        low = tuple(
-            field.element((idx // field.order**j) % field.order) for j in range(degree)
-        )
-        if _is_irreducible(field, low):
+def first_irreducible(p: int, degree: int) -> tuple:
+    """Low coefficients of the first irreducible monic poly of `degree` over GF(p)."""
+    for idx in range(p**degree):
+        low = tuple(_digits(idx, p, degree))
+        if _is_irreducible(p, low):
             return low
     raise RuntimeError("no irreducible polynomial found")  # cannot happen
+
+
+class GaloisField:
+    """GF(p^k) on the ints 0..p^k - 1 (base-p digits, constant term first).
+
+    `reduction` holds the k low coefficients (r0..r_{k-1}) of the monic
+    modulus x^k + r_{k-1} x^{k-1} + ... + r0, the first irreducible of
+    degree k; for k = 1 it is x, so ints multiply mod p. `exp[i]` is
+    g^i for the first generator g, stored twice over so that a product
+    needs no reduction of its exponent; `log` inverts it on 1..N-1.
+    `sums[a * N + b]` is a + b and `negs[a]` is -a.
+    """
+
+    def __init__(self, p: int, k: int = 1):
+        self.p, self.k = p, k
+        self.order = q = p**k
+        self.zero, self.one = 0, 1
+        self.reduction = first_irreducible(p, k)
+        digits = [_digits(a, p, k) for a in range(q)]
+        weights = [p**j for j in range(k)]
+
+        def encode(coeffs) -> int:
+            return sum((c % p) * w for c, w in zip(coeffs, weights))
+
+        # digit-wise sums, built one digit at a time: a = a0 + p a1 adds
+        # its constant digit a0 mod p and its higher digits a1 as before
+        sums, size = [0], 1
+        for _ in range(k):
+            sums = [
+                (a0 + b0) % p + p * sums[a1 * size + b1]
+                for a1 in range(size) for a0 in range(p)
+                for b1 in range(size) for b0 in range(p)
+            ]
+            size *= p
+        self.sums = sums
+        self.negs = [encode(-c for c in da) for da in digits]
+
+        # schoolbook products only until the tables exist
+        modulus = list(self.reduction) + [1]
+
+        def schoolbook(a: int, b: int) -> int:
+            prod = [0] * (2 * k - 1)
+            for i, x in enumerate(digits[a]):
+                for j, y in enumerate(digits[b]):
+                    prod[i + j] += x * y
+            return encode(_poly_mod(prod, modulus, p))
+
+        for g in range(1, q):
+            powers, e = [1], g
+            while e != 1:
+                powers.append(e)
+                e = schoolbook(e, g)
+            if len(powers) == q - 1:
+                break
+        self.exp = powers + powers
+        self.log = [0] * q
+        for i, e in enumerate(powers):
+            self.log[e] = i
+
+    def add(self, a: int, b: int) -> int:
+        return self.sums[a * self.order + b]
+
+    def neg(self, a: int) -> int:
+        return self.negs[a]
+
+    def sub(self, a: int, b: int) -> int:
+        return self.sums[a * self.order + self.negs[b]]
+
+    def mul(self, a: int, b: int) -> int:
+        if a == 0 or b == 0:
+            return 0
+        return self.exp[self.log[a] + self.log[b]]
+
+    def elements(self):
+        return range(self.order)
+
+
+class QuadraticExt:
+    """GF(N^2) = GF(N)[x] / (x^2 + b x + c); elements (a0, a1) = a0 + a1 x.
+
+    `modulus` holds the low coefficients (c, b) as ints of `base`.
+    """
+
+    def __init__(self, base: GaloisField, modulus: tuple):
+        self.base = base
+        self.modulus = tuple(modulus)
+        self.order = base.order**2
+        self.zero, self.one = (0, 0), (1, 0)
+
+    def mul(self, u: tuple, v: tuple) -> tuple:
+        f = self.base
+        c, b = self.modulus
+        top = f.mul(u[1], v[1])  # times x^2 = -b x - c
+        lo = f.sub(f.mul(u[0], v[0]), f.mul(c, top))
+        hi = f.sub(f.add(f.mul(u[0], v[1]), f.mul(u[1], v[0])), f.mul(b, top))
+        return lo, hi
+
+    def elements(self):
+        n = self.base.order
+        return ((i % n, i // n) for i in range(self.order))
 
 
 def pow_element(field, a, e: int):
@@ -201,27 +225,37 @@ def first_generator(field):
     raise RuntimeError("multiplicative group of a finite field is cyclic")
 
 
-def base_field(p: int, k: int):
-    if k == 1:
-        return PrimeField(p)
-    ground = PrimeField(p)
-    return ExtField(ground, first_irreducible(ground, k))
+def _reducible_constants(base: GaloisField, b: int) -> set:
+    """The c for which x^2 + b x + c has a root t in GF(N), i.e. c = -t(t + b).
+
+    A quadratic without a root is irreducible, so these are exactly the
+    reducible x^2 + b x + c.
+    """
+    return {base.neg(base.mul(t, base.add(t, b))) for t in base.elements()}
 
 
-def _first_primitive_quadratic(base) -> tuple:
+def _first_primitive_quadratic(base: GaloisField) -> tuple:
     """Low coefficients of the first monic quadratic whose root generates.
 
-    Scans the same enumeration order as first_irreducible but keeps only
+    Scans the enumeration order (c, b) = (i % N, i // N) but keeps only
     polynomials that are primitive, i.e. x itself has full multiplicative
     order in the quotient. Primitive quadratics exist over every finite
     field, so the scan always terminates.
     """
-    x = (base.zero, base.one)
-    for idx in range(base.order**2):
-        low = (base.element(idx % base.order), base.element(idx // base.order))
-        if _is_irreducible(base, low) and is_generator(ExtField(base, low), x):
-            return low
+    x = (0, 1)
+    for b in base.elements():
+        reducible = _reducible_constants(base, b)
+        for c in base.elements():
+            if c not in reducible and is_generator(QuadraticExt(base, (c, b)), x):
+                return c, b
     raise RuntimeError("no primitive quadratic found")  # cannot happen
+
+
+def _check_pair(name: str, pair, n: int) -> tuple:
+    pair = tuple(pair)
+    if len(pair) != 2 or not all(isinstance(v, int) and 0 <= v < n for v in pair):
+        raise ValueError(f"{name} {pair} is not a pair of elements of GF({n})")
+    return pair
 
 
 @dataclass(frozen=True)
@@ -230,15 +264,16 @@ class FieldGF:
 
     N = p^k. `modulus` holds the low coefficients (c, b) of the monic
     x^2 + b x + c over GF(N) defining the extension; `theta` is an
-    element of GF(N^2) generating its multiplicative group.
+    element (t0, t1) = t0 + t1 x of GF(N^2) generating its
+    multiplicative group. Coefficients are ints of GF(N).
     """
 
     p: int
     k: int
     modulus: tuple
     theta: tuple
-    base: object
-    ext: ExtField
+    base: GaloisField
+    ext: QuadraticExt
 
     @property
     def n(self) -> int:
@@ -257,18 +292,20 @@ class FieldGF:
         root is not primitive, theta falls back to the first generator.
         """
         p, k = prime_power(n)
-        base = base_field(p, k)
-        x = (base.zero, base.one)
+        base = GaloisField(p, k)
         if modulus is None:
             modulus = _first_primitive_quadratic(base)
-        if not _is_irreducible(base, modulus):
-            raise ValueError(f"modulus {modulus} is reducible over GF({n})")
-        ext = ExtField(base, modulus)
+        c, b = _check_pair("modulus", modulus, n)
+        if c in _reducible_constants(base, b):
+            raise ValueError(f"modulus {(c, b)} is reducible over GF({n})")
+        ext = QuadraticExt(base, (c, b))
+        x = (0, 1)
         if theta is None:
             theta = x if is_generator(ext, x) else first_generator(ext)
+        theta = _check_pair("theta", theta, n)
         if not is_generator(ext, theta):
             raise ValueError(f"theta {theta} does not generate GF({n}^2)*")
-        return cls(p, k, tuple(modulus), tuple(theta), base, ext)
+        return cls(p, k, (c, b), theta, base, ext)
 
     def exponent_set(self) -> list[int]:
         """Exponents m in 1..N^2-1 with theta^m - theta in GF(N).
@@ -277,11 +314,21 @@ class FieldGF:
         that of theta, since GF(N) inside GF(N^2) is exactly the elements
         with zero x-coefficient.
         """
-        ext, theta = self.ext, self.theta
+        f, n = self.base, self.base.order
+        (c, b), (t0, t1) = self.modulus, self.theta
+        # theta (u0 + u1 x) = (t0 u0 - c t1 u1) + (t1 u0 + (t0 - b t1) u1) x:
+        # each product by a constant is a row of N entries, and rows that
+        # feed the first operand of `sums` come pre-multiplied by N
+        def row(const: int, scale: int = 1) -> list[int]:
+            return [f.mul(const, u) * scale for u in range(n)]
+
+        lo_lo, lo_hi = row(t0, n), row(f.neg(f.mul(c, t1)))
+        hi_lo, hi_hi = row(t1, n), row(f.sub(t0, f.mul(b, t1)))
+        sums = f.sums
         hits = []
-        power = ext.one
-        for m in range(1, ext.order):
-            power = ext.mul(power, theta)
-            if power[1] == theta[1]:
+        u0, u1 = 1, 0
+        for m in range(1, n * n):
+            u0, u1 = sums[lo_lo[u0] + lo_hi[u1]], sums[hi_lo[u0] + hi_hi[u1]]
+            if u1 == t1:
                 hits.append(m)
         return hits

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count, islice
 
 from .bands import BandSet, OverlappingIntervals, make_bandset, minkowski_sum
 from .gf import FieldGF, NotPrimePower, prime_power
@@ -114,13 +115,19 @@ def sidon_for_channels(n: int) -> SidonSequence:
     return SidonSequence(full.values[:n])
 
 
-def _search_length(k: int, target: int, minspan: tuple = ()) -> tuple | None:
+def _search_length(k: int, target: int, minspan: list) -> tuple | None:
     """Lexicographically first Sidon subset of {1..k} of size `target`.
 
     Any Sidon set translates to one whose minimum is 1, so the search
-    roots at 1 without losing maximal sets. `diffs` is a bitmask of the
-    pairwise differences used so far; a candidate is admissible iff all
-    its differences to the current set are new and mutually distinct.
+    roots at 1 without losing maximal sets. A set is Sidon iff its
+    pairwise differences are distinct (a Golomb ruler). `diffs` is a
+    bitmask of the differences used so far and `back` has bit d set iff
+    a mark sits d below the last mark `last` (bit 0 is `last` itself).
+    A candidate c's differences to the marks are then exactly the bits
+    of back << (c - last), so c is admissible iff that shifted register
+    misses `diffs`: one integer test per candidate, after the
+    shift-register search for optimal Golomb rulers (Dollas, Rankin &
+    McCracken 1998).
 
     `minspan[m]`, when present, is the exact minimal span of an
     m-element Sidon set; a candidate c with m elements still owed
@@ -139,47 +146,50 @@ def _search_length(k: int, target: int, minspan: tuple = ()) -> tuple | None:
     # candidate ceiling per node depth, hoisted out of the search
     ceiling = [k - span_floor(target - d) for d in range(target)]
 
-    def dfs(seq: list[int], diffs: int, last: int) -> tuple | None:
-        depth = len(seq)
+    def dfs(depth: int, last: int, back: int, diffs: int) -> tuple | None:
         if depth == target:
-            return tuple(seq)
+            return last, back
+        new = back
         for c in range(last + 1, ceiling[depth] + 1):
-            new = 0
-            for a in seq:
-                bit = 1 << (c - a)
-                if (diffs | new) & bit:
-                    new = -1
-                    break
-                new |= bit
-            if new >= 0:
-                hit = dfs(seq + [c], diffs | new, c)
+            new <<= 1  # back << (c - last)
+            if not new & diffs:
+                hit = dfs(depth + 1, c, new | 1, diffs | new)
                 if hit:
                     return hit
         return None
 
-    return dfs([1], 0, 1)
+    hit = dfs(1, 1, 1, 0)
+    if hit is None:
+        return None
+    last, back = hit
+    return tuple(last - d for d in range(last, -1, -1) if back >> d & 1)
+
+
+def _table_rows():
+    """(N(k), witness) for k = 1, 2, ... without end, by incremental search.
+
+    N(k) grows by at most 1 per k (drop one element of an optimal set),
+    so each k only has to decide whether a set one longer than the
+    previous optimum fits in {1..k}. The witness is the
+    lexicographically first set found at the first k where N(k) reached
+    its value.
+    """
+    best, witness = 1, (1,)
+    minspan = [0, 0]  # minspan[m]: exact minimal span of an m-element set
+    for k in count(1):
+        longer = _search_length(k, best + 1, minspan)
+        if longer:
+            best, witness = best + 1, longer
+            minspan.append(k - 1)
+        yield best, witness
 
 
 @lru_cache(maxsize=None)
 def max_sidon_table(k_max: int) -> tuple:
-    """(N(k), witness) for every k in 1..k_max, by incremental search.
-
-    N(k) grows by at most 1 per k (drop one element of an optimal set),
-    so each k only has to decide whether a set one longer than the
-    previous optimum fits in {1..k}.
-    """
+    """(N(k), witness) for every k in 1..k_max; see _table_rows."""
     if k_max > BRUTE_FORCE_BUDGET:
         raise BudgetExceeded(f"k_max {k_max} exceeds budget {BRUTE_FORCE_BUDGET}")
-    table = []
-    best, witness = 1, (1,)
-    minspan = [0, 0]  # minspan[m]: exact minimal span of an m-element set
-    for k in range(1, k_max + 1):
-        longer = _search_length(k, best + 1, tuple(minspan))
-        if longer:
-            best, witness = best + 1, longer
-            minspan.append(k - 1)
-        table.append((best, witness))
-    return tuple(table)
+    return tuple(islice(_table_rows(), k_max))
 
 
 def brute_force_max_sidon(k: int) -> tuple[int, tuple]:
@@ -192,18 +202,14 @@ def brute_force_max_sidon(k: int) -> tuple[int, tuple]:
 def densest_sidon(n: int) -> SidonSequence:
     """Shortest-span Sidon sequence of length n, by exhaustive search.
 
-    Starts from the counting floor span: n elements produce n*(n-1)/2
-    distinct positive differences, all at most span, so the top element
-    is at least n*(n-1)/2 + 1.
+    This is the table's witness at the first k where N(k) = n: the
+    lexicographically first length-n set among those of least span.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    k = n * (n - 1) // 2 + 1
-    while k <= BRUTE_FORCE_BUDGET:
-        hit = _search_length(k, n)
-        if hit:
-            return SidonSequence(hit)
-        k += 1
+    for best, witness in islice(_table_rows(), BRUTE_FORCE_BUDGET):
+        if best == n:
+            return SidonSequence(witness)
     raise BudgetExceeded(f"no length-{n} sequence within span {BRUTE_FORCE_BUDGET}")
 
 

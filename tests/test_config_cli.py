@@ -5,14 +5,16 @@ the dataclass exactly, not approximately. CLI tests run tiny grids
 (n = 512, ~1 km) so the whole module stays under a few seconds.
 """
 
+import argparse
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from fiberband.cli import main, resolve_config
+from fiberband.cli import cmd_check, main, resolve_config
 from fiberband.config import (
     GHZ,
     ConfigError,
@@ -306,6 +308,16 @@ def test_cli_check_verdicts(tmp_path, capsys):
     overlap = tmp_path / "overlap.txt"
     overlap.write_text("0 2\n1 3\n")
     assert main(["check", "--intervals", str(overlap)]) == 1
+
+
+@pytest.mark.parametrize("line", ["1 2 3", "a b", "4 inf", "nan 6"])
+def test_cli_check_names_the_malformed_line(tmp_path, capsys, line):
+    path = tmp_path / "grid.txt"
+    path.write_text(f"# header\n0 2\n{line}\n8 10\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line 3")):
+        cmd_check(argparse.Namespace(intervals=str(path)))
+    assert main(["check", "--intervals", str(path)]) == 1
+    assert f"{path}, line 3" in capsys.readouterr().err
 
 
 def test_cli_three_tone(tmp_path, capsys):

@@ -5,18 +5,21 @@ by 3 (powers 3,2,6,4,5,1) but not by 2 (order 3); x^2+1 factors as
 (x+2)(x+3) over GF(5) while x^2+2 is irreducible there since -2 = 3 is
 not among the squares {0,1,4}; the first irreducible quartic over GF(2)
 in enumeration order is x^4+x+1.
+
+Elements of GF(p^k) are ints whose base-p digits are the polynomial's
+coefficients, constant term first, so in GF(4) the int 2 is x and 3 is
+x + 1.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fiberband.gf import (
-    ExtField,
     FieldGF,
+    GaloisField,
     NotPrimePower,
-    PrimeField,
+    QuadraticExt,
     _is_irreducible,
-    base_field,
     factorize,
     first_generator,
     first_irreducible,
@@ -37,7 +40,7 @@ def test_factorize_and_prime_power():
 
 
 def test_prime_field_arithmetic():
-    f = PrimeField(7)
+    f = GaloisField(7)
     assert f.add(5, 4) == 2
     assert f.sub(2, 5) == 4
     assert f.mul(3, 5) == 1
@@ -45,28 +48,59 @@ def test_prime_field_arithmetic():
     assert not is_generator(f, 2)
     assert is_generator(f, 3)
     assert first_generator(f) == 3
+    assert f.exp[:6] == [1, 3, 2, 6, 4, 5]  # the tables follow the first generator
 
 
 def test_irreducibility_over_gf5():
-    f = PrimeField(5)
-    assert not _is_irreducible(f, (1, 0))  # x^2 + 1 = (x+2)(x+3)
-    assert _is_irreducible(f, (2, 0))  # x^2 + 2
-    assert first_irreducible(f, 2) == (2, 0)
+    assert not _is_irreducible(5, (1, 0))  # x^2 + 1 = (x+2)(x+3)
+    assert _is_irreducible(5, (2, 0))  # x^2 + 2
+    assert first_irreducible(5, 2) == (2, 0)
 
 
 def test_gf4_multiplication():
-    gf4 = base_field(2, 2)
+    gf4 = GaloisField(2, 2)
     assert gf4.reduction == (1, 1)  # x^2 + x + 1
-    x = (0, 1)
-    assert gf4.mul(x, x) == (1, 1)  # x^2 = x + 1
-    assert gf4.mul(x, (1, 1)) == (1, 0)  # x^3 = 1
-    assert sorted(gf4.elements()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    x = 2
+    assert gf4.mul(x, x) == 3  # x^2 = x + 1
+    assert gf4.mul(x, 3) == 1  # x^3 = 1
+    assert sorted(gf4.elements()) == [0, 1, 2, 3]
 
 
 def test_gf16_ground_modulus():
-    gf16 = base_field(2, 4)
+    gf16 = GaloisField(2, 4)
     assert gf16.reduction == (1, 1, 0, 0)  # x^4 + x + 1
     assert gf16.order == 16
+    assert gf16.mul(8, 2) == 3  # x^3 * x = x^4 = x + 1
+
+
+def _schoolbook(a: int, b: int, p: int, k: int, reduction: tuple) -> int:
+    """a * b as base-p digit polynomials, reduced by x^k = -(r0 + ... )."""
+    da = [(a // p**j) % p for j in range(k)]
+    db = [(b // p**j) % p for j in range(k)]
+    prod = [0] * (2 * k - 1)
+    for i in range(k):
+        for j in range(k):
+            prod[i + j] += da[i] * db[j]
+    for top in range(2 * k - 2, k - 1, -1):
+        c, prod[top] = prod[top], 0
+        for j, r in enumerate(reduction):
+            prod[top - k + j] -= c * r
+    return sum((c % p) * p**j for j, c in enumerate(prod[:k]))
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)])
+def test_table_products_match_schoolbook(p, k):
+    # pins the int encoding to the enumeration order: int i is the
+    # polynomial whose base-p digits are i's, constant term first
+    f = GaloisField(p, k)
+    reduction = first_irreducible(p, k)
+    assert f.reduction == reduction
+    for a in range(p**k):
+        for b in range(p**k):
+            assert f.mul(a, b) == _schoolbook(a, b, p, k, reduction), (a, b)
+            assert f.add(a, b) == sum(
+                (((a // p**j) + (b // p**j)) % p) * p**j for j in range(k)
+            )
 
 
 def test_for_size_reference_tower():
@@ -84,6 +118,10 @@ def test_for_size_rejects_bad_choices():
         FieldGF.for_size(11, modulus=(1, 2))  # x^2 + 2x + 1 = (x+1)^2
     with pytest.raises(ValueError):
         FieldGF.for_size(11, theta=(4, 0))  # scalars have order <= 10
+    with pytest.raises(ValueError):
+        FieldGF.for_size(11, modulus=(7, 11))  # 11 is not an element of GF(11)
+    with pytest.raises(ValueError):
+        FieldGF.for_size(4, theta=(0, 1, 0))
     # irreducible but imprimitive modulus: theta falls back to a generator
     g = FieldGF.for_size(11, modulus=(1, 1))
     assert is_generator(g.ext, g.theta)
@@ -114,8 +152,7 @@ def test_theta_always_has_full_order(n):
 def test_ext_field_is_a_ring_hom_of_polynomials():
     # multiply two quadratic-extension elements over GF(3) both via the
     # field and via schoolbook polynomial arithmetic mod x^2 + 1
-    base = PrimeField(3)
-    ext = ExtField(base, (1, 0))  # x^2 + 1 irreducible over GF(3)
+    ext = QuadraticExt(GaloisField(3), (1, 0))  # x^2 + 1 irreducible over GF(3)
     a, b = (2, 1), (1, 2)  # 2 + x, 1 + 2x
     # (2+x)(1+2x) = 2 + 5x + 2x^2 = 2 + 2x + 2(x^2) -> 2 + 2x + 2*(-1) = 2x
     assert ext.mul(a, b) == (0, 2)

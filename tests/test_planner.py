@@ -8,6 +8,11 @@ route: interval arithmetic on Minkowski sums versus integer sum
 collisions.
 """
 
+import hashlib
+import json
+from itertools import combinations
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,6 +39,19 @@ from fiberband.planner import (
 )
 
 BOSE_11 = (1, 6, 22, 62, 68, 69, 71, 88, 99, 103, 113)
+
+# N(k) for k <= 60, and hashes of the witnesses and of every Bose
+# sequence for prime powers q <= 128, frozen before the search and the
+# field arithmetic were rewritten on plain integers.
+FROZEN = json.loads(Path(__file__).with_name("frozen_sidon.json").read_text(encoding="utf-8"))
+
+# Published optimal Golomb ruler lengths for 1..10 marks. They check
+# the exhaustive search from outside; they never stand in for it.
+GOLOMB_LENGTHS = (0, 1, 3, 6, 11, 17, 25, 34, 44, 55)
+
+
+def _sha256(values: list) -> str:
+    return hashlib.sha256(json.dumps(values, separators=(",", ":")).encode()).hexdigest()
 
 
 def test_is_sidon_by_hand():
@@ -117,6 +135,58 @@ def test_densest_sidon():
     assert densest_sidon(4).values == (1, 2, 5, 7)
     assert densest_sidon(5).values == (1, 2, 5, 10, 12)
     assert densest_sidon(1).values == (1,)
+    # the table's witness at the first k where N(k) = n
+    table = max_sidon_table(30)
+    for n in (6, 7):
+        k = GOLOMB_LENGTHS[n - 1] + 1
+        assert densest_sidon(n).values == table[k - 1][1]
+
+
+def test_frozen_table_rows_and_witnesses():
+    table = max_sidon_table(60)
+    assert [n for n, _ in table] == FROZEN["rows"]
+    assert _sha256([list(w) for _, w in table]) == FROZEN["witnesses_sha256"]
+
+
+def test_frozen_bose_sequences():
+    sizes = []
+    q = 2
+    while q <= 128:
+        sizes.append(str(q))
+        q = next_prime_power(q + 1)
+    assert sizes == list(FROZEN["bose_sha256"])
+    for q in sizes:
+        assert _sha256(list(bose_sequence(int(q)))) == FROZEN["bose_sha256"][q], q
+
+
+def test_table_meets_published_golomb_lengths():
+    # a Sidon set in {1..k} is a Golomb ruler of length at most k - 1, so
+    # the first k with N(k) = m is the optimal m-mark length plus one
+    rows = [n for n, _ in max_sidon_table(60)]
+    for marks, length in enumerate(GOLOMB_LENGTHS, start=1):
+        assert rows.index(marks) + 1 == length + 1, marks
+
+
+def _enumerated_row(k: int) -> tuple:
+    """N(k) and the table's witness by enumerating subsets of {1..k}.
+
+    The witness is a largest Sidon subset with the smallest top element,
+    the lexicographically first among those: the table carries the set
+    found at the first k where N(k) reached its value.
+    """
+    best = [(1,)]
+    for n in range(2, k + 1):
+        sets = [s for s in combinations(range(1, k + 1), n) if is_sidon(s)]
+        if not sets:
+            break
+        best = sets
+    return len(best[0]), min(best, key=lambda s: (s[-1], s))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 14))
+def test_table_matches_enumeration(k):
+    assert max_sidon_table(k)[-1] == _enumerated_row(k)
 
 
 def test_erdos_bound_frozen_values():
