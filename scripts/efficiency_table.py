@@ -18,10 +18,10 @@ from fiberband.planner import (
 )
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n-max", type=int, default=64)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     print(f"{'N':>4} {'top slot':>9} {'eta':>9} {'eta*N':>9} {'eta*N (budget)':>15}")
     n = 2

@@ -15,11 +15,11 @@ from fiberband.config import with_overrides
 from fiberband.propagation import propagate
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--spacings-km", default="2.5,5,10,20")
     ap.add_argument("--config", default="uniform5")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     spacings = [float(s) for s in args.spacings_km.split(",")]
     discarded = []

@@ -18,11 +18,11 @@ from fiberband.cli import resolve_config, run_simulation
 from fiberband.config import with_overrides
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="results", help="output directory")
     ap.add_argument("--dz-km", type=float, default=None, help="override step")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     out = Path(args.out)
     rows = []

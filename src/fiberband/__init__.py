@@ -14,9 +14,7 @@ from .bands import BandSet, make_bandset, minkowski_sum
 from .fields import (
     SampledField,
     Spectrum,
-    apply_brickwall,
     band_energy,
-    impulse_response,
     inverse,
     parseval_residual,
     rrc_pulse,
@@ -42,7 +40,6 @@ from .propagation import (
     FilterMode,
     channel_energy_rhs,
     propagate,
-    split_step,
 )
 from .threetone import ToneState, integrate_tones, power_rhs, tone_rhs
 
@@ -56,14 +53,12 @@ __all__ = [
     "SidonSequence",
     "Spectrum",
     "ToneState",
-    "apply_brickwall",
     "band_energy",
     "bose_sequence",
     "brute_force_max_sidon",
     "channel_energy_rhs",
     "check_erdos_bound",
     "densest_sidon",
-    "impulse_response",
     "integrate_tones",
     "inverse",
     "is_energy_decoupled",
@@ -78,7 +73,6 @@ __all__ = [
     "rrc_pulse",
     "sidon_for_channels",
     "spectral_filling_efficiency",
-    "split_step",
     "tone_rhs",
     "transform",
 ]

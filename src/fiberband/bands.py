@@ -8,6 +8,7 @@ objects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -64,12 +65,14 @@ def make_bandset(intervals) -> BandSet:
 
     Raises EmptyBandSet on an empty list, OverlappingIntervals if any
     two intervals intersect (shared endpoints count as intersecting),
-    and BandError if some lo >= hi.
+    and BandError if a bound is not finite or some lo >= hi.
     """
     ivs = [(float(lo), float(hi)) for lo, hi in intervals]
     if not ivs:
         raise EmptyBandSet("band set needs at least one interval")
     for lo, hi in ivs:
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise BandError(f"interval ({lo}, {hi}) has a non-finite bound")
         if not lo < hi:
             raise BandError(f"interval ({lo}, {hi}) has nonpositive width")
     ivs.sort()

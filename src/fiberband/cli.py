@@ -51,36 +51,30 @@ def _fmt_num(x: float) -> str:
     return repr(float(x))
 
 
+def trace_table(trace) -> tuple[list[str], list[list[float]]]:
+    """Column names and rows of a trace file: z in km, energies in J."""
+    columns = (
+        ["z_km", "E_total_J"]
+        + [f"E_ch{i + 1}_J" for i in range(trace.n_channels)]
+        + ["E_discarded_cum_J"]
+    )
+    rows = np.column_stack(
+        (trace.z / 1e3, trace.total, trace.per_channel, trace.discarded_cumulative)
+    ).tolist()
+    return columns, rows
+
+
 def write_trace_csv(path: Path, trace) -> None:
-    n_ch = trace.n_channels
+    columns, rows = trace_table(trace)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["z_km", "E_total_J"]
-            + [f"E_ch{i + 1}_J" for i in range(n_ch)]
-            + ["E_discarded_cum_J"]
-        )
-        for i in range(len(trace.z)):
-            writer.writerow(
-                [_fmt_num(trace.z[i] / 1e3), _fmt_num(trace.total[i])]
-                + [_fmt_num(v) for v in trace.per_channel[i]]
-                + [_fmt_num(trace.discarded_cumulative[i])]
-            )
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def write_trace_json(path: Path, trace) -> None:
-    n_ch = trace.n_channels
-    doc = {
-        "columns": ["z_km", "E_total_J"]
-        + [f"E_ch{i + 1}_J" for i in range(n_ch)]
-        + ["E_discarded_cum_J"],
-        "rows": [
-            [trace.z[i] / 1e3, trace.total[i]]
-            + list(map(float, trace.per_channel[i]))
-            + [float(trace.discarded_cumulative[i])]
-            for i in range(len(trace.z))
-        ],
-    }
+    columns, rows = trace_table(trace)
+    doc = {"columns": columns, "rows": rows}
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 

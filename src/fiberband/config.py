@@ -66,6 +66,24 @@ class ExperimentConfig:
         def fail(field: str, msg: str):
             raise ConfigError(f"{field}: {msg}")
 
+        for key, value in (
+            ("fiber.alpha0_db_per_km", self.alpha0_db_per_km),
+            ("fiber.beta2_ps2_per_km", self.beta2_ps2_per_km),
+            ("fiber.gamma_per_w_km", self.gamma_per_w_km),
+            ("grid.dt_ps", self.dt_ps),
+            ("grid.t0_ns", self.t0_ns),
+            ("channels.width_ghz", self.width_ghz),
+            ("channels.span_w", self.span_w),
+            ("pulses.rolloff", self.rolloff),
+            ("pulses.energies_pj", self.energies_pj),
+            ("pulses.phases_rad", self.phases_rad),
+            ("run.z_total_km", self.z_total_km),
+            ("run.dz_km", self.dz_km),
+            ("run.filter_spacing_km", self.filter_spacing_km),
+            ("run.record_every_km", self.record_every_km),
+        ):
+            if value is not None and not np.all(np.isfinite(value)):
+                fail(key, f"must be finite, got {value}")
         if self.n < 2 or self.n & (self.n - 1):
             fail("grid.n", f"{self.n} is not a power of two >= 2")
         if self.dt_ps <= 0:

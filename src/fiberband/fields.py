@@ -1,4 +1,4 @@
-"""Sampled complex fields, spectra, band energies and brick-wall filtering.
+"""Sampled complex fields, spectra, band masks, band energies and launch pulses.
 
 Conventions
 -----------
@@ -18,6 +18,11 @@ right-hand side restricted to bins whose center frequency lies in the
 band; a bin belongs to a closed interval if its center is within
 EDGE_TOL of it, which absorbs last-ulp noise when channel edges are
 constructed to land exactly on bin centers.
+
+`bin_omegas` builds the bin grid and `band_mask` the band masks for
+every caller, the propagator included, which applies `ifftshift` to
+both for raw FFT order. Brick-wall filtering itself is a step of
+`propagation.propagate`; this module has no separate filter.
 """
 
 from __future__ import annotations
@@ -52,6 +57,15 @@ class GridTooCoarse(FieldError):
 def _check_pow2(n: int) -> None:
     if n < 2 or n & (n - 1):
         raise FieldError(f"sample count {n} is not a power of two >= 2")
+
+
+def bin_omegas(n: int, domega: float) -> np.ndarray:
+    """Bin center frequencies (m - n//2)*domega, m = 0..n-1, in increasing order.
+
+    Takes the spacing rather than dt because a Spectrum stores domega,
+    and recomputing it from dt = 2*pi/(n*domega) is not exact to the bit.
+    """
+    return (np.arange(n) - n // 2) * domega
 
 
 @dataclass(frozen=True)
@@ -110,7 +124,7 @@ class Spectrum:
         return 2.0 * np.pi / (self.n * self.domega)
 
     def omegas(self) -> np.ndarray:
-        return (np.arange(self.n) - self.n // 2) * self.domega
+        return bin_omegas(self.n, self.domega)
 
     def energy(self) -> float:
         """Total energy in J, computed in the frequency domain."""
@@ -121,7 +135,7 @@ def transform(f: SampledField) -> Spectrum:
     """Forward transform, dt-scaled DFT reordered to increasing frequency."""
     n = f.n
     domega = 2.0 * np.pi / (n * f.dt)
-    omegas = (np.arange(n) - n // 2) * domega
+    omegas = bin_omegas(n, domega)
     coeff = f.dt * np.exp(-1j * omegas * f.t0) * np.fft.fftshift(np.fft.fft(f.samples))
     return Spectrum(coeff, domega, f.t0)
 
@@ -133,24 +147,29 @@ def inverse(s: Spectrum) -> SampledField:
     return SampledField(q, dt, s.t0)
 
 
-def band_mask(s: Spectrum, band: BandSet) -> np.ndarray:
-    """Boolean mask of bins whose center lies in the closed band set."""
-    omegas = s.omegas()
-    half_span = np.pi / s.dt
+def band_mask(n: int, domega: float, band: BandSet) -> np.ndarray:
+    """Boolean mask of the bins of `bin_omegas(n, domega)` inside `band`.
+
+    A bin belongs to the closed band set when its center does. The grid
+    represents [-(n//2)*domega, (n//2)*domega); a band reaching outside
+    it raises BandOutOfRange.
+    """
+    omegas = bin_omegas(n, domega)
+    half_span = (n // 2) * domega
     if band.lo < -half_span or band.hi >= half_span:
         raise BandOutOfRange(
             f"band [{band.lo:g}, {band.hi:g}] exceeds represented "
             f"[-{half_span:g}, {half_span:g}) rad/s"
         )
-    tol = EDGE_TOL * s.domega
-    mask = np.zeros(s.n, dtype=bool)
+    tol = EDGE_TOL * domega
+    mask = np.zeros(n, dtype=bool)
     for lo, hi in band.intervals:
         mask |= (omegas >= lo - tol) & (omegas <= hi + tol)
     return mask
 
 
 def spectrum_band_energy(s: Spectrum, band: BandSet) -> float:
-    mask = band_mask(s, band)
+    mask = band_mask(s.n, s.domega, band)
     return float(
         np.sum(np.abs(s.coefficients[mask]) ** 2) * s.domega / (2.0 * np.pi)
     )
@@ -159,51 +178,6 @@ def spectrum_band_energy(s: Spectrum, band: BandSet) -> float:
 def band_energy(f: SampledField, band: BandSet) -> float:
     """Energy in J carried by the bins inside `band`."""
     return spectrum_band_energy(transform(f), band)
-
-
-def brickwall_spectrum(
-    s: Spectrum, band: BandSet, alpha0: float, dz: float
-) -> tuple[Spectrum, float]:
-    """Brick-wall mask plus in-band attenuation on a spectrum.
-
-    Bins outside `band` are zeroed; the energy they carried (before any
-    decay) is returned as `discarded`. Surviving bins are multiplied by
-    exp(-alpha0*dz/2). With alpha0*dz == 0 the surviving bins are
-    returned bit-for-bit unchanged, which makes the mask idempotent.
-    """
-    mask = band_mask(s, band)
-    discarded = float(
-        np.sum(np.abs(s.coefficients[~mask]) ** 2) * s.domega / (2.0 * np.pi)
-    )
-    coeff = np.where(mask, s.coefficients, 0.0)
-    if alpha0 * dz != 0.0:
-        coeff = coeff * np.exp(-0.5 * alpha0 * dz)
-    return Spectrum(coeff, s.domega, s.t0), discarded
-
-
-def apply_brickwall(
-    f: SampledField, band: BandSet, alpha0: float, dz: float
-) -> tuple[SampledField, float]:
-    """Field-level brick-wall step: transform, mask and decay, invert."""
-    s, discarded = brickwall_spectrum(transform(f), band, alpha0, dz)
-    return inverse(s), discarded
-
-
-def impulse_response(band: BandSet, t):
-    """Time response of the ideal unity-gain filter over `band`.
-
-    h(t) = sum_n (W_n / 2*pi) * exp(j*wbar_n*t) * sinc(W_n * t / 2*pi)
-    with sinc(x) = sin(pi x)/(pi x); accepts scalar or array t in s.
-    """
-    t = np.asarray(t, dtype=float)
-    h = np.zeros(t.shape, dtype=complex)
-    for (lo, hi) in band.intervals:
-        width = hi - lo
-        center = 0.5 * (lo + hi)
-        h = h + (width / (2.0 * np.pi)) * np.exp(1j * center * t) * np.sinc(
-            width * t / (2.0 * np.pi)
-        )
-    return h if h.shape else complex(h)
 
 
 def rrc_spectral_amplitude(offset: np.ndarray, bandwidth: float, rolloff: float) -> np.ndarray:
@@ -263,7 +237,7 @@ def rrc_pulse(
             f"pulse bandwidth {bandwidth:g} exceeds channel width {width:g}"
         )
     domega = 2.0 * np.pi / (n * dt)
-    omegas = (np.arange(n) - n // 2) * domega
+    omegas = bin_omegas(n, domega)
     half_span = np.pi / dt
     if center - width / 2 < -half_span or center + width / 2 >= half_span:
         raise BandOutOfRange("channel exceeds the represented bandwidth")

@@ -249,6 +249,8 @@ def is_energy_decoupled(channels) -> tuple[bool, tuple | None]:
     else:
         intervals = [(float(lo), float(hi)) for lo, hi in channels]
         for idx, (lo, hi) in enumerate(intervals):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"channel {idx + 1} has a non-finite bound")
             if not lo < hi:
                 raise ValueError(f"channel {idx + 1} has nonpositive width")
         for i in range(len(intervals)):

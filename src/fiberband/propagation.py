@@ -14,17 +14,23 @@ exp(j*(beta2/2)*w^2*dz). Distributed filtering masks every step, lumped
 filtering only at multiples of the filter spacing, and unfiltered mode
 never masks; plain attenuation always applies.
 
+`propagate` drives `_step_kernel`, the only code that steps or filters
+a field; a single filtered step is `propagate` with z_total = dz =
+record_every and a distributed filter mode. Both work in raw FFT order
+on the grid and masks of `fields.bin_omegas` and `fields.band_mask`.
+
 All quantities are SI: m, s, rad/s, W, J.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bands import BandSet
-from .fields import SampledField, Spectrum, band_mask, transform
+from .fields import SampledField, band_mask, bin_omegas, transform
 
 LN10 = float(np.log(10.0))
 
@@ -144,44 +150,6 @@ def _step_kernel(q, nl_coef, decay, disp_phase, mask):
     return np.fft.ifft(spec), discarded
 
 
-def _masks_for(channels, n: int, dt: float, t0: float) -> list[np.ndarray]:
-    probe = Spectrum(np.zeros(n, dtype=complex), 2.0 * np.pi / (n * dt), t0)
-    return [np.fft.ifftshift(band_mask(probe, band)) for band in channels]
-
-
-def _energy_scale(n: int, dt: float) -> float:
-    # |FFT(q)|^2 summed equals n * sum|q|^2; scale restores joules
-    return dt / n
-
-
-def split_step(
-    f: SampledField,
-    dz: float,
-    params: FiberParams,
-    mode: FilterMode,
-    apply_filter: bool,
-) -> tuple[SampledField, float]:
-    """Advance the field one step; see the module docstring for the order.
-
-    `apply_filter` selects whether the brick-wall mask of mode.band runs
-    in this step (the propagator drives it from the filter mode); the
-    returned discarded energy is 0 when it does not.
-    """
-    if not dz > 0:
-        raise InvalidStepPartition("dz must be positive")
-    n, dt = f.n, f.dt
-    domega_grid = np.fft.ifftshift((np.arange(n) - n // 2)) * (2.0 * np.pi / (n * dt))
-    disp_phase = np.exp(0.5j * params.beta2 * dz * domega_grid**2)
-    decay = float(np.exp(-0.5 * params.alpha0 * dz))
-    mask = None
-    if apply_filter:
-        mask = _masks_for([mode.band], n, dt, f.t0)[0]
-    q, discarded = _step_kernel(
-        f.samples, 1j * params.gamma * dz, decay, disp_phase, mask
-    )
-    return SampledField(q, dt, f.t0), discarded * _energy_scale(n, dt)
-
-
 def propagate(
     f0: SampledField,
     z_total: float,
@@ -193,12 +161,17 @@ def propagate(
 ) -> tuple[SampledField, EnergyTrace]:
     """Propagate over z_total, recording an EnergyTrace.
 
-    dz must divide z_total, record_every and (in lumped mode) the filter
-    spacing; violations raise InvalidStepPartition. Records happen at
-    z = 0, every record_every, and at z_total.
+    dz must be positive and divide z_total, record_every and (in lumped
+    mode) the filter spacing, and those spans must be finite; violations
+    raise InvalidStepPartition. Records happen at z = 0, every
+    record_every, and at z_total.
     """
+    if not dz > 0:
+        raise InvalidStepPartition(f"dz = {dz} must be positive")
 
     def stride(span: float, what: str) -> int:
+        if not math.isfinite(span):
+            raise InvalidStepPartition(f"{what} = {span} is not finite")
         s = int(round(span / dz))
         if s < 1 or abs(s * dz - span) > 1e-9 * span:
             raise InvalidStepPartition(f"dz = {dz} does not divide {what} = {span}")
@@ -208,14 +181,17 @@ def propagate(
     rec_stride = stride(record_every, "record_every")
     filt_stride = stride(mode.spacing, "filter spacing") if mode.kind == "lumped" else 0
     n, dt, t0 = f0.n, f0.dt, f0.t0
+    domega = 2.0 * np.pi / (n * dt)
 
-    channel_masks = _masks_for(channels, n, dt, t0)
+    channel_masks = [np.fft.ifftshift(band_mask(n, domega, band)) for band in channels]
     inband_mask = np.logical_or.reduce(channel_masks) if channels else None
-    filter_mask = _masks_for([mode.band], n, dt, t0)[0] if mode.kind != "none" else None
-    scale = _energy_scale(n, dt)
+    filter_mask = None
+    if mode.kind != "none":
+        filter_mask = np.fft.ifftshift(band_mask(n, domega, mode.band))
+    scale = dt / n  # |FFT(q)|^2 summed equals n * sum|q|^2; scale restores joules
 
-    domega_grid = np.fft.ifftshift((np.arange(n) - n // 2)) * (2.0 * np.pi / (n * dt))
-    disp_phase = np.exp(0.5j * params.beta2 * dz * domega_grid**2)
+    omegas = np.fft.ifftshift(bin_omegas(n, domega))
+    disp_phase = np.exp(0.5j * params.beta2 * dz * omegas**2)
     decay = float(np.exp(-0.5 * params.alpha0 * dz))
     nl_coef = 1j * params.gamma * dz
 
@@ -280,7 +256,7 @@ def channel_energy_rhs(
     """
     s = transform(f)
     q_full = s.coefficients
-    mask = band_mask(s, channels[n_channel])
+    mask = band_mask(s.n, s.domega, channels[n_channel])
     q_chan = np.where(mask, q_full, 0.0)
     dw = s.domega
 

@@ -52,6 +52,15 @@ def test_make_bandset_rejects_bad_input():
         make_bandset([(0.0, 2.0), (1.0, 3.0)])
 
 
+@pytest.mark.parametrize(
+    "intervals",
+    [[(float("nan"), 6.0)], [(0.0, float("inf"))], [(0.0, 1.0), (-float("inf"), -1.0)]],
+)
+def test_make_bandset_rejects_non_finite_bounds(intervals):
+    with pytest.raises(BandError, match="non-finite"):
+        make_bandset(intervals)
+
+
 def test_merge_intervals_joins_touching():
     assert merge_intervals([(0.0, 1.0), (1.0, 2.0), (3.0, 4.0)]) == (
         (0.0, 2.0),

@@ -99,6 +99,33 @@ def test_validate_reports_the_offending_key(changes, field):
         cfg.validate()
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "changes, field",
+    [
+        (dict(alpha0_db_per_km=NAN), "fiber.alpha0_db_per_km"),
+        (dict(beta2_ps2_per_km=-INF), "fiber.beta2_ps2_per_km"),
+        (dict(gamma_per_w_km=INF), "fiber.gamma_per_w_km"),
+        (dict(dt_ps=NAN), "grid.dt_ps"),
+        (dict(t0_ns=-INF), "grid.t0_ns"),
+        (dict(width_ghz=INF), "channels.width_ghz"),
+        (dict(placement="uniform", span_w=NAN), "channels.span_w"),
+        (dict(rolloff=NAN), "pulses.rolloff"),
+        (dict(energies_pj=(0.1, 0.2, INF, 0.4, 0.5)), "pulses.energies_pj"),
+        (dict(phases_rad=(0.0, NAN, 0.0, 0.0, 0.0)), "pulses.phases_rad"),
+        (dict(z_total_km=INF), "run.z_total_km"),
+        (dict(dz_km=NAN), "run.dz_km"),
+        (dict(filter_spacing_km=INF), "run.filter_spacing_km"),
+        (dict(record_every_km=NAN), "run.record_every_km"),
+    ],
+)
+def test_validate_rejects_non_finite_values(changes, field):
+    with pytest.raises(ConfigError, match=field.replace(".", r"\.") + ": must be finite"):
+        sidon_cfg(**changes).validate()
+
+
 def test_config_is_frozen():
     cfg = sidon_cfg()
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -276,6 +303,27 @@ def test_cli_simulate_json_format(tmp_path):
 def test_cli_simulate_missing_config_fails(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "absent.cfg")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, value, key",
+    [("--dz-km", "nan", "run.dz_km"), ("--filter-spacing-km", "inf", "run.filter_spacing_km")],
+)
+def test_cli_simulate_names_a_non_finite_override(tmp_path, capsys, option, value, key):
+    argv = ["simulate", "--config", "sidon5", "--out", str(tmp_path), option, value]
+    assert main(argv) == 1
+    assert key in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_trace_json_rows_equal_csv_rows(tmp_path):
+    path = write_cfg(tmp_path, short_cfg())
+    for fmt in ("csv", "json"):
+        main(["simulate", "--config", str(path), "--out", str(tmp_path), "--format", fmt])
+    header, *rows = (tmp_path / "short_trace.csv").read_text().splitlines()
+    doc = json.loads((tmp_path / "short_trace.json").read_text())
+    assert doc["columns"] == header.split(",")
+    assert doc["rows"] == [[float(v) for v in row.split(",")] for row in rows]
 
 
 def test_cli_plan_densest(capsys):

@@ -1,9 +1,9 @@
-"""Transform pair, band energies, brick-wall filtering, pulse synthesis.
+"""Transform pair, band masks and energies, pulse synthesis.
 
-Frozen reference values come from closed forms: the Gaussian transform
-pair exp(-t^2/(2s^2)) <-> s*sqrt(2*pi)*exp(-s^2 w^2/2), and fine-grid
-Riemann quadrature for the filter impulse response. Everything else is
-an algebraic identity of the DFT and is tested as such.
+Frozen reference values come from the closed-form Gaussian transform
+pair exp(-t^2/(2s^2)) <-> s*sqrt(2*pi)*exp(-s^2 w^2/2). Everything else
+is an algebraic identity of the DFT and is tested as such. Brick-wall
+filtering is a propagator step and is tested in test_propagation.
 """
 
 import numpy as np
@@ -17,12 +17,8 @@ from fiberband.fields import (
     FieldError,
     GridTooCoarse,
     SampledField,
-    Spectrum,
-    apply_brickwall,
     band_energy,
     band_mask,
-    brickwall_spectrum,
-    impulse_response,
     inverse,
     parseval_residual,
     rrc_pulse,
@@ -94,64 +90,21 @@ def test_field_validation():
 
 
 def test_band_mask_closed_interval_with_edge_snap():
-    s = Spectrum(np.zeros(8), domega=np.pi / 4, t0=0.0)
-    # bins at (m-4)*pi/4: -pi .. 3pi/4
-    m = band_mask(s, make_bandset([(0.0, np.pi / 4)]))
+    # 8 bins at (m-4)*pi/4: -pi .. 3pi/4
+    m = band_mask(8, np.pi / 4, make_bandset([(0.0, np.pi / 4)]))
     assert list(np.nonzero(m)[0]) == [4, 5]
     # an edge a hair inside the bin still owns it
-    m2 = band_mask(s, make_bandset([(1e-12, np.pi / 4 - 1e-12)]))
+    m2 = band_mask(8, np.pi / 4, make_bandset([(1e-12, np.pi / 4 - 1e-12)]))
     assert np.array_equal(m2, m)
     # but half a bin away it does not
-    m3 = band_mask(s, make_bandset([(np.pi / 8, np.pi / 4)]))
+    m3 = band_mask(8, np.pi / 4, make_bandset([(np.pi / 8, np.pi / 4)]))
     assert list(np.nonzero(m3)[0]) == [5]
 
 
 def test_band_mask_range_check():
-    s = Spectrum(np.zeros(8), domega=np.pi / 4, t0=0.0)
     with pytest.raises(BandOutOfRange):
-        band_mask(s, make_bandset([(3 * np.pi / 4, np.pi)]))  # hits Nyquist
-    band_mask(s, make_bandset([(-np.pi, -np.pi / 2)]))  # -pi is represented
-
-
-def test_brickwall_energy_bookkeeping():
-    rng = np.random.default_rng(11)
-    f = SampledField(rng.normal(size=256) + 1j * rng.normal(size=256), 1.0, 0.0)
-    band = make_bandset([(-1.0, -0.5), (0.2, 1.7)])
-    filtered, discarded = apply_brickwall(f, band, alpha0=0.0, dz=1.0)
-    assert discarded > 0
-    assert filtered.energy() + discarded == pytest.approx(f.energy(), rel=1e-12)
-    assert band_energy(filtered, band) == pytest.approx(filtered.energy(), rel=1e-12)
-    # idempotent in the spectral domain: second pass is bit-exact
-    s, _ = brickwall_spectrum(transform(f), band, alpha0=0.0, dz=1.0)
-    s2, d2 = brickwall_spectrum(s, band, alpha0=0.0, dz=1.0)
-    assert d2 == 0.0
-    assert np.array_equal(s2.coefficients, s.coefficients)
-    # the time-domain round trip only reintroduces rounding noise
-    _, d3 = apply_brickwall(filtered, band, alpha0=0.0, dz=1.0)
-    assert d3 < 1e-25 * f.energy()
-
-
-def test_brickwall_discards_before_decay():
-    rng = np.random.default_rng(12)
-    f = SampledField(rng.normal(size=256) + 1j * rng.normal(size=256), 1.0, 0.0)
-    band = make_bandset([(-0.9, 1.1)])
-    alpha0, dz = 0.046, 3.0
-    filtered, discarded = apply_brickwall(f, band, alpha0, dz)
-    survived = f.energy() - discarded
-    assert filtered.energy() == pytest.approx(survived * np.exp(-alpha0 * dz), rel=1e-12)
-
-
-def test_impulse_response_against_antiderivative():
-    band = make_bandset([(-2.0, -1.0), (0.5, 3.0)])
-    t_pts = np.array([0.3, 1.7, -4.2])
-    h = impulse_response(band, t_pts)
-    # (1/2pi) int_lo^hi e^{jwt} dw = (e^{j hi t} - e^{j lo t}) / (2pi j t)
-    ref = sum(
-        (np.exp(1j * hi * t_pts) - np.exp(1j * lo * t_pts)) / (2j * np.pi * t_pts)
-        for lo, hi in band.intervals
-    )
-    assert np.max(np.abs(h - ref)) < 1e-12
-    assert impulse_response(band, 0.0) == pytest.approx(band.measure / (2 * np.pi))
+        band_mask(8, np.pi / 4, make_bandset([(3 * np.pi / 4, np.pi)]))  # hits Nyquist
+    band_mask(8, np.pi / 4, make_bandset([(-np.pi, -np.pi / 2)]))  # -pi is represented
 
 
 def test_rrc_amplitude_profile():

@@ -237,6 +237,15 @@ def test_decoupling_edge_cases():
     assert ok
 
 
+@pytest.mark.parametrize(
+    "intervals",
+    [[(0.0, 1.0), (2.0, float("inf"))], [(float("nan"), 1.0), (2.0, 3.0)]],
+)
+def test_decoupling_rejects_non_finite_bounds(intervals):
+    with pytest.raises(ValueError, match="non-finite"):
+        is_energy_decoupled(intervals)
+
+
 @settings(max_examples=80)
 @given(st.lists(st.integers(1, 30), min_size=2, max_size=5, unique=True))
 def test_decoupled_iff_sidon(vals):

@@ -18,7 +18,6 @@ from fiberband.propagation import (
     InvalidStepPartition,
     channel_energy_rhs,
     propagate,
-    split_step,
 )
 
 N, DT = 512, 15.625e-12
@@ -91,18 +90,65 @@ def test_attenuation_scales_field_pointwise():
     assert np.max(np.abs(out.samples - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
-def test_split_step_bookkeeping():
+def one_step(f, dz, params, band):
+    """A single distributed-filter step; returns (field, discarded J)."""
+    out, tr = propagate(f, dz, dz, params, FilterMode.distributed(band), [band], dz)
+    return out, float(tr.discarded_cumulative[-1])
+
+
+def test_one_step_filter_bookkeeping():
     f, chans, band = two_channel_launch()
     # widen the launch so the Kerr step leaks measurable energy out of band
     g = SampledField(f.samples * 3e3, DT, T0)
     params = FiberParams(alpha0=4.6e-5, beta2=-21.667e-27, gamma=1.2578e-3)
-    out, discarded = split_step(g, 100.0, params, FilterMode.distributed(band), True)
+    out, discarded = one_step(g, 100.0, params, band)
     assert discarded > 0
     survived = (g.energy() - discarded) * np.exp(-params.alpha0 * 100.0)
     assert out.energy() == pytest.approx(survived, rel=1e-12)
     assert band_energy(out, band) == pytest.approx(out.energy(), rel=1e-12)
+
+
+def test_one_step_mask_bookkeeping():
+    rng = np.random.default_rng(11)
+    f = SampledField(rng.normal(size=256) + 1j * rng.normal(size=256), 1.0, 0.0)
+    band = make_bandset([(-1.0, -0.5), (0.2, 1.7)])
+    filtered, discarded = one_step(f, 1.0, FiberParams(), band)
+    assert discarded > 0
+    assert filtered.energy() + discarded == pytest.approx(f.energy(), rel=1e-12)
+    assert band_energy(filtered, band) == pytest.approx(filtered.energy(), rel=1e-12)
+    # a second pass only meets the rounding noise of the FFT round trip
+    _, again = one_step(filtered, 1.0, FiberParams(), band)
+    assert again < 1e-25 * f.energy()
+
+
+def test_one_step_discards_before_decay():
+    rng = np.random.default_rng(12)
+    f = SampledField(rng.normal(size=256) + 1j * rng.normal(size=256), 1.0, 0.0)
+    band = make_bandset([(-0.9, 1.1)])
+    alpha0, dz = 0.046, 3.0
+    filtered, discarded = one_step(f, dz, FiberParams(alpha0=alpha0), band)
+    survived = f.energy() - discarded
+    assert filtered.energy() == pytest.approx(survived * np.exp(-alpha0 * dz), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "z_total, dz, record_every, spacing",
+    [
+        (4e3, 0.0, 4e3, 1e3),
+        (4e3, -100.0, 4e3, 1e3),
+        (4e3, float("nan"), 4e3, 1e3),
+        (float("nan"), 100.0, 4e3, 1e3),
+        (4e3, 100.0, float("nan"), 1e3),
+        (float("inf"), 100.0, 4e3, 1e3),
+        (4e3, 100.0, float("inf"), 1e3),
+        (4e3, 100.0, 4e3, float("inf")),
+    ],
+)
+def test_propagate_rejects_bad_step_sizes(z_total, dz, record_every, spacing):
+    f, chans, band = two_channel_launch()
+    mode = FilterMode.lumped(band, spacing)
     with pytest.raises(InvalidStepPartition):
-        split_step(g, 0.0, params, FilterMode.distributed(band), True)
+        propagate(f, z_total, dz, FiberParams(), mode, chans, record_every)
 
 
 def test_propagate_stride_guards():
