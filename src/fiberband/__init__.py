@@ -10,7 +10,7 @@ such grids come from Sidon sequences, constructed exhaustively or from
 finite-field exponent sets.
 """
 
-from .bands import BandSet, make_bandset, minkowski_sum
+from .bands import BandSet, make_bandset
 from .fields import (
     SampledField,
     Spectrum,
@@ -28,7 +28,6 @@ from .planner import (
     check_erdos_bound,
     densest_sidon,
     is_energy_decoupled,
-    is_r_sidon,
     is_sidon,
     plan_channels,
     sidon_for_channels,
@@ -62,10 +61,8 @@ __all__ = [
     "integrate_tones",
     "inverse",
     "is_energy_decoupled",
-    "is_r_sidon",
     "is_sidon",
     "make_bandset",
-    "minkowski_sum",
     "parseval_residual",
     "plan_channels",
     "power_rhs",

@@ -1,9 +1,9 @@
-"""Band-set algebra on the angular-frequency axis.
+"""Channel grids on the angular-frequency axis.
 
 A band set is a finite union of pairwise-disjoint closed intervals
 [lo, hi] in rad/s. It models a multi-channel WDM occupancy mask; single
-intervals model one channel. All operations are pure and return new
-objects.
+intervals model one channel. `make_bandset` is the one place a channel
+grid is validated.
 """
 
 from __future__ import annotations
@@ -38,34 +38,14 @@ class BandSet:
     def hi(self) -> float:
         return self.intervals[-1][1]
 
-    @property
-    def measure(self) -> float:
-        """Total occupied bandwidth, sum of interval widths in rad/s."""
-        return sum(hi - lo for lo, hi in self.intervals)
-
-    def __len__(self) -> int:
-        return len(self.intervals)
-
-    def centers(self) -> list[float]:
-        return [0.5 * (lo + hi) for lo, hi in self.intervals]
-
-    def widths(self) -> list[float]:
-        return [hi - lo for lo, hi in self.intervals]
-
-    def contains(self, omega: float) -> bool:
-        return any(lo <= omega <= hi for lo, hi in self.intervals)
-
-    def channel(self, n: int) -> BandSet:
-        """Single-interval band set for channel index n (0-based)."""
-        return BandSet((self.intervals[n],))
-
 
 def make_bandset(intervals) -> BandSet:
     """Validate and sort intervals into a BandSet.
 
     Raises EmptyBandSet on an empty list, OverlappingIntervals if any
-    two intervals intersect (shared endpoints count as intersecting),
-    and BandError if a bound is not finite or some lo >= hi.
+    two intervals intersect (shared endpoints count as intersecting, so
+    every edge bin belongs to exactly one channel), and BandError if a
+    bound is not finite or some lo >= hi.
     """
     ivs = [(float(lo), float(hi)) for lo, hi in intervals]
     if not ivs:
@@ -76,39 +56,7 @@ def make_bandset(intervals) -> BandSet:
         if not lo < hi:
             raise BandError(f"interval ({lo}, {hi}) has nonpositive width")
     ivs.sort()
-    for (_, hi_a), (lo_b, _) in zip(ivs, ivs[1:]):
-        if lo_b <= hi_a:
-            raise OverlappingIntervals(
-                f"intervals overlap near omega = {lo_b:g} rad/s"
-            )
+    for a, b in zip(ivs, ivs[1:]):
+        if b[0] <= a[1]:
+            raise OverlappingIntervals(f"intervals {a} and {b} overlap")
     return BandSet(tuple(ivs))
-
-
-def merge_intervals(ivs: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
-    """Union of closed intervals; touching or overlapping ones merge."""
-    ivs = sorted(ivs)
-    out: list[tuple[float, float]] = [ivs[0]]
-    for lo, hi in ivs[1:]:
-        plo, phi = out[-1]
-        if lo <= phi:
-            out[-1] = (plo, max(phi, hi))
-        else:
-            out.append((lo, hi))
-    return tuple(out)
-
-
-def minkowski_sum(a: BandSet, b: BandSet) -> BandSet:
-    """Set sum {x + y : x in a, y in b} as a merged interval union.
-
-    The sum of two interval unions is the union of all pairwise
-    interval sums [lo1 + lo2, hi1 + hi2]. The result may have fewer
-    intervals than len(a) * len(b) because sums can overlap and merge,
-    so it is returned as a plain BandSet built without the disjointness
-    check.
-    """
-    sums = [
-        (la + lb, ha + hb)
-        for la, ha in a.intervals
-        for lb, hb in b.intervals
-    ]
-    return BandSet(merge_intervals(sums))

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .bands import make_bandset
 from .config import GHZ, ExperimentConfig, load_config, parse_config, with_overrides
 from .fields import parseval_residual
 from .planner import (
@@ -141,7 +140,7 @@ def cmd_plan(args) -> int:
     # widths in GHz carry through; the verdict and eta are scale-free
     width = args.width_ghz
     plan = plan_channels(seq, width)
-    decoupled, witness = is_energy_decoupled(plan.bandset())
+    decoupled, witness = is_energy_decoupled(plan.intervals())
     eta = spectral_filling_efficiency(plan, slot_budget=args.k)
     print(f"sequence      : {tuple(seq)}")
     print(f"channel width : {width:g} GHz")
@@ -170,7 +169,6 @@ def cmd_check(args) -> int:
             raise ValueError(f"{path}, line {lineno}: expected two finite numbers 'lo hi', "
                              f"got {line!r}")
         intervals.append((lo, hi))
-    make_bandset(intervals)  # validation: nonempty, disjoint
     decoupled, witness = is_energy_decoupled(intervals)
     if decoupled:
         print("energy-decoupled: yes")

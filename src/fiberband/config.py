@@ -19,9 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bands import BandSet
+from .bands import BandError, BandSet, make_bandset
 from .fields import SampledField, rrc_pulse
-from .planner import SidonSequence, plan_channels, sidon_for_channels
+from .planner import NotIncreasing, SidonSequence, plan_channels, sidon_for_channels
 from .propagation import FiberParams, FilterMode
 
 GHZ = 2.0 * math.pi * 1e9  # rad/s per GHz of ordinary frequency
@@ -102,6 +102,11 @@ class ExperimentConfig:
         if self.placement == "uniform" and self.span_w is not None:
             if self.span_w < self.channel_count:
                 fail("channels.span_w", "span cannot hold the channels")
+        grid_key = "channels.span_w" if self.placement == "uniform" else "channels.sequence"
+        try:  # a sidon placement is a valid grid by construction
+            make_bandset(self._channel_intervals())
+        except (BandError, NotIncreasing) as exc:
+            fail(grid_key, str(exc))
         if not 0.0 <= self.rolloff <= 1.0:
             fail("pulses.rolloff", "must lie in [0, 1]")
         for name, vals in (("energies_pj", self.energies_pj), ("phases_rad", self.phases_rad)):
@@ -129,7 +134,8 @@ class ExperimentConfig:
     def width(self) -> float:
         return self.width_ghz * GHZ
 
-    def channels(self) -> list[BandSet]:
+    def _channel_intervals(self) -> list[tuple[float, float]]:
+        """(lo, hi) of every channel in rad/s, in channel order."""
         w = self.width()
         if self.placement == "uniform":
             span = (self.span_w if self.span_w is not None else 23.0) * w
@@ -138,17 +144,18 @@ class ExperimentConfig:
             else:
                 step = (span - w) / (self.channel_count - 1)
                 centers = [0.5 * w + i * step for i in range(self.channel_count)]
-            return [BandSet(((c - 0.5 * w, c + 0.5 * w),)) for c in centers]
+            return [(c - 0.5 * w, c + 0.5 * w) for c in centers]
         if self.placement == "sidon":
             seq = sidon_for_channels(self.channel_count)
         else:
             seq = SidonSequence(tuple(self.sequence))
-        plan = plan_channels(seq, w)
-        return [BandSet((iv,)) for iv in plan.intervals()]
+        return plan_channels(seq, w).intervals()
+
+    def channels(self) -> list[BandSet]:
+        return [make_bandset([iv]) for iv in self._channel_intervals()]
 
     def full_band(self) -> BandSet:
-        ivs = [bs.intervals[0] for bs in self.channels()]
-        return BandSet(tuple(sorted(ivs)))
+        return make_bandset(self._channel_intervals())
 
     def filter_mode(self) -> FilterMode:
         band = self.full_band()
@@ -176,8 +183,7 @@ class ExperimentConfig:
         t0 = self.t0_ns * 1e-9
         energies, phases = self.pulse_parameters()
         total = np.zeros(self.n, dtype=complex)
-        for band, energy, phase in zip(self.channels(), energies, phases):
-            lo, hi = band.intervals[0]
+        for (lo, hi), energy, phase in zip(self._channel_intervals(), energies, phases):
             pulse = rrc_pulse(
                 (0.5 * (lo + hi), hi - lo), self.rolloff, energy, phase, dt, self.n, t0
             )

@@ -60,11 +60,7 @@ def _check_pow2(n: int) -> None:
 
 
 def bin_omegas(n: int, domega: float) -> np.ndarray:
-    """Bin center frequencies (m - n//2)*domega, m = 0..n-1, in increasing order.
-
-    Takes the spacing rather than dt because a Spectrum stores domega,
-    and recomputing it from dt = 2*pi/(n*domega) is not exact to the bit.
-    """
+    """Bin center frequencies (m - n//2)*domega, m = 0..n-1, in increasing order."""
     return (np.arange(n) - n // 2) * domega
 
 
@@ -103,10 +99,15 @@ class SampledField:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Field spectrum on bins increasing from -pi/dt, spacing domega."""
+    """Field spectrum on bins increasing from -pi/dt, spacing domega.
+
+    Stores the dt of the sampled field, so a round trip through
+    `inverse` gives back that dt exactly; 2*pi/(n*domega) is not always
+    dt to the bit.
+    """
 
     coefficients: np.ndarray
-    domega: float
+    dt: float
     t0: float
 
     def __post_init__(self):
@@ -120,8 +121,8 @@ class Spectrum:
         return self.coefficients.size
 
     @property
-    def dt(self) -> float:
-        return 2.0 * np.pi / (self.n * self.domega)
+    def domega(self) -> float:
+        return 2.0 * np.pi / (self.n * self.dt)
 
     def omegas(self) -> np.ndarray:
         return bin_omegas(self.n, self.domega)
@@ -137,7 +138,7 @@ def transform(f: SampledField) -> Spectrum:
     domega = 2.0 * np.pi / (n * f.dt)
     omegas = bin_omegas(n, domega)
     coeff = f.dt * np.exp(-1j * omegas * f.t0) * np.fft.fftshift(np.fft.fft(f.samples))
-    return Spectrum(coeff, domega, f.t0)
+    return Spectrum(coeff, f.dt, f.t0)
 
 
 def inverse(s: Spectrum) -> SampledField:
@@ -244,7 +245,7 @@ def rrc_pulse(
 
     coeff = np.zeros(n, dtype=complex)
     if energy == 0.0:
-        return inverse(Spectrum(coeff, domega, t0))
+        return inverse(Spectrum(coeff, dt, t0))
 
     tol = EDGE_TOL * domega
     support = np.abs(omegas - center) <= bandwidth / 2 + tol
@@ -260,7 +261,7 @@ def rrc_pulse(
     t_center = t0 + (n // 2) * dt
     scale = np.sqrt(energy / raw)
     coeff = scale * np.exp(1j * phase) * amp * np.exp(-1j * omegas * t_center)
-    return inverse(Spectrum(coeff, domega, t0))
+    return inverse(Spectrum(coeff, dt, t0))
 
 
 def parseval_residual(f: SampledField) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice
 
-from .bands import BandSet, OverlappingIntervals, make_bandset, minkowski_sum
+from .bands import make_bandset
 from .gf import FieldGF, NotPrimePower, prime_power
 
 
@@ -75,14 +75,6 @@ def is_sidon(m) -> bool:
                 return False
             sums.add(a + b)
     return True
-
-
-def is_r_sidon(m, min_gap: float = 1.0) -> bool:
-    """All pairwise sums (i <= j) differ from each other by >= min_gap."""
-    vals = _as_values(m)
-    _check_increasing(vals)
-    sums = sorted(vals[i] + vals[j] for i in range(len(vals)) for j in range(i, len(vals)))
-    return all(b - a >= min_gap for a, b in zip(sums, sums[1:]))
 
 
 def bose_sequence(n: int, modulus=None, theta=None) -> SidonSequence:
@@ -237,28 +229,15 @@ def _strictly_overlap(a: tuple[float, float], b: tuple[float, float]) -> bool:
 def is_energy_decoupled(channels) -> tuple[bool, tuple | None]:
     """Certify that no two distinct channel pairs have colliding sum bands.
 
-    `channels` is a BandSet or a list of (lo, hi) intervals. The check
-    enumerates unordered channel pairs {n1, n2} (repetition allowed) and
-    tests whether the interval sums W_n1 + W_n2 and W_n + W_n3 of two
-    distinct pairs share positive measure. Returns (True, None) or
-    (False, ((n1, n2), (n, n3))) with 1-based channel numbers in the
-    caller's channel order.
+    `channels` is a sequence of (lo, hi) intervals, validated as a grid
+    by `make_bandset`. The check enumerates unordered channel pairs
+    {n1, n2} (repetition allowed) and tests whether the interval sums
+    W_n1 + W_n2 and W_n + W_n3 of two distinct pairs share positive
+    measure. Returns (True, None) or (False, ((n1, n2), (n, n3))) with
+    1-based channel numbers in the caller's channel order.
     """
-    if isinstance(channels, BandSet):
-        intervals = list(channels.intervals)
-    else:
-        intervals = [(float(lo), float(hi)) for lo, hi in channels]
-        for idx, (lo, hi) in enumerate(intervals):
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(f"channel {idx + 1} has a non-finite bound")
-            if not lo < hi:
-                raise ValueError(f"channel {idx + 1} has nonpositive width")
-        for i in range(len(intervals)):
-            for j in range(i + 1, len(intervals)):
-                if _strictly_overlap(intervals[i], intervals[j]):
-                    raise OverlappingIntervals(
-                        f"channels {i + 1} and {j + 1} overlap"
-                    )
+    intervals = [(float(lo), float(hi)) for lo, hi in channels]
+    make_bandset(intervals)
     n = len(intervals)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     sums = {
@@ -296,9 +275,6 @@ class ChannelPlan:
     def centers(self) -> list[float]:
         return [(2 * m - 1.5) * self.width for m in self.seq]
 
-    def bandset(self) -> BandSet:
-        return make_bandset(self.intervals())
-
 
 def plan_channels(seq, width: float) -> ChannelPlan:
     """Place channels on the grid induced by a sequence; see ChannelPlan."""
@@ -307,36 +283,18 @@ def plan_channels(seq, width: float) -> ChannelPlan:
     return ChannelPlan(seq, width)
 
 
-def spectral_filling_efficiency(plan, slot_budget: int | None = None) -> float:
-    """Occupied bandwidth over spanned bandwidth.
+def spectral_filling_efficiency(plan: ChannelPlan, slot_budget: int | None = None) -> float:
+    """Occupied bandwidth over spanned bandwidth of a ChannelPlan.
 
-    For a ChannelPlan the span is taken from frequency 0 to the top of
-    the highest channel, (2*max(m) - 1)*W, so a plan starting above
-    m = 1 is charged for the unused bottom. With `slot_budget` = k the
-    span instead covers the whole grid of admissible slots 1..k,
-    i.e. (2k - 1)*W: the efficiency of a plan that was free to use any
-    element of {1..k}. A raw BandSet is measured between its own
-    extremes and takes no budget.
+    The span is taken from frequency 0 to the top of the highest
+    channel, (2*max(m) - 1)*W, so a plan starting above m = 1 is charged
+    for the unused bottom. With `slot_budget` = k the span instead
+    covers the whole grid of admissible slots 1..k, i.e. (2k - 1)*W: the
+    efficiency of a plan that was free to use any element of {1..k}.
     """
-    if isinstance(plan, ChannelPlan):
-        top = max(plan.seq.values)
-        if slot_budget is not None:
-            if slot_budget < top:
-                raise ValueError("slot budget below the plan's top slot")
-            top = slot_budget
-        return plan.n / (2 * top - 1)
+    top = max(plan.seq.values)
     if slot_budget is not None:
-        raise ValueError("slot budget only applies to slot-gridded plans")
-    return plan.measure / (plan.hi - plan.lo)
-
-
-def decoupling_witness_bands(channels, witness) -> tuple[BandSet, BandSet]:
-    """Sum bands of a violating quadruple, for reporting."""
-    if isinstance(channels, BandSet):
-        ivs = list(channels.intervals)
-    else:
-        ivs = [(float(lo), float(hi)) for lo, hi in channels]
-    (n1, n2), (n, n3) = witness
-    a = minkowski_sum(BandSet((ivs[n1 - 1],)), BandSet((ivs[n2 - 1],)))
-    b = minkowski_sum(BandSet((ivs[n - 1],)), BandSet((ivs[n3 - 1],)))
-    return a, b
+        if slot_budget < top:
+            raise ValueError("slot budget below the plan's top slot")
+        top = slot_budget
+    return plan.n / (2 * top - 1)

@@ -10,6 +10,7 @@ import dataclasses
 import json
 import math
 import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -91,6 +92,9 @@ def test_parse_rejects_garbage():
         (dict(dz_km=0.0), "run.dz_km"),
         (dict(filter="comb"), "run.filter"),
         (dict(filter="lumped", filter_spacing_km=None), "run.filter_spacing_km"),
+        # five channels in five widths touch: edge bins in two channels
+        (dict(placement="uniform", span_w=5.0), "channels.span_w"),
+        (dict(sequence=(5, 1, 2, 10, 12)), "channels.sequence"),
     ],
 )
 def test_validate_reports_the_offending_key(changes, field):
@@ -154,7 +158,8 @@ def test_sequence_placement_matches_slot_rule():
     # slot m occupies [(2m-2)W, (2m-1)W]
     expect = [(0.0, w), (2 * w, 3 * w), (8 * w, 9 * w)]
     assert np.allclose(edges, expect, rtol=1e-12)
-    assert cfg.full_band().measure == pytest.approx(3 * w, rel=1e-12)
+    measure = sum(hi - lo for lo, hi in cfg.full_band().intervals)
+    assert measure == pytest.approx(3 * w, rel=1e-12)
 
 
 def test_uniform_placement_centers():
@@ -314,6 +319,25 @@ def test_cli_simulate_names_a_non_finite_override(tmp_path, capsys, option, valu
     assert main(argv) == 1
     assert key in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "name, line, bad_line, key",
+    [
+        ("uniform5", "span_w = 23.0", "span_w = 5.0", "channels.span_w"),
+        ("sidon5", "sequence = 1 2 5 10 12", "sequence = 5 1 2 10 12", "channels.sequence"),
+    ],
+    ids=["touching", "unsorted"],
+)
+def test_cli_simulate_names_a_bad_channel_grid(tmp_path, capsys, name, line, bad_line, key):
+    text = resources.files("fiberband").joinpath("configs", f"{name}.cfg").read_text()
+    assert line in text
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(text.replace(line, bad_line), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    assert f"error: {key}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_trace_json_rows_equal_csv_rows(tmp_path):

@@ -62,7 +62,20 @@ def test_round_trip_and_parseval():
     assert parseval_residual(f) < 1e-14
     g = inverse(transform(f))
     assert np.max(np.abs(g.samples - q)) < 1e-12 * np.max(np.abs(q))
-    assert g.t0 == f.t0 and g.dt == pytest.approx(f.dt)
+    assert g.t0 == f.t0 and g.dt == f.dt
+
+
+# dt values for which 2*pi/(n*(2*pi/(n*dt))) is not dt to the bit, so a
+# Spectrum that kept only domega handed back a dt one ulp off
+@pytest.mark.parametrize("dt", [1.2e-12, 5.7e-12, 10.1e-12, 19.2e-12, 3.1, 12.5])
+@pytest.mark.parametrize("n", [8, 2048])
+def test_round_trip_keeps_dt_exactly(n, dt):
+    f = SampledField(np.ones(n), dt, -3.0 * dt)
+    s = transform(f)
+    assert s.domega == 2.0 * np.pi / (n * dt)
+    g = inverse(s)
+    assert g.dt == dt and g.t0 == f.t0
+    assert transform(g).domega == s.domega
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,19 +4,21 @@ The frozen N(k) row below was verified by hand for small k (e.g. no
 4-element set fits in {1..6} because 6 distinct differences need span 6,
 and {1,2,5,7} works at k = 7) and the k = 12 entry matches the witness
 (1,2,5,10,12). The decoupling tests exercise the genuinely independent
-route: interval arithmetic on Minkowski sums versus integer sum
-collisions.
+route: overlap of the sum intervals W_n1 + W_n2 of channel pairs versus
+integer sum collisions, and the certificate's witness against a
+reference enumeration written out in this module.
 """
 
 import hashlib
 import json
+import re
 from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from fiberband.bands import OverlappingIntervals, make_bandset
+from fiberband.bands import EmptyBandSet, OverlappingIntervals
 from fiberband.planner import (
     BRUTE_FORCE_BUDGET,
     BudgetExceeded,
@@ -25,11 +27,9 @@ from fiberband.planner import (
     bose_sequence,
     brute_force_max_sidon,
     check_erdos_bound,
-    decoupling_witness_bands,
     densest_sidon,
     erdos_bound,
     is_energy_decoupled,
-    is_r_sidon,
     is_sidon,
     max_sidon_table,
     next_prime_power,
@@ -65,18 +65,14 @@ def test_is_sidon_by_hand():
         is_sidon((0.5, 1.5))
 
 
-def test_is_r_sidon_gap():
-    # sums of (1,2,5): 2,3,4,6,7,10 -> smallest gap is 1
-    assert is_r_sidon((1.0, 2.0, 5.0), min_gap=1.0)
-    assert not is_r_sidon((1.0, 2.0, 5.0), min_gap=1.5)
-    assert is_r_sidon((0.5, 1.7, 4.9), min_gap=0.2)
-
-
 @settings(max_examples=60)
 @given(st.lists(st.integers(1, 60), min_size=1, max_size=6, unique=True))
 def test_integer_sidon_iff_unit_gap_r_sidon(vals):
+    # integer sums a + b (a <= b) are at least one apart exactly when
+    # they are distinct: count the distinct sums
     vals = tuple(sorted(vals))
-    assert is_sidon(vals) == is_r_sidon(vals, min_gap=1.0)
+    sums = {a + b for a, b in combinations(vals, 2)} | {2 * a for a in vals}
+    assert is_sidon(vals) == (len(sums) == len(vals) * (len(vals) + 1) // 2)
 
 
 def test_sequence_validation():
@@ -211,13 +207,13 @@ def test_decoupling_sidon_plan():
 
 
 def test_decoupling_uniform_collision():
-    ok, witness = is_energy_decoupled([(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)])
+    ivs = [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)]
+    ok, witness = is_energy_decoupled(ivs)
     assert not ok
     # channels 1+3 and 2+2 sum onto the same band [4, 6]
     assert witness == ((1, 3), (2, 2))
-    a, b = decoupling_witness_bands([(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)], witness)
-    assert a.intervals == ((4.0, 6.0),)
-    assert b.intervals == ((4.0, 6.0),)
+    for a, b in witness:
+        assert (ivs[a - 1][0] + ivs[b - 1][0], ivs[a - 1][1] + ivs[b - 1][1]) == (4.0, 6.0)
 
 
 def test_decoupling_keeps_caller_order():
@@ -228,12 +224,14 @@ def test_decoupling_keeps_caller_order():
 
 
 def test_decoupling_edge_cases():
-    # touching channel endpoints are legal input but still couple
-    ok, witness = is_energy_decoupled([(0.0, 1.0), (1.0, 2.0)])
-    assert not ok and witness == ((1, 1), (1, 2))
+    # a shared endpoint puts an edge bin in two channels: not a grid
     with pytest.raises(OverlappingIntervals):
-        is_energy_decoupled([(0.0, 2.0), (1.0, 3.0)])
-    ok, _ = is_energy_decoupled(make_bandset([(0.0, 1.0), (3.0, 4.0)]))
+        is_energy_decoupled([(0.0, 1.0), (1.0, 2.0)])
+    with pytest.raises(OverlappingIntervals, match=re.escape("(0.0, 2.0) and (1.0, 3.0)")):
+        is_energy_decoupled([(1.0, 3.0), (0.0, 2.0)])
+    with pytest.raises(EmptyBandSet):
+        is_energy_decoupled([])
+    ok, _ = is_energy_decoupled([(3.0, 4.0), (0.0, 1.0)])
     assert ok
 
 
@@ -256,6 +254,37 @@ def test_decoupled_iff_sidon(vals):
     assert is_energy_decoupled(intervals)[0] == is_sidon(seq)
 
 
+def _first_collision(intervals: list) -> tuple | None:
+    """Reference certificate: the first two channel pairs, in caller
+    order, whose sum intervals share more than an endpoint."""
+    n = len(intervals)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+
+    def sum_band(pair):
+        a, b = pair
+        return intervals[a][0] + intervals[b][0], intervals[a][1] + intervals[b][1]
+
+    for p, q in combinations(pairs, 2):
+        (plo, phi), (qlo, qhi) = sum_band(p), sum_band(q)
+        if max(plo, qlo) < min(phi, qhi):
+            return (p[0] + 1, p[1] + 1), (q[0] + 1, q[1] + 1)
+    return None
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(st.integers(1, 30), min_size=1, max_size=7, unique=True).flatmap(st.permutations)
+)
+@example([12, 1, 10, 2, 5])  # Sidon
+@example([3, 1, 2])  # 1 + 3 = 2 + 2
+def test_decoupling_witness_matches_enumeration(slots):
+    # integer-slot grid, channels in the drawn (unsorted) order
+    intervals = [((2 * m - 2) * 1.5, (2 * m - 1) * 1.5) for m in slots]
+    witness = _first_collision(intervals)
+    assert (witness is None) == is_sidon(sorted(slots))
+    assert is_energy_decoupled(intervals) == (witness is None, witness)
+
+
 def test_filling_efficiency():
     plan = plan_channels((1, 2, 5, 10, 12), width=2.0)
     assert spectral_filling_efficiency(plan) == pytest.approx(5 / 23)
@@ -263,16 +292,12 @@ def test_filling_efficiency():
     assert spectral_filling_efficiency(plan, slot_budget=20) == pytest.approx(5 / 39)
     with pytest.raises(ValueError):
         spectral_filling_efficiency(plan, slot_budget=11)
-    bs = make_bandset([(0.0, 1.0), (3.0, 4.0)])
-    assert spectral_filling_efficiency(bs) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        spectral_filling_efficiency(bs, slot_budget=10)
 
 
 def test_plan_geometry():
     plan = plan_channels((1, 3), width=2.0)
     assert plan.intervals() == [(0.0, 2.0), (8.0, 10.0)]
     assert plan.centers() == [1.0, 9.0]
-    assert plan.bandset().measure == 4.0
+    assert sum(hi - lo for lo, hi in plan.intervals()) == 4.0
     with pytest.raises(ValueError):
         plan_channels((1, 3), width=0.0)
