@@ -24,8 +24,6 @@ from .planner import (
     ChannelPlan,
     SidonSequence,
     bose_sequence,
-    brute_force_max_sidon,
-    check_erdos_bound,
     densest_sidon,
     is_energy_decoupled,
     is_sidon,
@@ -40,7 +38,7 @@ from .propagation import (
     channel_energy_rhs,
     propagate,
 )
-from .threetone import ToneState, integrate_tones, power_rhs, tone_rhs
+from .threetone import ToneState, integrate_tones, power_rhs
 
 __all__ = [
     "BandSet",
@@ -54,9 +52,7 @@ __all__ = [
     "ToneState",
     "band_energy",
     "bose_sequence",
-    "brute_force_max_sidon",
     "channel_energy_rhs",
-    "check_erdos_bound",
     "densest_sidon",
     "integrate_tones",
     "inverse",
@@ -70,7 +66,6 @@ __all__ = [
     "rrc_pulse",
     "sidon_for_channels",
     "spectral_filling_efficiency",
-    "tone_rhs",
     "transform",
 ]
 

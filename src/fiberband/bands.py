@@ -21,7 +21,11 @@ class EmptyBandSet(BandError):
 
 
 class OverlappingIntervals(BandError):
-    pass
+    """Two intervals intersect; `pair` holds them in sorted order."""
+
+    def __init__(self, a: tuple[float, float], b: tuple[float, float]):
+        super().__init__(f"intervals {a} and {b} overlap")
+        self.pair = (a, b)
 
 
 @dataclass(frozen=True)
@@ -58,5 +62,5 @@ def make_bandset(intervals) -> BandSet:
     ivs.sort()
     for a, b in zip(ivs, ivs[1:]):
         if b[0] <= a[1]:
-            raise OverlappingIntervals(f"intervals {a} and {b} overlap")
+            raise OverlappingIntervals(a, b)
     return BandSet(tuple(ivs))

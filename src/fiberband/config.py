@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bands import BandError, BandSet, make_bandset
-from .fields import SampledField, rrc_pulse
+from .bands import BandError, BandSet, OverlappingIntervals, make_bandset
+from .fields import BandOutOfRange, SampledField, band_mask, bin_omegas, rrc_pulse
 from .planner import NotIncreasing, SidonSequence, plan_channels, sidon_for_channels
 from .propagation import FiberParams, FilterMode
 
@@ -102,11 +102,23 @@ class ExperimentConfig:
         if self.placement == "uniform" and self.span_w is not None:
             if self.span_w < self.channel_count:
                 fail("channels.span_w", "span cannot hold the channels")
-        grid_key = "channels.span_w" if self.placement == "uniform" else "channels.sequence"
+        grid_key = "channels.sequence"
+        if self.placement == "uniform":  # name the key the config set
+            grid_key = "channels.count" if self.span_w is None else "channels.span_w"
         try:  # a sidon placement is a valid grid by construction
-            make_bandset(self._channel_intervals())
+            grid = make_bandset(self._channel_intervals())
+        except OverlappingIntervals as exc:
+            a, b = (f"[{lo / GHZ:g}, {hi / GHZ:g}]" for lo, hi in exc.pair)
+            fail(grid_key, f"channels {a} and {b} GHz overlap")
         except (BandError, NotIncreasing) as exc:
             fail(grid_key, str(exc))
+        dt = self.dt_ps * 1e-12
+        try:
+            band_mask(self.n, dt, grid)
+        except BandOutOfRange:
+            nyquist = -bin_omegas(self.n, dt)[0] / GHZ
+            fail("channels.width_ghz", f"top channel edge {grid.hi / GHZ:g} GHz is not below "
+                 f"the Nyquist edge {nyquist:g} GHz of grid.dt_ps = {self.dt_ps!r}")
         if not 0.0 <= self.rolloff <= 1.0:
             fail("pulses.rolloff", "must lie in [0, 1]")
         for name, vals in (("energies_pj", self.energies_pj), ("phases_rad", self.phases_rad)):

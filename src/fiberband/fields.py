@@ -19,10 +19,10 @@ band; a bin belongs to a closed interval if its center is within
 EDGE_TOL of it, which absorbs last-ulp noise when channel edges are
 constructed to land exactly on bin centers.
 
-`bin_omegas` builds the bin grid and `band_mask` the band masks for
-every caller, the propagator included, which applies `ifftshift` to
-both for raw FFT order. Brick-wall filtering itself is a step of
-`propagation.propagate`; this module has no separate filter.
+This module alone knows the spectral bookkeeping: `bin_omegas` builds
+the bin grid, `band_mask` the masks and the one check of the represented
+window, and `band_energy` the energy of masked bins. The propagator uses
+them in raw FFT order; brick-wall filtering is a propagator step.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import BandSet
+from .bands import BandSet, make_bandset
 
 # Fraction of a bin spacing by which closed-interval membership is
 # widened. Must stay well below 1 so it can never capture a neighbour.
@@ -59,9 +59,13 @@ def _check_pow2(n: int) -> None:
         raise FieldError(f"sample count {n} is not a power of two >= 2")
 
 
-def bin_omegas(n: int, domega: float) -> np.ndarray:
+def _bin_spacing(n: int, dt: float) -> float:
+    return 2.0 * np.pi / (n * dt)
+
+
+def bin_omegas(n: int, dt: float) -> np.ndarray:
     """Bin center frequencies (m - n//2)*domega, m = 0..n-1, in increasing order."""
-    return (np.arange(n) - n // 2) * domega
+    return (np.arange(n) - n // 2) * _bin_spacing(n, dt)
 
 
 @dataclass(frozen=True)
@@ -88,9 +92,6 @@ class SampledField:
     @property
     def n(self) -> int:
         return self.samples.size
-
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n)
 
     def energy(self) -> float:
         """Total energy in J, computed in the time domain."""
@@ -122,10 +123,10 @@ class Spectrum:
 
     @property
     def domega(self) -> float:
-        return 2.0 * np.pi / (self.n * self.dt)
+        return _bin_spacing(self.n, self.dt)
 
     def omegas(self) -> np.ndarray:
-        return bin_omegas(self.n, self.domega)
+        return bin_omegas(self.n, self.dt)
 
     def energy(self) -> float:
         """Total energy in J, computed in the frequency domain."""
@@ -134,9 +135,7 @@ class Spectrum:
 
 def transform(f: SampledField) -> Spectrum:
     """Forward transform, dt-scaled DFT reordered to increasing frequency."""
-    n = f.n
-    domega = 2.0 * np.pi / (n * f.dt)
-    omegas = bin_omegas(n, domega)
+    omegas = bin_omegas(f.n, f.dt)
     coeff = f.dt * np.exp(-1j * omegas * f.t0) * np.fft.fftshift(np.fft.fft(f.samples))
     return Spectrum(coeff, f.dt, f.t0)
 
@@ -148,20 +147,21 @@ def inverse(s: Spectrum) -> SampledField:
     return SampledField(q, dt, s.t0)
 
 
-def band_mask(n: int, domega: float, band: BandSet) -> np.ndarray:
-    """Boolean mask of the bins of `bin_omegas(n, domega)` inside `band`.
+def band_mask(n: int, dt: float, band: BandSet) -> np.ndarray:
+    """Boolean mask of the bins of `bin_omegas(n, dt)` inside `band`.
 
     A bin belongs to the closed band set when its center does. The grid
     represents [-(n//2)*domega, (n//2)*domega); a band reaching outside
     it raises BandOutOfRange.
     """
-    omegas = bin_omegas(n, domega)
+    domega = _bin_spacing(n, dt)
     half_span = (n // 2) * domega
     if band.lo < -half_span or band.hi >= half_span:
         raise BandOutOfRange(
             f"band [{band.lo:g}, {band.hi:g}] exceeds represented "
             f"[-{half_span:g}, {half_span:g}) rad/s"
         )
+    omegas = bin_omegas(n, dt)
     tol = EDGE_TOL * domega
     mask = np.zeros(n, dtype=bool)
     for lo, hi in band.intervals:
@@ -169,16 +169,12 @@ def band_mask(n: int, domega: float, band: BandSet) -> np.ndarray:
     return mask
 
 
-def spectrum_band_energy(s: Spectrum, band: BandSet) -> float:
-    mask = band_mask(s.n, s.domega, band)
-    return float(
-        np.sum(np.abs(s.coefficients[mask]) ** 2) * s.domega / (2.0 * np.pi)
-    )
+def band_energy(power: np.ndarray, mask: np.ndarray, dt: float) -> float:
+    """Energy in J of the bins `mask` selects from power = |fft(q)|^2.
 
-
-def band_energy(f: SampledField, band: BandSet) -> float:
-    """Energy in J carried by the bins inside `band`."""
-    return spectrum_band_energy(transform(f), band)
+    Both are in raw FFT order: mask is `ifftshift(band_mask(n, dt, band))`.
+    """
+    return float(np.sum(power[mask])) * (dt / power.size)
 
 
 def rrc_spectral_amplitude(offset: np.ndarray, bandwidth: float, rolloff: float) -> np.ndarray:
@@ -226,8 +222,9 @@ def rrc_pulse(
     The pulse is synthesized directly in the frequency domain, so its
     spectrum is identically zero outside the channel. The pulse peak
     sits at the center of the time window. Raises ChannelTooNarrow when
-    the requested bandwidth exceeds the channel, GridTooCoarse when no
-    bin falls inside the pulse support.
+    the requested bandwidth exceeds the channel, BandOutOfRange when the
+    channel leaves the window `band_mask` represents, GridTooCoarse when
+    no bin falls inside the pulse support.
     """
     center, width = channel
     _check_pow2(n)
@@ -237,23 +234,22 @@ def rrc_pulse(
         raise ChannelTooNarrow(
             f"pulse bandwidth {bandwidth:g} exceeds channel width {width:g}"
         )
-    domega = 2.0 * np.pi / (n * dt)
-    omegas = bin_omegas(n, domega)
-    half_span = np.pi / dt
-    if center - width / 2 < -half_span or center + width / 2 >= half_span:
-        raise BandOutOfRange("channel exceeds the represented bandwidth")
+    # the window check; raises BandOutOfRange
+    band_mask(n, dt, make_bandset([(center - width / 2, center + width / 2)]))
 
     coeff = np.zeros(n, dtype=complex)
     if energy == 0.0:
         return inverse(Spectrum(coeff, dt, t0))
 
-    tol = EDGE_TOL * domega
-    support = np.abs(omegas - center) <= bandwidth / 2 + tol
+    omegas = bin_omegas(n, dt)
+    support = band_mask(
+        n, dt, make_bandset([(center - bandwidth / 2, center + bandwidth / 2)])
+    )
     amp = np.zeros(n)
     amp[support] = rrc_spectral_amplitude(
         omegas[support] - center, bandwidth, rolloff
     )
-    raw = np.sum(amp**2) * domega / (2.0 * np.pi)
+    raw = np.sum(amp**2) * _bin_spacing(n, dt) / (2.0 * np.pi)
     if raw == 0.0:
         raise GridTooCoarse(
             f"no spectral bin falls inside the {bandwidth:g} rad/s pulse support"

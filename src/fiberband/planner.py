@@ -184,13 +184,6 @@ def max_sidon_table(k_max: int) -> tuple:
     return tuple(islice(_table_rows(), k_max))
 
 
-def brute_force_max_sidon(k: int) -> tuple[int, tuple]:
-    """Exhaustive maximum Sidon-sequence length N(k) within {1..k}."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return max_sidon_table(k)[-1]
-
-
 def densest_sidon(n: int) -> SidonSequence:
     """Shortest-span Sidon sequence of length n, by exhaustive search.
 
@@ -212,13 +205,6 @@ def erdos_bound(k: int) -> float:
         a += 1
     c = 1.0 + k / a
     return 0.5 * c + math.sqrt(0.25 * c * c + (a + 2) * (a - 1) * (k + a) / a**2)
-
-
-def check_erdos_bound(k: int, n_k: int | None = None) -> bool:
-    """True iff the exhaustive N(k) respects the counting bound."""
-    if n_k is None:
-        n_k, _ = brute_force_max_sidon(k)
-    return n_k <= erdos_bound(k)
 
 
 def _strictly_overlap(a: tuple[float, float], b: tuple[float, float]) -> bool:

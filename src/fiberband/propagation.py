@@ -17,7 +17,8 @@ never masks; plain attenuation always applies.
 `propagate` drives `_step_kernel`, the only code that steps or filters
 a field; a single filtered step is `propagate` with z_total = dz =
 record_every and a distributed filter mode. Both work in raw FFT order
-on the grid and masks of `fields.bin_omegas` and `fields.band_mask`.
+on the grid and masks of `fields.bin_omegas` and `fields.band_mask`,
+and every band energy recorded here is `fields.band_energy`.
 
 All quantities are SI: m, s, rad/s, W, J.
 """
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import BandSet
-from .fields import SampledField, band_mask, bin_omegas, transform
+from .fields import SampledField, band_energy, band_mask, bin_omegas, transform
 
 LN10 = float(np.log(10.0))
 
@@ -181,16 +182,15 @@ def propagate(
     rec_stride = stride(record_every, "record_every")
     filt_stride = stride(mode.spacing, "filter spacing") if mode.kind == "lumped" else 0
     n, dt, t0 = f0.n, f0.dt, f0.t0
-    domega = 2.0 * np.pi / (n * dt)
 
-    channel_masks = [np.fft.ifftshift(band_mask(n, domega, band)) for band in channels]
+    channel_masks = [np.fft.ifftshift(band_mask(n, dt, band)) for band in channels]
     inband_mask = np.logical_or.reduce(channel_masks) if channels else None
     filter_mask = None
     if mode.kind != "none":
-        filter_mask = np.fft.ifftshift(band_mask(n, domega, mode.band))
+        filter_mask = np.fft.ifftshift(band_mask(n, dt, mode.band))
     scale = dt / n  # |FFT(q)|^2 summed equals n * sum|q|^2; scale restores joules
 
-    omegas = np.fft.ifftshift(bin_omegas(n, domega))
+    omegas = np.fft.ifftshift(bin_omegas(n, dt))
     disp_phase = np.exp(0.5j * params.beta2 * dz * omegas**2)
     decay = float(np.exp(-0.5 * params.alpha0 * dz))
     nl_coef = 1j * params.gamma * dz
@@ -201,9 +201,9 @@ def propagate(
         spec = np.fft.fft(q)
         power = np.abs(spec) ** 2
         total = float(np.sum(power)) * scale
-        chans = [float(np.sum(power[m])) * scale for m in channel_masks]
+        chans = [band_energy(power, m, dt) for m in channel_masks]
         if inband_mask is not None:
-            inband = float(np.sum(power[inband_mask])) * scale
+            inband = band_energy(power, inband_mask, dt)
             if total - inband < OUT_OF_BAND_FLOOR * total:
                 total = inband
         zs.append(step_idx * dz)
@@ -256,7 +256,7 @@ def channel_energy_rhs(
     """
     s = transform(f)
     q_full = s.coefficients
-    mask = band_mask(s.n, s.domega, channels[n_channel])
+    mask = band_mask(s.n, s.dt, channels[n_channel])
     q_chan = np.where(mask, q_full, 0.0)
     dw = s.domega
 
@@ -266,5 +266,6 @@ def channel_energy_rhs(
     conv_chan = np.fft.ifft(np.fft.fft(q_chan, m) * full_f) * dw
 
     integral = np.sum(conv_full * np.conj(conv_chan)) * dw
-    energy_n = float(np.sum(np.abs(q_full[mask]) ** 2) * dw / (2.0 * np.pi))
+    power = np.abs(np.fft.fft(f.samples)) ** 2
+    energy_n = band_energy(power, np.fft.ifftshift(mask), f.dt)
     return -alpha0 * energy_n - gamma / (4.0 * np.pi**3) * float(np.imag(integral))

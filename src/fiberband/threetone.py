@@ -53,12 +53,6 @@ def _rhs(q: np.ndarray, domega: float, beta2: float, gamma: float) -> np.ndarray
     return np.array([d1, d2, d3])
 
 
-def tone_rhs(state: ToneState, params) -> tuple[complex, complex, complex]:
-    """dQ_n/dz at the given state; params supplies beta2 and gamma."""
-    d = _rhs(state.amplitudes(), state.domega, params.beta2, params.gamma)
-    return complex(d[0]), complex(d[1]), complex(d[2])
-
-
 def power_rhs(state: ToneState, gamma: float) -> tuple[float, float, float]:
     """dP_n/dz from the mixing term alone; sums to zero identically."""
     q1, q2, q3 = state.q1, state.q2, state.q3

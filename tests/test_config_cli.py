@@ -95,12 +95,31 @@ def test_parse_rejects_garbage():
         # five channels in five widths touch: edge bins in two channels
         (dict(placement="uniform", span_w=5.0), "channels.span_w"),
         (dict(sequence=(5, 1, 2, 10, 12)), "channels.sequence"),
+        # top channel edge 46 GHz against the 32 GHz Nyquist edge
+        (dict(width_ghz=2.0), "channels.width_ghz"),
+        # no span_w: 30 channels do not fit the default span of 23 widths
+        (dict(placement="uniform", channel_count=30, energies_pj=None, phases_rad=None),
+         "channels.count"),
     ],
 )
 def test_validate_reports_the_offending_key(changes, field):
     cfg = sidon_cfg(**changes)
     with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
         cfg.validate()
+
+
+def test_grid_errors_speak_in_ghz():
+    with pytest.raises(ConfigError) as exc:
+        sidon_cfg(width_ghz=2.0).validate()
+    assert str(exc.value) == (
+        "channels.width_ghz: top channel edge 46 GHz is not below the Nyquist "
+        "edge 32 GHz of grid.dt_ps = 15.625"
+    )
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(placement="uniform", channel_count=30).validate()
+    assert str(exc.value) == (
+        "channels.count: channels [0, 1] and [0.758621, 1.75862] GHz overlap"
+    )
 
 
 NAN, INF = float("nan"), float("inf")
@@ -326,8 +345,9 @@ def test_cli_simulate_names_a_non_finite_override(tmp_path, capsys, option, valu
     [
         ("uniform5", "span_w = 23.0", "span_w = 5.0", "channels.span_w"),
         ("sidon5", "sequence = 1 2 5 10 12", "sequence = 5 1 2 10 12", "channels.sequence"),
+        ("sidon5", "width_ghz = 1.0", "width_ghz = 2.0", "channels.width_ghz"),
     ],
-    ids=["touching", "unsorted"],
+    ids=["touching", "unsorted", "outside-window"],
 )
 def test_cli_simulate_names_a_bad_channel_grid(tmp_path, capsys, name, line, bad_line, key):
     text = resources.files("fiberband").joinpath("configs", f"{name}.cfg").read_text()

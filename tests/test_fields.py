@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fiberband.bands import BandSet, make_bandset
+from fiberband.config import GHZ, ConfigError, ExperimentConfig
 from fiberband.fields import (
     BandOutOfRange,
     ChannelTooNarrow,
@@ -19,6 +20,7 @@ from fiberband.fields import (
     SampledField,
     band_energy,
     band_mask,
+    bin_omegas,
     inverse,
     parseval_residual,
     rrc_pulse,
@@ -103,21 +105,73 @@ def test_field_validation():
 
 
 def test_band_mask_closed_interval_with_edge_snap():
-    # 8 bins at (m-4)*pi/4: -pi .. 3pi/4
-    m = band_mask(8, np.pi / 4, make_bandset([(0.0, np.pi / 4)]))
+    # dt = 1: 8 bins at (m-4)*pi/4, -pi .. 3pi/4
+    m = band_mask(8, 1.0, make_bandset([(0.0, np.pi / 4)]))
     assert list(np.nonzero(m)[0]) == [4, 5]
     # an edge a hair inside the bin still owns it
-    m2 = band_mask(8, np.pi / 4, make_bandset([(1e-12, np.pi / 4 - 1e-12)]))
+    m2 = band_mask(8, 1.0, make_bandset([(1e-12, np.pi / 4 - 1e-12)]))
     assert np.array_equal(m2, m)
     # but half a bin away it does not
-    m3 = band_mask(8, np.pi / 4, make_bandset([(np.pi / 8, np.pi / 4)]))
+    m3 = band_mask(8, 1.0, make_bandset([(np.pi / 8, np.pi / 4)]))
     assert list(np.nonzero(m3)[0]) == [5]
 
 
 def test_band_mask_range_check():
     with pytest.raises(BandOutOfRange):
-        band_mask(8, np.pi / 4, make_bandset([(3 * np.pi / 4, np.pi)]))  # hits Nyquist
-    band_mask(8, np.pi / 4, make_bandset([(-np.pi, -np.pi / 2)]))  # -pi is represented
+        band_mask(8, 1.0, make_bandset([(3 * np.pi / 4, np.pi)]))  # hits Nyquist
+    band_mask(8, 1.0, make_bandset([(-np.pi, -np.pi / 2)]))  # -pi is represented
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 10),
+    st.floats(0.01, 10.0, allow_nan=False),
+    st.integers(1, 4),
+    st.integers(0, 2**31 - 1),
+)
+def test_band_energy_splits_the_field_energy(log2n, dt, k, seed):
+    rng = np.random.default_rng(seed)
+    n = 2**log2n
+    f = SampledField(rng.normal(size=n) + 1j * rng.normal(size=n), dt, rng.uniform(-50, 50))
+    s = transform(f)
+    # k disjoint in-window bands; each edge sits a random fraction of a
+    # bin above one of 2k distinct bins, so every band holds a bin
+    bins = np.sort(rng.choice(np.arange(-(n // 2), n // 2), size=2 * k, replace=False))
+    edges = (bins + rng.uniform(0.0, 0.99, size=2 * k)) * s.domega
+    mask = band_mask(n, dt, make_bandset(edges.reshape(k, 2)))
+    power = np.abs(np.fft.fft(f.samples)) ** 2
+    inside = band_energy(power, np.fft.ifftshift(mask), dt)
+    outside = band_energy(power, np.fft.ifftshift(~mask), dt)
+    assert inside + outside == pytest.approx(f.energy(), rel=1e-12)
+    reference = np.sum(np.abs(s.coefficients[mask]) ** 2) * s.domega / (2 * np.pi)
+    assert inside == pytest.approx(reference, rel=1e-12)
+
+
+# n = 2048 bins of 24.4140625 MHz at dt = 20 ps: the last bin is at
+# 24.9755859375 GHz, and the Nyquist edge one bin higher, at exactly
+# 25 GHz in floating point too, is not represented
+@pytest.mark.parametrize("width_ghz, inside", [(24.9755859375, True), (25.0, False)])
+def test_window_rule_is_shared_by_mask_pulse_and_config(width_ghz, inside):
+    n, dt_ps = 2048, 20.0
+    dt, w = dt_ps * 1e-12, width_ghz * GHZ
+    if inside:
+        assert w == pytest.approx(bin_omegas(n, dt)[-1], rel=1e-15)
+    else:
+        assert w == -bin_omegas(n, dt)[0]
+    cfg = ExperimentConfig(
+        n=n, dt_ps=dt_ps, placement="uniform", channel_count=1, width_ghz=width_ghz
+    )
+    checks = [  # each on the channel [0, w]
+        (lambda: band_mask(n, dt, make_bandset([(0.0, w)])), BandOutOfRange),
+        (lambda: rrc_pulse((w / 2, w), 0.15, 1.0, 0.0, dt, n, -16e-9), BandOutOfRange),
+        (cfg.validate, ConfigError),
+    ]
+    for call, error in checks:
+        if inside:
+            call()
+        else:
+            with pytest.raises(error):
+                call()
 
 
 def test_rrc_amplitude_profile():
@@ -143,7 +197,9 @@ def test_rrc_pulse_energy_band_and_peak():
     f = rrc_pulse((center, width), 0.15, energy=2.5, phase=0.8, dt=dt, n=n, t0=t0)
     assert f.energy() == pytest.approx(2.5, rel=1e-12)
     chan = make_bandset([(center - width / 2, center + width / 2)])
-    assert band_energy(f, chan) == pytest.approx(2.5, rel=1e-12)
+    mask = np.fft.ifftshift(band_mask(n, dt, chan))
+    power = np.abs(np.fft.fft(f.samples)) ** 2
+    assert band_energy(power, mask, dt) == pytest.approx(2.5, rel=1e-12)
     assert int(np.argmax(np.abs(f.samples))) == n // 2
     assert np.angle(f.samples[n // 2]) == pytest.approx(0.8, abs=1e-9)
 

@@ -25,8 +25,6 @@ from fiberband.planner import (
     NotIncreasing,
     SidonSequence,
     bose_sequence,
-    brute_force_max_sidon,
-    check_erdos_bound,
     densest_sidon,
     erdos_bound,
     is_energy_decoupled,
@@ -120,9 +118,7 @@ def test_brute_force_small_table():
         assert len(witness) == n
         assert witness[0] == 1 and witness[-1] <= k
         assert is_sidon(witness)
-    assert brute_force_max_sidon(12) == (5, (1, 2, 5, 10, 12))
-    with pytest.raises(ValueError):
-        brute_force_max_sidon(0)
+    assert table[-1] == (5, (1, 2, 5, 10, 12))
     with pytest.raises(BudgetExceeded):
         max_sidon_table(BRUTE_FORCE_BUDGET + 1)
 
@@ -190,14 +186,13 @@ def test_erdos_bound_frozen_values():
     # bound evaluates to 1.357143 + sqrt(1.841837 + 20.938776)
     assert erdos_bound(12) == pytest.approx(6.130047, abs=1e-5)
     assert erdos_bound(1) == pytest.approx(2.0, abs=1e-12)
-    assert check_erdos_bound(12, 5)
-    assert not check_erdos_bound(12, 7)
+    assert 5 <= erdos_bound(12) < 7
 
 
 def test_erdos_bound_holds_on_small_range():
     table = max_sidon_table(25)
     for k, (n, _) in enumerate(table, start=1):
-        assert check_erdos_bound(k, n), k
+        assert n <= erdos_bound(k), k
 
 
 def test_decoupling_sidon_plan():
