@@ -119,6 +119,17 @@ class ExperimentConfig:
             nyquist = -bin_omegas(self.n, dt)[0] / GHZ
             fail("channels.width_ghz", f"top channel edge {grid.hi / GHZ:g} GHz is not below "
                  f"the Nyquist edge {nyquist:g} GHz of grid.dt_ps = {self.dt_ps!r}")
+        # launch_field gives each pulse its whole channel as support, and
+        # rrc_pulse needs a bin in that support
+        for number, (lo, hi) in enumerate(grid.intervals, start=1):
+            center, width = 0.5 * (lo + hi), hi - lo
+            support = make_bandset([(center - width / 2, center + width / 2)])
+            if not band_mask(self.n, dt, support).any():
+                spacing = bin_omegas(self.n, dt)[self.n // 2 + 1] / GHZ  # first bin above 0
+                fail("channels.width_ghz", f"channel {number} [{lo / GHZ:g}, {hi / GHZ:g}] GHz "
+                     f"holds no frequency bin: width {self.width_ghz!r} GHz against a bin "
+                     f"spacing of {spacing:g} GHz (grid.n = {self.n}, "
+                     f"grid.dt_ps = {self.dt_ps!r})")
         if not 0.0 <= self.rolloff <= 1.0:
             fail("pulses.rolloff", "must lie in [0, 1]")
         for name, vals in (("energies_pj", self.energies_pj), ("phases_rad", self.phases_rad)):

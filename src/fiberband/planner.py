@@ -216,25 +216,47 @@ def is_energy_decoupled(channels) -> tuple[bool, tuple | None]:
     """Certify that no two distinct channel pairs have colliding sum bands.
 
     `channels` is a sequence of (lo, hi) intervals, validated as a grid
-    by `make_bandset`. The check enumerates unordered channel pairs
-    {n1, n2} (repetition allowed) and tests whether the interval sums
-    W_n1 + W_n2 and W_n + W_n3 of two distinct pairs share positive
-    measure. Returns (True, None) or (False, ((n1, n2), (n, n3))) with
-    1-based channel numbers in the caller's channel order.
+    by `make_bandset`. The unordered channel pairs {n1, n2} (repetition
+    allowed) are enumerated in caller order, and two distinct pairs
+    collide when their sum intervals W_n1 + W_n2 and W_n + W_n3 share
+    positive measure. Returns (True, None) or
+    (False, ((n1, n2), (n, n3))) with 1-based channel numbers in the
+    caller's channel order: the first colliding pair of pairs in
+    enumeration order.
+
+    The M = N(N+1)/2 sum intervals are swept once in (lo, hi) order
+    with the running maximum of the upper edges seen so far, an
+    interval-intersection sweep (Shamos & Hoey 1976). An interval
+    collides with an earlier one iff its lo is below that maximum, and
+    with a later one iff the next lo is below its own hi. That flags
+    exactly the colliding sum intervals in O(M log M), i.e.
+    O(N^2 log N). A sum interval that rounding collapsed to a point
+    carries no bandwidth and stays out of the sweep. The first flagged
+    interval in enumeration order has all its partners later, so it is
+    the witness's first pair, and the second is the first flagged
+    interval after it that overlaps it.
     """
     intervals = [(float(lo), float(hi)) for lo, hi in channels]
     make_bandset(intervals)
     n = len(intervals)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    sums = {
-        (i, j): (intervals[i][0] + intervals[j][0], intervals[i][1] + intervals[j][1])
+    sums = [
+        (intervals[i][0] + intervals[j][0], intervals[i][1] + intervals[j][1])
         for i, j in pairs
-    }
-    for idx, p in enumerate(pairs):
-        for q in pairs[idx + 1 :]:
-            if _strictly_overlap(sums[p], sums[q]):
-                return False, ((p[0] + 1, p[1] + 1), (q[0] + 1, q[1] + 1))
-    return True, None
+    ]
+    swept = sorted((lo, hi, k) for k, (lo, hi) in enumerate(sums) if lo < hi)
+    next_los = [lo for lo, _, _ in swept[1:]] + [math.inf]
+    flagged = []
+    reach = -math.inf  # highest upper edge among the intervals swept so far
+    for (lo, hi, k), next_lo in zip(swept, next_los):
+        if lo < reach or next_lo < hi:
+            flagged.append(k)
+        reach = max(reach, hi)
+    if not flagged:
+        return True, None
+    p, *rest = sorted(flagged)
+    q = next(q for q in rest if _strictly_overlap(sums[p], sums[q]))
+    return False, ((pairs[p][0] + 1, pairs[p][1] + 1), (pairs[q][0] + 1, pairs[q][1] + 1))
 
 
 @dataclass(frozen=True)

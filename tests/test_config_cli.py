@@ -100,6 +100,8 @@ def test_parse_rejects_garbage():
         # no span_w: 30 channels do not fit the default span of 23 widths
         (dict(placement="uniform", channel_count=30, energies_pj=None, phases_rad=None),
          "channels.count"),
+        # 0.01 GHz channels between the bins of a 0.03125 GHz grid
+        (dict(width_ghz=0.01), "channels.width_ghz"),
     ],
 )
 def test_validate_reports_the_offending_key(changes, field):
@@ -115,11 +117,26 @@ def test_grid_errors_speak_in_ghz():
         "channels.width_ghz: top channel edge 46 GHz is not below the Nyquist "
         "edge 32 GHz of grid.dt_ps = 15.625"
     )
+    # bins are 1 / (2048 * 15.625 ps) = 31.25 MHz apart; a 10 MHz channel
+    # at [20, 30] MHz falls between the bins at 0 and 31.25 MHz
+    with pytest.raises(ConfigError) as exc:
+        sidon_cfg(width_ghz=0.01).validate()
+    assert str(exc.value) == (
+        "channels.width_ghz: channel 2 [0.02, 0.03] GHz holds no frequency bin: width "
+        "0.01 GHz against a bin spacing of 0.03125 GHz (grid.n = 2048, grid.dt_ps = 15.625)"
+    )
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig(placement="uniform", channel_count=30).validate()
     assert str(exc.value) == (
         "channels.count: channels [0, 1] and [0.758621, 1.75862] GHz overlap"
     )
+
+
+def test_channels_wider_than_a_bin_launch():
+    # 50 MHz channels on a 31.25 MHz bin grid hold one or two bins each
+    cfg = sidon_cfg(width_ghz=0.05)
+    cfg.validate()
+    assert cfg.launch_field().energy() == pytest.approx(sum(cfg.energies_pj) * 1e-12)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -346,8 +363,9 @@ def test_cli_simulate_names_a_non_finite_override(tmp_path, capsys, option, valu
         ("uniform5", "span_w = 23.0", "span_w = 5.0", "channels.span_w"),
         ("sidon5", "sequence = 1 2 5 10 12", "sequence = 5 1 2 10 12", "channels.sequence"),
         ("sidon5", "width_ghz = 1.0", "width_ghz = 2.0", "channels.width_ghz"),
+        ("sidon5", "width_ghz = 1.0", "width_ghz = 0.01", "channels.width_ghz"),
     ],
-    ids=["touching", "unsorted", "outside-window"],
+    ids=["touching", "unsorted", "outside-window", "narrower-than-a-bin"],
 )
 def test_cli_simulate_names_a_bad_channel_grid(tmp_path, capsys, name, line, bad_line, key):
     text = resources.files("fiberband").joinpath("configs", f"{name}.cfg").read_text()
@@ -377,6 +395,11 @@ def test_cli_plan_densest(capsys):
     assert "decoupled     : True" in out
     # eta = 4 / (2*7 - 1)
     assert f"{4 / 13:.6f}" in out
+
+
+def test_cli_plan_certifies_bose_128(capsys):
+    assert main(["plan", "--mode", "bose", "--n", "128"]) == 0
+    assert "decoupled     : True\n" in capsys.readouterr().out
 
 
 def test_cli_plan_with_slot_budget(capsys):

@@ -12,6 +12,7 @@ reference enumeration written out in this module.
 import hashlib
 import json
 import re
+import timeit
 from itertools import combinations
 from pathlib import Path
 
@@ -240,13 +241,20 @@ def test_decoupling_rejects_non_finite_bounds(intervals):
 
 
 @settings(max_examples=80)
-@given(st.lists(st.integers(1, 30), min_size=2, max_size=5, unique=True))
-def test_decoupled_iff_sidon(vals):
-    # the interval route and the integer route must agree for any
-    # strictly increasing slot choice, Sidon or not
-    seq = tuple(sorted(vals))
-    intervals = [((2 * m - 2) * 2.5, (2 * m - 1) * 2.5) for m in seq]
-    assert is_energy_decoupled(intervals)[0] == is_sidon(seq)
+@given(
+    st.lists(st.integers(1, 3000), min_size=1, max_size=40, unique=True),
+    st.sampled_from([0.125, 1.0, 2.5, 37.5]),
+)
+@example(list(sidon_for_channels(40).values), 1.0)  # Sidon at the full size
+@example([1, 2, 3], 2.5)  # 1 + 3 = 2 + 2
+def test_decoupled_iff_sidon(vals, width):
+    # on the slot lattice two sum intervals overlap iff the slot sums are
+    # equal, so the interval route and the integer route must agree for
+    # any slot choice, Sidon or not. The widths keep every slot edge an
+    # exact float; a width such as 0.1 rounds the edges, and touching sum
+    # bands can then overlap by an ulp
+    plan = plan_channels(sorted(vals), width)
+    assert is_energy_decoupled(plan.intervals())[0] == is_sidon(plan.seq)
 
 
 def _first_collision(intervals: list) -> tuple | None:
@@ -278,6 +286,59 @@ def test_decoupling_witness_matches_enumeration(slots):
     witness = _first_collision(intervals)
     assert (witness is None) == is_sidon(sorted(slots))
     assert is_energy_decoupled(intervals) == (witness is None, witness)
+
+
+# float edges: unique sorted values taken two at a time, so the widths
+# and gaps are unequal, then the channels in a drawn caller order
+float_grids = (
+    st.lists(st.floats(-100, 100), min_size=2, max_size=14, unique=True)
+    .map(sorted)
+    .map(lambda edges: list(zip(edges[0::2], edges[1::2])))
+    .flatmap(st.permutations)
+)
+
+
+@settings(max_examples=150)
+@given(float_grids)
+@example([(0.0, 1.0), (2.0, 3.0)])  # sum bands [0, 2], [2, 4], [4, 6] only touch
+@example([(4.0, 6.0), (0.0, 1.0), (2.0, 2.5)])  # 4 + 0 = 2 + 2: equal lower edges
+# channels 1-3 on Sidon slots 20, 21, 24 and a wide channel 4: the band
+# 1 + 4 = [45, 60.5] covers 2 + 3 = [45, 46] and 3 + 3 = [48, 49]
+@example([(20.0, 20.5), (21.0, 21.5), (24.0, 24.5), (25.0, 40.0)])
+def test_decoupling_witness_on_float_grids(intervals):
+    witness = _first_collision(intervals)
+    assert is_energy_decoupled(intervals) == (witness is None, witness)
+
+
+def test_decoupling_ignores_a_sum_band_rounded_to_a_point():
+    # in exact arithmetic no two sum bands meet; in floats channels 1 + 3
+    # round to the point 2 - 16 u, which carries no bandwidth even
+    # though it lies inside the band of channel 2 doubled
+    u = 2.0**-53  # the float spacing just below 1.0
+    ivs = [(1 - 14 * u, 1 - 13 * u), (1 - 10 * u, 1 - 7 * u), (1 - 3 * u, 1 - 2 * u)]
+    lo, hi = ivs[0][0] + ivs[2][0], ivs[0][1] + ivs[2][1]
+    assert lo == hi == 2 - 16 * u
+    assert 2 * ivs[1][0] < lo < 2 * ivs[1][1]
+    assert is_energy_decoupled(ivs) == (True, None)
+
+
+def test_decoupling_witness_on_a_broken_bose_grid():
+    # move the last of 30 Bose slots to s28 + s29 - s1, so the pair sums
+    # (1, 30) and (28, 29) meet at the end of the enumeration
+    slots = list(sidon_for_channels(30).values)
+    slots[-1] = slots[-2] + slots[-3] - slots[0]
+    intervals = plan_channels(slots, 1.0).intervals()
+    witness = _first_collision(intervals)
+    assert witness is not None and 30 in witness[0] + witness[1]
+    assert is_energy_decoupled(intervals) == (False, witness)
+
+
+def test_bose_128_certifies_fast():
+    # the sum bands of 128 channels are swept once, not compared pairwise
+    intervals = plan_channels(sidon_for_channels(128), 1.0).intervals()
+    assert is_energy_decoupled(intervals) == (True, None)
+    best = min(timeit.repeat(lambda: is_energy_decoupled(intervals), number=1, repeat=5))
+    assert best <= 0.1
 
 
 def test_filling_efficiency():
