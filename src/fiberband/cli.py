@@ -137,10 +137,11 @@ def cmd_plan(args) -> int:
         seq = densest_sidon(n)
     else:
         seq = sidon_for_channels(n)
-    # widths in GHz carry through; the verdict and eta are scale-free
+    # widths in GHz carry through; the verdict and eta are scale-free, so certify
+    # at width 1, where floats hold the slot edges exactly and touching sums stay apart
     width = args.width_ghz
     plan = plan_channels(seq, width)
-    decoupled, witness = is_energy_decoupled(plan.intervals())
+    decoupled, witness = is_energy_decoupled(plan_channels(seq, 1.0).intervals())
     eta = spectral_filling_efficiency(plan, slot_budget=args.k)
     print(f"sequence      : {tuple(seq)}")
     print(f"channel width : {width:g} GHz")
@@ -245,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--n", type=int, required=True, help="channel count")
     plan.add_argument("--width-ghz", type=float, default=1.0)
     plan.add_argument("--mode", choices=("densest", "bose"), default="densest")
-    plan.add_argument("--k", type=int, default=None, help="span budget for densest")
+    plan.add_argument("--k", type=int, default=None,
+                      help="slot budget k for eta, at least the top slot")
     plan.set_defaults(func=cmd_plan)
 
     chk = sub.add_parser("check", help="energy-decoupling verdict for intervals")

@@ -46,10 +46,6 @@ class BandOutOfRange(FieldError):
     pass
 
 
-class ChannelTooNarrow(FieldError):
-    pass
-
-
 class GridTooCoarse(FieldError):
     pass
 
@@ -210,49 +206,38 @@ def rrc_pulse(
     dt: float,
     n: int,
     t0: float,
-    bandwidth: float | None = None,
 ) -> SampledField:
     """Band-limited root-raised-cosine launch pulse for one channel.
 
-    channel   : (center, width) in rad/s
-    energy    : band energy of the result in J (exact by construction)
-    phase     : complex phase of the pulse peak in rad
-    bandwidth : two-sided pulse bandwidth, defaults to the channel width
+    channel : (center, width) in rad/s; the width is the two-sided pulse
+              bandwidth, so the channel is the pulse support
+    energy  : band energy of the result in J (exact by construction)
+    phase   : complex phase of the pulse peak in rad
 
     The pulse is synthesized directly in the frequency domain, so its
     spectrum is identically zero outside the channel. The pulse peak
-    sits at the center of the time window. Raises ChannelTooNarrow when
-    the requested bandwidth exceeds the channel, BandOutOfRange when the
-    channel leaves the window `band_mask` represents, GridTooCoarse when
-    no bin falls inside the pulse support.
+    sits at the center of the time window. Raises BandOutOfRange when
+    the channel leaves the window `band_mask` represents, GridTooCoarse
+    when no bin falls inside the channel.
     """
     center, width = channel
     _check_pow2(n)
-    if bandwidth is None:
-        bandwidth = width
-    if bandwidth > width * (1.0 + 1e-12):
-        raise ChannelTooNarrow(
-            f"pulse bandwidth {bandwidth:g} exceeds channel width {width:g}"
-        )
-    # the window check; raises BandOutOfRange
-    band_mask(n, dt, make_bandset([(center - width / 2, center + width / 2)]))
+    # the window check and the support; raises BandOutOfRange
+    support = band_mask(n, dt, make_bandset([(center - width / 2, center + width / 2)]))
 
     coeff = np.zeros(n, dtype=complex)
     if energy == 0.0:
         return inverse(Spectrum(coeff, dt, t0))
 
     omegas = bin_omegas(n, dt)
-    support = band_mask(
-        n, dt, make_bandset([(center - bandwidth / 2, center + bandwidth / 2)])
-    )
     amp = np.zeros(n)
     amp[support] = rrc_spectral_amplitude(
-        omegas[support] - center, bandwidth, rolloff
+        omegas[support] - center, width, rolloff
     )
     raw = np.sum(amp**2) * _bin_spacing(n, dt) / (2.0 * np.pi)
     if raw == 0.0:
         raise GridTooCoarse(
-            f"no spectral bin falls inside the {bandwidth:g} rad/s pulse support"
+            f"no spectral bin falls inside the {width:g} rad/s pulse support"
         )
     t_center = t0 + (n // 2) * dt
     scale = np.sqrt(energy / raw)

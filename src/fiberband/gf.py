@@ -7,12 +7,13 @@ Multiplication reads log/antilog tables built from the field's first
 generator; addition reads a flat table of digit-wise sums. The
 quadratic extension GF(N^2) over GF(N), where the exponent-set
 construction lives, has elements (a0, a1) = a0 + a1 x with a0, a1 ints
-of GF(N).
+of GF(N), and x generates GF(N^2)*: the modulus is the first primitive
+quadratic.
 
 Polynomial and element enumeration order is fixed once and for all:
 index i maps to base-N digits of i, least significant digit = constant
-coefficient. "First irreducible" and "first generator" below always
-refer to this order, which makes every constructed field deterministic.
+coefficient. "First irreducible", "first generator" and "first
+primitive" below refer to this order, so every field is deterministic.
 The ints of GF(p^k) are exactly this order, and (a0, a1) in GF(N^2) is
 element a0 + a1 N.
 """
@@ -191,10 +192,6 @@ class QuadraticExt:
         hi = f.sub(f.add(f.mul(u[0], v[1]), f.mul(u[1], v[0])), f.mul(b, top))
         return lo, hi
 
-    def elements(self):
-        n = self.base.order
-        return ((i % n, i // n) for i in range(self.order))
-
 
 def pow_element(field, a, e: int):
     result = field.one
@@ -216,13 +213,6 @@ def is_generator(field, a) -> bool:
         if pow_element(field, a, m // q) == field.one:
             return False
     return True
-
-
-def first_generator(field):
-    for el in field.elements():
-        if el != field.zero and is_generator(field, el):
-            return el
-    raise RuntimeError("multiplicative group of a finite field is cyclic")
 
 
 def _reducible_constants(base: GaloisField, b: int) -> set:
@@ -251,84 +241,54 @@ def _first_primitive_quadratic(base: GaloisField) -> tuple:
     raise RuntimeError("no primitive quadratic found")  # cannot happen
 
 
-def _check_pair(name: str, pair, n: int) -> tuple:
-    pair = tuple(pair)
-    if len(pair) != 2 or not all(isinstance(v, int) and 0 <= v < n for v in pair):
-        raise ValueError(f"{name} {pair} is not a pair of elements of GF({n})")
-    return pair
-
-
 @dataclass(frozen=True)
 class FieldGF:
-    """The quadratic tower GF(N) in GF(N^2) with a fixed generator theta.
+    """The quadratic tower GF(N) in GF(N^2), generated by x.
 
     N = p^k. `modulus` holds the low coefficients (c, b) of the monic
-    x^2 + b x + c over GF(N) defining the extension; `theta` is an
-    element (t0, t1) = t0 + t1 x of GF(N^2) generating its
-    multiplicative group. Coefficients are ints of GF(N).
+    x^2 + b x + c over GF(N) defining the extension: the first primitive
+    quadratic in enumeration order, so the root x generates GF(N^2)*.
+    Coefficients are ints of GF(N).
     """
 
     p: int
     k: int
     modulus: tuple
-    theta: tuple
     base: GaloisField
     ext: QuadraticExt
 
-    @property
-    def n(self) -> int:
-        return self.p**self.k
-
     @classmethod
-    def for_size(cls, n: int, modulus: tuple | None = None, theta: tuple | None = None):
-        """Build the tower for N = n.
+    def for_size(cls, n: int):
+        """Build the tower for N = n, a prime power.
 
-        The default modulus is the first primitive quadratic in
-        enumeration order, i.e. the first irreducible x^2 + b x + c whose
-        root x generates GF(N^2)*, and the default theta is then x
-        itself. For N = 11 this search lands on x^2 + x + 7 with
-        theta = x, the conventional reference choice for the length-11
-        sequence quoted in the literature. With an explicit modulus whose
-        root is not primitive, theta falls back to the first generator.
+        The modulus is the first irreducible x^2 + b x + c whose root x
+        generates GF(N^2)*. For N = 11 this search lands on x^2 + x + 7,
+        the conventional reference choice for the length-11 sequence
+        quoted in the literature.
         """
         p, k = prime_power(n)
         base = GaloisField(p, k)
-        if modulus is None:
-            modulus = _first_primitive_quadratic(base)
-        c, b = _check_pair("modulus", modulus, n)
-        if c in _reducible_constants(base, b):
-            raise ValueError(f"modulus {(c, b)} is reducible over GF({n})")
-        ext = QuadraticExt(base, (c, b))
-        x = (0, 1)
-        if theta is None:
-            theta = x if is_generator(ext, x) else first_generator(ext)
-        theta = _check_pair("theta", theta, n)
-        if not is_generator(ext, theta):
-            raise ValueError(f"theta {theta} does not generate GF({n}^2)*")
-        return cls(p, k, (c, b), theta, base, ext)
+        modulus = _first_primitive_quadratic(base)
+        return cls(p, k, modulus, base, QuadraticExt(base, modulus))
 
     def exponent_set(self) -> list[int]:
-        """Exponents m in 1..N^2-1 with theta^m - theta in GF(N).
+        """Exponents m in 1..N^2-1 with x^m - x in GF(N).
 
-        Membership only depends on the x-coefficient of theta^m matching
-        that of theta, since GF(N) inside GF(N^2) is exactly the elements
-        with zero x-coefficient.
+        Membership only depends on the x-coefficient of x^m being 1,
+        since GF(N) inside GF(N^2) is exactly the elements with zero
+        x-coefficient.
         """
         f, n = self.base, self.base.order
-        (c, b), (t0, t1) = self.modulus, self.theta
-        # theta (u0 + u1 x) = (t0 u0 - c t1 u1) + (t1 u0 + (t0 - b t1) u1) x:
-        # each product by a constant is a row of N entries, and rows that
-        # feed the first operand of `sums` come pre-multiplied by N
-        def row(const: int, scale: int = 1) -> list[int]:
-            return [f.mul(const, u) * scale for u in range(n)]
-
-        lo_lo, lo_hi = row(t0, n), row(f.neg(f.mul(c, t1)))
-        hi_lo, hi_hi = row(t1, n), row(f.sub(t0, f.mul(b, t1)))
+        c, b = self.modulus
+        # x (u0 + u1 x) = -c u1 + (u0 - b u1) x, as x^2 = -b x - c: the
+        # products by a constant are rows of N entries
+        neg_c = [f.mul(f.neg(c), u) for u in range(n)]
+        neg_b = [f.mul(f.neg(b), u) for u in range(n)]
         sums = f.sums
         hits = []
         u0, u1 = 1, 0
         for m in range(1, n * n):
-            u0, u1 = sums[lo_lo[u0] + lo_hi[u1]], sums[hi_lo[u0] + hi_hi[u1]]
-            if u1 == t1:
+            u0, u1 = neg_c[u1], sums[u0 * n + neg_b[u1]]
+            if u1 == 1:
                 hits.append(m)
         return hits

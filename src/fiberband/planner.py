@@ -53,20 +53,10 @@ class SidonSequence:
         return len(self.values)
 
 
-def _as_values(m) -> tuple:
-    return tuple(m.values if isinstance(m, SidonSequence) else m)
-
-
-def _check_increasing(vals: tuple) -> None:
-    if any(b <= a for a, b in zip(vals, vals[1:])):
-        raise NotIncreasing(f"{vals} is not strictly increasing")
-
-
 def is_sidon(m) -> bool:
     """All pairwise sums m_i + m_j, i <= j, are distinct (integers)."""
-    vals = _as_values(m)
-    _check_increasing(vals)
-    if any(int(v) != v or v < 1 for v in vals):
+    vals = SidonSequence(tuple(m)).values
+    if any(int(v) != v for v in vals):
         raise ValueError("integer Sidon check needs positive integers")
     sums = set()
     for i, a in enumerate(vals):
@@ -77,13 +67,14 @@ def is_sidon(m) -> bool:
     return True
 
 
-def bose_sequence(n: int, modulus=None, theta=None) -> SidonSequence:
+def bose_sequence(n: int) -> SidonSequence:
     """Length-n Sidon sequence from the exponent set of GF(n^2).
 
-    n must be a prime power. The sequence is {m : theta^m - theta in
-    GF(n)}, sorted; it always starts at 1 and stays below n^2.
+    n must be a prime power. The sequence is {m : x^m - x in GF(n)},
+    sorted, where x generates GF(n^2)* (see FieldGF); it always starts
+    at 1 and stays below n^2.
     """
-    field = FieldGF.for_size(n, modulus=modulus, theta=theta)
+    field = FieldGF.for_size(n)
     return SidonSequence(tuple(field.exponent_set()))
 
 
@@ -269,8 +260,8 @@ class ChannelPlan:
     def __post_init__(self):
         if not self.width > 0:
             raise ValueError("channel width must be positive")
-        if self.seq.values[0] < 1:
-            raise ValueError("sequence elements must be >= 1")
+        if not math.isfinite((2 * self.seq.values[-1] - 1) * self.width):
+            raise ValueError(f"channel width {self.width:g} puts the top edge out of range")
 
     @property
     def n(self) -> int:

@@ -408,6 +408,30 @@ def test_cli_plan_with_slot_budget(capsys):
     assert f"{5 / 39:.6f}" in out  # eta against the budgeted span
 
 
+@pytest.mark.parametrize("n", [5, 11, 13, 16])
+@pytest.mark.parametrize("width", ["0.1", "0.3", "0.7", "1.1", "3.3"])
+def test_cli_plan_certifies_bose_at_any_width(capsys, n, width):
+    # at these widths floats round the slot edges off the lattice, and
+    # sum bands that only touch would overlap by an ulp
+    assert main(["plan", "--mode", "bose", "--n", str(n), "--width-ghz", width]) == 0
+    out = capsys.readouterr().out
+    assert "decoupled     : True\n" in out
+    assert f"edges (GHz)   : [0, {width}]," in out  # printed at the requested width
+
+
+@pytest.mark.parametrize("width", ["inf", "nan", "1e308"])
+def test_cli_plan_rejects_a_width_without_finite_edges(capsys, width):
+    assert main(["plan", "--mode", "bose", "--n", "11", "--width-ghz", width]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_plan_rejects_a_slot_budget_below_the_top_slot(capsys):
+    assert main(["plan", "--n", "5", "--k", "11"]) == 1  # densest 5 tops out at slot 12
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "slot budget below the plan's top slot" in captured.err
+
+
 def test_cli_check_verdicts(tmp_path, capsys):
     good = tmp_path / "good.txt"
     good.write_text("# slots 1 2 5, width 2\n0 2\n6 8\n\n18, 20\n")

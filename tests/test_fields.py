@@ -14,7 +14,6 @@ from fiberband.bands import BandSet, make_bandset
 from fiberband.config import GHZ, ConfigError, ExperimentConfig
 from fiberband.fields import (
     BandOutOfRange,
-    ChannelTooNarrow,
     FieldError,
     GridTooCoarse,
     SampledField,
@@ -223,11 +222,9 @@ def test_rrc_pulse_is_nyquist():
 def test_rrc_pulse_guards():
     n, dt = 256, 0.1
     t0, domega = -12.8, 2 * np.pi / 25.6
-    with pytest.raises(ChannelTooNarrow):
-        rrc_pulse((0.0, 4 * domega), 0.1, 1.0, 0.0, dt, n, t0, bandwidth=5 * domega)
     with pytest.raises(GridTooCoarse):
-        # support narrower than a bin, centered between bins
-        rrc_pulse((0.5 * domega, domega), 0.1, 1.0, 0.0, dt, n, t0, bandwidth=0.2 * domega)
+        # channel narrower than a bin, centered between bins
+        rrc_pulse((0.5 * domega, 0.2 * domega), 0.1, 1.0, 0.0, dt, n, t0)
     with pytest.raises(BandOutOfRange):
         rrc_pulse((np.pi / dt, 4 * domega), 0.1, 1.0, 0.0, dt, n, t0)
     zero = rrc_pulse((0.0, 4 * domega), 0.1, 0.0, 0.0, dt, n, t0)

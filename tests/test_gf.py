@@ -1,4 +1,4 @@
-"""Finite-field tower: construction, irreducibility, generator search.
+"""Finite-field tower: construction, irreducibility, primitive quadratics.
 
 Small-field facts used below were derived by hand: GF(7)* is generated
 by 3 (powers 3,2,6,4,5,1) but not by 2 (order 3); x^2+1 factors as
@@ -21,7 +21,6 @@ from fiberband.gf import (
     QuadraticExt,
     _is_irreducible,
     factorize,
-    first_generator,
     first_irreducible,
     is_generator,
     pow_element,
@@ -47,7 +46,6 @@ def test_prime_field_arithmetic():
     assert pow_element(f, 3, 5) == 5
     assert not is_generator(f, 2)
     assert is_generator(f, 3)
-    assert first_generator(f) == 3
     assert f.exp[:6] == [1, 3, 2, 6, 4, 5]  # the tables follow the first generator
 
 
@@ -106,30 +104,39 @@ def test_table_products_match_schoolbook(p, k):
 def test_for_size_reference_tower():
     g = FieldGF.for_size(11)
     assert g.modulus == (7, 1)  # x^2 + x + 7, found, not pinned
-    assert g.theta == (0, 1)
-    # theta generates: order is exactly 120
-    assert pow_element(g.ext, g.theta, 120) == g.ext.one
+    # x generates: order is exactly 120
+    x = (0, 1)
+    assert pow_element(g.ext, x, 120) == g.ext.one
     for proper in (60, 40, 24):
-        assert pow_element(g.ext, g.theta, proper) != g.ext.one
+        assert pow_element(g.ext, x, proper) != g.ext.one
 
 
-def test_for_size_rejects_bad_choices():
-    with pytest.raises(ValueError):
-        FieldGF.for_size(11, modulus=(1, 2))  # x^2 + 2x + 1 = (x+1)^2
-    with pytest.raises(ValueError):
-        FieldGF.for_size(11, theta=(4, 0))  # scalars have order <= 10
-    with pytest.raises(ValueError):
-        FieldGF.for_size(11, modulus=(7, 11))  # 11 is not an element of GF(11)
-    with pytest.raises(ValueError):
-        FieldGF.for_size(4, theta=(0, 1, 0))
-    # irreducible but imprimitive modulus: theta falls back to a generator
-    g = FieldGF.for_size(11, modulus=(1, 1))
-    assert is_generator(g.ext, g.theta)
-    assert g.theta != (0, 1)
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_for_size_takes_the_first_primitive_quadratic(q):
+    # walk the powers of x modulo each x^2 + b x + c in enumeration order
+    # (c, b) = (i % q, i // q); the first whose x has order q^2 - 1 is
+    # the modulus. Full order makes every nonzero element a power of x,
+    # hence a unit, so the quotient is a field and needs no separate
+    # irreducibility test.
+    base = GaloisField(*prime_power(q))
+
+    def order_of_x(modulus) -> int:
+        ext = QuadraticExt(base, modulus)
+        e = (0, 1)
+        for m in range(1, q * q):
+            if e == ext.one:
+                return m
+            e = ext.mul(e, (0, 1))
+        return 0  # no power of x below q^2 is 1
+
+    first = next(
+        (i % q, i // q) for i in range(q * q) if order_of_x((i % q, i // q)) == q * q - 1
+    )
+    assert FieldGF.for_size(q).modulus == first
 
 
 def test_exponent_set_membership_count():
-    # theta^m - theta lands in GF(N) for exactly N exponents; m = 1 is
+    # x^m - x lands in GF(N) for exactly N exponents; m = 1 is
     # always one of them since the difference is zero
     for n in (2, 3, 4, 9):
         g = FieldGF.for_size(n)
@@ -143,10 +150,10 @@ def test_exponent_set_membership_count():
 @given(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 13, 16, 23, 25, 27]))
 def test_theta_always_has_full_order(n):
     g = FieldGF.for_size(n)
-    order = n * n - 1
-    assert pow_element(g.ext, g.theta, order) == g.ext.one
+    x, order = (0, 1), n * n - 1
+    assert pow_element(g.ext, x, order) == g.ext.one
     for p in factorize(order):
-        assert pow_element(g.ext, g.theta, order // p) != g.ext.one
+        assert pow_element(g.ext, x, order // p) != g.ext.one
 
 
 def test_ext_field_is_a_ring_hom_of_polynomials():

@@ -60,6 +60,8 @@ def test_is_sidon_by_hand():
     assert is_sidon((3,))
     with pytest.raises(NotIncreasing):
         is_sidon((2, 1))
+    with pytest.raises(NotIncreasing):  # the SidonSequence rule: nonempty
+        is_sidon(())
     with pytest.raises(ValueError):
         is_sidon((0.5, 1.5))
 
@@ -87,8 +89,6 @@ def test_sequence_validation():
 def test_bose_reference_sequence():
     assert bose_sequence(11).values == BOSE_11
     assert bose_sequence(2).values == (1, 2)
-    # explicit tower arguments reproduce the default
-    assert bose_sequence(11, modulus=(7, 1), theta=(0, 1)).values == BOSE_11
 
 
 def test_bose_small_prime_powers():
