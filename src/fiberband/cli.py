@@ -46,10 +46,6 @@ def resolve_config(name: str) -> ExperimentConfig:
     raise FileNotFoundError(f"no config file or bundled config named {name!r}")
 
 
-def _fmt_num(x: float) -> str:
-    return repr(float(x))
-
-
 def trace_table(trace) -> tuple[list[str], list[list[float]]]:
     """Column names and rows of a trace file: z in km, energies in J."""
     columns = (
@@ -178,14 +174,34 @@ def cmd_check(args) -> int:
     return 0
 
 
+def _tone_flags(args) -> tuple[list[float], list[float]]:
+    """Powers and phases of the tones; a bad flag raises ValueError naming it."""
+    def check(dest: str, ok: bool, rule: str) -> None:
+        if not ok:
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"{flag}: must be {rule}, got {getattr(args, dest)}")
+
+    tones = {}
+    for dest in ("powers_w", "phases_rad"):
+        try:
+            tones[dest] = [float(x) for x in getattr(args, dest).split(",")]
+        except ValueError:
+            tones[dest] = []
+        check(dest, len(tones[dest]) == 3, f"three {dest.split('_')[0]} separated by commas")
+    powers, phases = tones["powers_w"], tones["phases_rad"]
+    check("powers_w", all(0 <= p < math.inf for p in powers), "finite and nonnegative")
+    check("phases_rad", all(map(math.isfinite, phases)), "finite")
+    for dest in ("spacing_ghz", "beta2_ps2_per_km", "gamma_per_w_km"):
+        check(dest, math.isfinite(getattr(args, dest)), "finite")
+    check("z_km", 0 <= args.z_km < math.inf, "finite and nonnegative")
+    check("dz_m", 0 < args.dz_m < math.inf, "finite and positive")
+    return powers, phases
+
+
 def cmd_three_tone(args) -> int:
-    powers = [float(x) for x in args.powers_w.split(",")]
-    phases = [float(x) for x in args.phases_rad.split(",")]
-    if len(powers) != 3 or len(phases) != 3:
-        print("need exactly three powers and three phases", file=sys.stderr)
-        return 1
+    powers, phases = _tone_flags(args)
     amps = [math.sqrt(p) * complex(math.cos(ph), math.sin(ph)) for p, ph in zip(powers, phases)]
-    state = ToneState(amps[0], amps[1], amps[2], args.spacing_ghz * GHZ)
+    state = ToneState(*amps, args.spacing_ghz * GHZ)
     params = FiberParams.from_engineering(
         0.0, args.beta2_ps2_per_km, args.gamma_per_w_km
     )
@@ -197,10 +213,10 @@ def cmd_three_tone(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["z_km", "P1_W", "P2_W", "P3_W"])
         for st in traj:
-            p1, p2, p3 = st.powers()
-            writer.writerow([_fmt_num(st.z / 1e3)] + [_fmt_num(p) for p in (p1, p2, p3)])
+            writer.writerow([repr(float(x)) for x in (st.z / 1e3, *st.powers())])
     total0 = sum(traj[0].powers())
-    drift = max(abs(sum(st.powers()) - total0) for st in traj) / total0
+    # dark tones stay dark, so an all-zero launch has no drift
+    drift = max(abs(sum(st.powers()) - total0) for st in traj) / total0 if total0 else 0.0
     print(f"wrote {path}")
     print(f"total-power drift: {drift:.3e} relative")
     return 0

@@ -106,7 +106,7 @@ class ExperimentConfig:
         if self.placement == "uniform":  # name the key the config set
             grid_key = "channels.count" if self.span_w is None else "channels.span_w"
         try:  # a sidon placement is a valid grid by construction
-            grid = make_bandset(self._channel_intervals())
+            grid = self.channels()
         except OverlappingIntervals as exc:
             a, b = (f"[{lo / GHZ:g}, {hi / GHZ:g}]" for lo, hi in exc.pair)
             fail(grid_key, f"channels {a} and {b} GHz overlap")
@@ -122,9 +122,7 @@ class ExperimentConfig:
         # launch_field gives each pulse its whole channel as support, and
         # rrc_pulse needs a bin in that support
         for number, (lo, hi) in enumerate(grid.intervals, start=1):
-            center, width = 0.5 * (lo + hi), hi - lo
-            support = make_bandset([(center - width / 2, center + width / 2)])
-            if not band_mask(self.n, dt, support).any():
+            if not band_mask(self.n, dt, make_bandset([(lo, hi)])).any():
                 spacing = bin_omegas(self.n, dt)[self.n // 2 + 1] / GHZ  # first bin above 0
                 fail("channels.width_ghz", f"channel {number} [{lo / GHZ:g}, {hi / GHZ:g}] GHz "
                      f"holds no frequency bin: width {self.width_ghz!r} GHz against a bin "
@@ -154,12 +152,9 @@ class ExperimentConfig:
             self.alpha0_db_per_km, self.beta2_ps2_per_km, self.gamma_per_w_km
         )
 
-    def width(self) -> float:
-        return self.width_ghz * GHZ
-
-    def _channel_intervals(self) -> list[tuple[float, float]]:
-        """(lo, hi) of every channel in rad/s, in channel order."""
-        w = self.width()
+    def channels(self) -> BandSet:
+        """The channel grid in rad/s, also the filter: interval k is channel k."""
+        w = self.width_ghz * GHZ
         if self.placement == "uniform":
             span = (self.span_w if self.span_w is not None else 23.0) * w
             if self.channel_count == 1:
@@ -167,26 +162,16 @@ class ExperimentConfig:
             else:
                 step = (span - w) / (self.channel_count - 1)
                 centers = [0.5 * w + i * step for i in range(self.channel_count)]
-            return [(c - 0.5 * w, c + 0.5 * w) for c in centers]
+            return make_bandset([(c - 0.5 * w, c + 0.5 * w) for c in centers])
         if self.placement == "sidon":
             seq = sidon_for_channels(self.channel_count)
         else:
             seq = SidonSequence(tuple(self.sequence))
-        return plan_channels(seq, w).intervals()
-
-    def channels(self) -> list[BandSet]:
-        return [make_bandset([iv]) for iv in self._channel_intervals()]
-
-    def full_band(self) -> BandSet:
-        return make_bandset(self._channel_intervals())
+        return make_bandset(plan_channels(seq, w).intervals())
 
     def filter_mode(self) -> FilterMode:
-        band = self.full_band()
-        if self.filter == "distributed":
-            return FilterMode.distributed(band)
-        if self.filter == "lumped":
-            return FilterMode.lumped(band, self.filter_spacing_km * 1e3)
-        return FilterMode.none(band)
+        spacing = self.filter_spacing_km * 1e3 if self.filter == "lumped" else None
+        return FilterMode(self.filter, spacing)
 
     def pulse_parameters(self) -> tuple[tuple, tuple]:
         """Energies in J and phases in rad, drawing unpinned ones by seed."""
@@ -206,11 +191,8 @@ class ExperimentConfig:
         t0 = self.t0_ns * 1e-9
         energies, phases = self.pulse_parameters()
         total = np.zeros(self.n, dtype=complex)
-        for (lo, hi), energy, phase in zip(self._channel_intervals(), energies, phases):
-            pulse = rrc_pulse(
-                (0.5 * (lo + hi), hi - lo), self.rolloff, energy, phase, dt, self.n, t0
-            )
-            total = total + pulse.samples
+        for channel, energy, phase in zip(self.channels().intervals, energies, phases):
+            total = total + rrc_pulse(channel, self.rolloff, energy, phase, dt, self.n, t0).samples
         return SampledField(total, dt, t0)
 
     def run_lengths(self) -> tuple[float, float, float]:

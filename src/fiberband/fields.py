@@ -80,8 +80,12 @@ class SampledField:
     def __post_init__(self):
         arr = np.array(self.samples, dtype=np.complex128)
         _check_pow2(arr.size)
-        if not self.dt > 0:
-            raise FieldError("dt must be positive")
+        if not np.all(np.isfinite(arr)):
+            raise FieldError("samples must be finite")
+        if not 0 < self.dt < np.inf:
+            raise FieldError(f"dt = {self.dt} must be finite and positive")
+        if not np.isfinite(self.t0):
+            raise FieldError(f"t0 = {self.t0} must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
@@ -209,8 +213,9 @@ def rrc_pulse(
 ) -> SampledField:
     """Band-limited root-raised-cosine launch pulse for one channel.
 
-    channel : (center, width) in rad/s; the width is the two-sided pulse
-              bandwidth, so the channel is the pulse support
+    channel : (lo, hi) in rad/s, one interval of a channel grid; the
+              pulse is centered on it and its two-sided bandwidth is
+              hi - lo, so the channel is the pulse support
     energy  : band energy of the result in J (exact by construction)
     phase   : complex phase of the pulse peak in rad
 
@@ -220,10 +225,11 @@ def rrc_pulse(
     the channel leaves the window `band_mask` represents, GridTooCoarse
     when no bin falls inside the channel.
     """
-    center, width = channel
+    lo, hi = channel
+    center, width = 0.5 * (lo + hi), hi - lo
     _check_pow2(n)
     # the window check and the support; raises BandOutOfRange
-    support = band_mask(n, dt, make_bandset([(center - width / 2, center + width / 2)]))
+    support = band_mask(n, dt, make_bandset([channel]))
 
     coeff = np.zeros(n, dtype=complex)
     if energy == 0.0:

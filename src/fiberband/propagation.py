@@ -5,7 +5,9 @@ The field obeys
     dq/dz = -(alpha/2) q - j (beta2/2) d^2q/dt^2 + j gamma |q|^2 q
 
 with a frequency-dependent attenuation alpha(w) that equals alpha0
-inside the configured band set and is effectively infinite outside it.
+inside the channel grid and is effectively infinite outside it: the
+brick-wall filter is the union of the channels, so the band the filter
+passes is the band whose energy the trace books channel by channel.
 One first-order step of size dz applies, in order: the time-domain Kerr
 phase exp(j*gamma*dz*|q|^2); the spectral attenuation exp(-alpha0*dz/2)
 together with the brick-wall mask (zeroing out-of-band bins and booking
@@ -17,7 +19,8 @@ never masks; plain attenuation always applies.
 `propagate` drives `_step_kernel`, the only code that steps or filters
 a field; a single filtered step is `propagate` with z_total = dz =
 record_every and a distributed filter mode. Both work in raw FFT order
-on the grid and masks of `fields.bin_omegas` and `fields.band_mask`,
+on the grid and masks of `fields.bin_omegas` and `fields.band_mask`:
+one mask of the channel grid is both the in-band mask and the filter,
 and every band energy recorded here is `fields.band_energy`.
 
 All quantities are SI: m, s, rad/s, W, J.
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import BandSet
+from .bands import BandSet, make_bandset
 from .fields import SampledField, band_energy, band_mask, bin_omegas, transform
 
 LN10 = float(np.log(10.0))
@@ -49,6 +52,9 @@ class FiberParams:
     gamma: float = 0.0
 
     def __post_init__(self):
+        for name in ("alpha0", "beta2", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} = {getattr(self, name)} is not finite")
         if self.alpha0 < 0:
             raise ValueError("alpha0 must be nonnegative")
 
@@ -69,13 +75,13 @@ class FiberParams:
 
 @dataclass(frozen=True)
 class FilterMode:
-    """Where the brick-wall mask of `band` is applied along z.
+    """Where along z the brick-wall filter applies.
 
-    kind is "distributed" (every step), "lumped" (every `spacing`
-    meters), or "none" (never; attenuation only).
+    The filter is the channel grid handed to `propagate`: it passes
+    exactly the channels. kind is "distributed" (every step), "lumped"
+    (every `spacing` meters), or "none" (never; attenuation only).
     """
 
-    band: BandSet
     kind: str
     spacing: float | None = None
 
@@ -84,18 +90,6 @@ class FilterMode:
             raise ValueError(f"unknown filter kind {self.kind!r}")
         if self.kind == "lumped" and not (self.spacing and self.spacing > 0):
             raise ValueError("lumped filtering needs a positive spacing")
-
-    @classmethod
-    def distributed(cls, band: BandSet) -> "FilterMode":
-        return cls(band, "distributed")
-
-    @classmethod
-    def lumped(cls, band: BandSet, spacing: float) -> "FilterMode":
-        return cls(band, "lumped", spacing)
-
-    @classmethod
-    def none(cls, band: BandSet) -> "FilterMode":
-        return cls(band, "none")
 
 
 @dataclass(frozen=True)
@@ -157,11 +151,13 @@ def propagate(
     dz: float,
     params: FiberParams,
     mode: FilterMode,
-    channels: list[BandSet],
+    channels: BandSet,
     record_every: float,
 ) -> tuple[SampledField, EnergyTrace]:
     """Propagate over z_total, recording an EnergyTrace.
 
+    channels is the channel grid: its intervals, in frequency order, are
+    the channels of the trace, and their union is the filter of `mode`.
     dz must be positive and divide z_total, record_every and (in lumped
     mode) the filter spacing, and those spans must be finite; violations
     raise InvalidStepPartition. Records happen at z = 0, every
@@ -183,11 +179,10 @@ def propagate(
     filt_stride = stride(mode.spacing, "filter spacing") if mode.kind == "lumped" else 0
     n, dt, t0 = f0.n, f0.dt, f0.t0
 
-    channel_masks = [np.fft.ifftshift(band_mask(n, dt, band)) for band in channels]
-    inband_mask = np.logical_or.reduce(channel_masks) if channels else None
-    filter_mask = None
-    if mode.kind != "none":
-        filter_mask = np.fft.ifftshift(band_mask(n, dt, mode.band))
+    inband = np.fft.ifftshift(band_mask(n, dt, channels))  # also the filter
+    channel_masks = [
+        np.fft.ifftshift(band_mask(n, dt, make_bandset([iv]))) for iv in channels.intervals
+    ]
     scale = dt / n  # |FFT(q)|^2 summed equals n * sum|q|^2; scale restores joules
 
     omegas = np.fft.ifftshift(bin_omegas(n, dt))
@@ -202,10 +197,9 @@ def propagate(
         power = np.abs(spec) ** 2
         total = float(np.sum(power)) * scale
         chans = [band_energy(power, m, dt) for m in channel_masks]
-        if inband_mask is not None:
-            inband = band_energy(power, inband_mask, dt)
-            if total - inband < OUT_OF_BAND_FLOOR * total:
-                total = inband
+        inband_energy = band_energy(power, inband, dt)
+        if total - inband_energy < OUT_OF_BAND_FLOOR * total:
+            total = inband_energy
         zs.append(step_idx * dz)
         totals.append(total)
         per_ch.append(chans)
@@ -215,13 +209,10 @@ def propagate(
     discarded_total = 0.0
     record(0, q, 0.0)
     for s in range(1, steps + 1):
-        if mode.kind == "distributed":
-            mask = filter_mask
-        elif mode.kind == "lumped" and s % filt_stride == 0:
-            mask = filter_mask
-        else:
-            mask = None
-        q, d = _step_kernel(q, nl_coef, decay, disp_phase, mask)
+        filtered = mode.kind == "distributed" or (
+            mode.kind == "lumped" and s % filt_stride == 0
+        )
+        q, d = _step_kernel(q, nl_coef, decay, disp_phase, inband if filtered else None)
         discarded_total += d * scale
         if s % rec_stride == 0 or s == steps:
             record(s, q, discarded_total)
@@ -229,7 +220,7 @@ def propagate(
     trace = EnergyTrace(
         z=np.array(zs),
         total=np.array(totals),
-        per_channel=np.array(per_ch) if per_ch and per_ch[0] else np.zeros((len(zs), 0)),
+        per_channel=np.array(per_ch),
         discarded_cumulative=np.array(disc),
     )
     return SampledField(q, dt, t0), trace
@@ -238,7 +229,7 @@ def propagate(
 def channel_energy_rhs(
     f: SampledField,
     n_channel: int,
-    channels: list[BandSet],
+    channels: BandSet,
     gamma: float,
     alpha0: float = 0.0,
 ) -> float:
@@ -249,14 +240,15 @@ def channel_energy_rhs(
         -alpha0*E_n - (gamma/4pi^3) * Im{ sum (Q conv Q) conj(Q_n conv Q) }
 
     with exact linear convolutions (zero-padded FFTs of length 2n). The
-    field is expected to be band-limited to the union of `channels`;
-    out-of-band content contributes mixing paths the channel bookkeeping
-    cannot attribute. Useful as an independent check on the slope of a
+    field is expected to be band-limited to the channel grid `channels`,
+    whose interval n_channel (counted from 0) is channel n; out-of-band
+    content contributes mixing paths the channel bookkeeping cannot
+    attribute. Useful as an independent check on the slope of a
     propagated per-channel energy trace.
     """
     s = transform(f)
     q_full = s.coefficients
-    mask = band_mask(s.n, s.dt, channels[n_channel])
+    mask = band_mask(s.n, s.dt, make_bandset([channels.intervals[n_channel]]))
     q_chan = np.where(mask, q_full, 0.0)
     dw = s.domega
 

@@ -21,6 +21,7 @@ carries the linear phase j*(beta2/2)*w_n^2 from the dispersion operator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,10 +70,11 @@ def integrate_tones(
     (set by gamma*P and beta2*domega^2); the drift of total power is a
     built-in quality check and stays near rounding level when it does.
     """
-    if dz <= 0 or z_total < 0:
-        raise ValueError("need dz > 0 and z_total >= 0")
+    if not (0 < dz < math.inf and 0 <= z_total < math.inf):
+        raise ValueError(f"need finite dz > 0 and z_total >= 0, got {dz} and {z_total}")
     steps = int(round(z_total / dz))
-    if abs(steps * dz - z_total) > 1e-9 * max(z_total, dz):
+    # relative to z_total alone: a dz above z_total > 0 rounds to no step
+    if abs(steps * dz - z_total) > 1e-9 * z_total:
         raise ValueError("dz must divide z_total")
     beta2, gamma = params.beta2, params.gamma
     q = state0.amplitudes()

@@ -262,7 +262,8 @@ def test_criterion_08_channel_rhs_crosscheck():
     worst = 0.0
     for f in fields:
         power = np.abs(np.fft.fft(f.samples)) ** 2
-        for i, band in enumerate(chans):
+        for i, channel in enumerate(chans.intervals):
+            band = make_bandset([channel])
             energy = band_energy(power, np.fft.ifftshift(band_mask(f.n, f.dt, band)), f.dt)
             rhs = channel_energy_rhs(f, i, chans, params.gamma, params.alpha0)
             worst = max(worst, abs(rhs) / (energy / (RUN_KM * KM)))
@@ -274,10 +275,10 @@ def test_criterion_08_channel_rhs_crosscheck():
     ulaunch = ucfg.launch_field()
     rhs0 = np.array(
         [channel_energy_rhs(ulaunch, i, uch, uparams.gamma, 0.0)
-         for i in range(len(uch))]
+         for i in range(len(uch.intervals))]
     )
     _, tr = propagate(ulaunch, 1.0 * KM, 0.1 * KM, uparams,
-                      FilterMode.distributed(ucfg.full_band()), uch, 1.0 * KM)
+                      FilterMode("distributed"), uch, 1.0 * KM)
     trend = np.asarray(tr.per_channel[-1]) - np.asarray(tr.per_channel[0])
     signs_ok = bool(np.all(np.sign(rhs0) == np.sign(trend)) and np.all(rhs0 != 0))
 

@@ -190,29 +190,28 @@ def test_sequence_placement_matches_slot_rule():
     cfg = sidon_cfg(channel_count=3, sequence=(1, 2, 5), energies_pj=None,
                     phases_rad=None)
     w = cfg.width_ghz * GHZ
-    edges = [bs.intervals[0] for bs in cfg.channels()]
+    edges = cfg.channels().intervals
     # slot m occupies [(2m-2)W, (2m-1)W]
     expect = [(0.0, w), (2 * w, 3 * w), (8 * w, 9 * w)]
     assert np.allclose(edges, expect, rtol=1e-12)
-    measure = sum(hi - lo for lo, hi in cfg.full_band().intervals)
+    measure = sum(hi - lo for lo, hi in edges)
     assert measure == pytest.approx(3 * w, rel=1e-12)
 
 
 def test_uniform_placement_centers():
     cfg = ExperimentConfig(placement="uniform")  # span_w defaults to 23 widths
     w = cfg.width_ghz * GHZ
-    centers = [0.5 * sum(bs.intervals[0]) for bs in cfg.channels()]
+    centers = [0.5 * (lo + hi) for lo, hi in cfg.channels().intervals]
     expect = [(0.5 + 5.5 * i) * w for i in range(5)]
     assert np.allclose(centers, expect, rtol=1e-12)
-    for bs in cfg.channels():
-        lo, hi = bs.intervals[0]
+    for lo, hi in cfg.channels().intervals:
         assert hi - lo == pytest.approx(w, rel=1e-12)
 
 
 def test_uniform_single_channel():
     cfg = ExperimentConfig(placement="uniform", channel_count=1)
-    (band,) = cfg.channels()
-    assert band.intervals[0] == pytest.approx((0.0, cfg.width_ghz * GHZ))
+    (channel,) = cfg.channels().intervals
+    assert channel == pytest.approx((0.0, cfg.width_ghz * GHZ))
 
 
 # ---------------------------------------------------------------- pulse draw
@@ -477,6 +476,32 @@ def test_cli_three_tone(tmp_path, capsys):
 def test_cli_three_tone_rejects_bad_list(capsys):
     assert main(["three-tone", "--powers-w", "1.0,2.0"]) == 1
     assert "three powers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--z-km", "inf"),
+        ("--z-km", "-1"),
+        ("--dz-m", "inf"),
+        ("--dz-m", "0"),
+        ("--spacing-ghz", "nan"),
+        ("--powers-w", "nan,1,1"),
+        ("--powers-w", "-1,1,1"),
+        ("--phases-rad", "inf,0,0"),
+        ("--beta2-ps2-per-km", "nan"),
+        ("--gamma-per-w-km", "nan"),
+    ],
+)
+def test_cli_three_tone_rejects_bad_flags(tmp_path, capsys, flag, value):
+    assert main(["three-tone", f"{flag}={value}", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    assert not (tmp_path / "three_tone.csv").exists()
+
+
+def test_cli_three_tone_dark_launch(tmp_path, capsys):
+    assert main(["three-tone", "--powers-w", "0,0,0", "--out", str(tmp_path)]) == 0
+    assert "drift: 0.000e+00" in capsys.readouterr().out
 
 
 def test_cli_bounds_table(capsys):

@@ -103,6 +103,25 @@ def test_field_validation():
         f.samples[0] = 1.0  # samples are read-only
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "samples, dt, t0",
+    [
+        ([NAN, 0.0], 1.0, 0.0),
+        ([0.0, complex(0.0, INF)], 1.0, 0.0),
+        ([0.0, 0.0], INF, 0.0),
+        ([0.0, 0.0], 1.0, NAN),
+        ([0.0, 0.0], 1.0, -INF),
+    ],
+    ids=["nan-sample", "inf-sample", "inf-dt", "nan-t0", "-inf-t0"],
+)
+def test_field_rejects_non_finite_input(samples, dt, t0):
+    with pytest.raises(FieldError):
+        SampledField(np.array(samples), dt, t0)
+
+
 def test_band_mask_closed_interval_with_edge_snap():
     # dt = 1: 8 bins at (m-4)*pi/4, -pi .. 3pi/4
     m = band_mask(8, 1.0, make_bandset([(0.0, np.pi / 4)]))
@@ -162,7 +181,7 @@ def test_window_rule_is_shared_by_mask_pulse_and_config(width_ghz, inside):
     )
     checks = [  # each on the channel [0, w]
         (lambda: band_mask(n, dt, make_bandset([(0.0, w)])), BandOutOfRange),
-        (lambda: rrc_pulse((w / 2, w), 0.15, 1.0, 0.0, dt, n, -16e-9), BandOutOfRange),
+        (lambda: rrc_pulse((0.0, w), 0.15, 1.0, 0.0, dt, n, -16e-9), BandOutOfRange),
         (cfg.validate, ConfigError),
     ]
     for call, error in checks:
@@ -192,10 +211,10 @@ def test_rrc_pulse_energy_band_and_peak():
     n, dt = 1024, 1.0 / 64
     t0 = -0.5 * n * dt
     domega = 2 * np.pi / (n * dt)
-    center, width = 40 * domega, 128 * domega
-    f = rrc_pulse((center, width), 0.15, energy=2.5, phase=0.8, dt=dt, n=n, t0=t0)
+    channel = (-24 * domega, 104 * domega)  # centered on 40 bins, 128 bins wide
+    f = rrc_pulse(channel, 0.15, energy=2.5, phase=0.8, dt=dt, n=n, t0=t0)
     assert f.energy() == pytest.approx(2.5, rel=1e-12)
-    chan = make_bandset([(center - width / 2, center + width / 2)])
+    chan = make_bandset([channel])
     mask = np.fft.ifftshift(band_mask(n, dt, chan))
     power = np.abs(np.fft.fft(f.samples)) ** 2
     assert band_energy(power, mask, dt) == pytest.approx(2.5, rel=1e-12)
@@ -210,7 +229,7 @@ def test_rrc_pulse_is_nyquist():
     t0 = -0.5 * n * dt
     domega = 2 * np.pi / (n * dt)
     beta, width = 0.15, 128 * domega
-    f = rrc_pulse((0.0, width), beta, energy=1.0, phase=0.0, dt=dt, n=n, t0=t0)
+    f = rrc_pulse((-width / 2, width / 2), beta, energy=1.0, phase=0.0, dt=dt, n=n, t0=t0)
     s = transform(f)
     power = np.abs(s.coefficients) ** 2
     T = 2 * np.pi * (1 + beta) / width
@@ -224,8 +243,8 @@ def test_rrc_pulse_guards():
     t0, domega = -12.8, 2 * np.pi / 25.6
     with pytest.raises(GridTooCoarse):
         # channel narrower than a bin, centered between bins
-        rrc_pulse((0.5 * domega, 0.2 * domega), 0.1, 1.0, 0.0, dt, n, t0)
+        rrc_pulse((0.4 * domega, 0.6 * domega), 0.1, 1.0, 0.0, dt, n, t0)
     with pytest.raises(BandOutOfRange):
-        rrc_pulse((np.pi / dt, 4 * domega), 0.1, 1.0, 0.0, dt, n, t0)
-    zero = rrc_pulse((0.0, 4 * domega), 0.1, 0.0, 0.0, dt, n, t0)
+        rrc_pulse((np.pi / dt - 2 * domega, np.pi / dt + 2 * domega), 0.1, 1.0, 0.0, dt, n, t0)
+    zero = rrc_pulse((-2 * domega, 2 * domega), 0.1, 0.0, 0.0, dt, n, t0)
     assert zero.energy() == 0.0

@@ -96,3 +96,8 @@ def test_step_validation():
         integrate_tones(state(), 100.0, 30.0, PARAMS)  # 30 does not divide 100
     with pytest.raises(ValueError):
         integrate_tones(state(), 100.0, -1.0, PARAMS)
+    with pytest.raises(ValueError):
+        integrate_tones(state(), 100.0, 1e12, PARAMS)  # would round to no step
+    for z_total, dz in ((float("inf"), 30.0), (100.0, float("inf")), (float("nan"), 1.0)):
+        with pytest.raises(ValueError):
+            integrate_tones(state(), z_total, dz, PARAMS)
