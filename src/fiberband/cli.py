@@ -30,7 +30,7 @@ from .planner import (
     sidon_for_channels,
     spectral_filling_efficiency,
 )
-from .propagation import FiberParams, propagate
+from .propagation import FiberParams, propagate, step_count
 from .threetone import ToneState, integrate_tones
 
 
@@ -195,6 +195,8 @@ def _tone_flags(args) -> tuple[list[float], list[float]]:
         check(dest, math.isfinite(getattr(args, dest)), "finite")
     check("z_km", 0 <= args.z_km < math.inf, "finite and nonnegative")
     check("dz_m", 0 < args.dz_m < math.inf, "finite and positive")
+    check("dz_m", step_count(args.z_km * 1e3, args.dz_m) is not None,
+          f"a divisor of --z-km = {args.z_km!r} km ({args.z_km * 1e3!r} m)")
     return powers, phases
 
 

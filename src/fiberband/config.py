@@ -22,7 +22,7 @@ import numpy as np
 from .bands import BandError, BandSet, OverlappingIntervals, make_bandset
 from .fields import BandOutOfRange, SampledField, band_mask, bin_omegas, rrc_pulse
 from .planner import NotIncreasing, SidonSequence, plan_channels, sidon_for_channels
-from .propagation import FiberParams, FilterMode
+from .propagation import FiberParams, FilterMode, step_count
 
 GHZ = 2.0 * math.pi * 1e9  # rad/s per GHz of ordinary frequency
 
@@ -144,6 +144,16 @@ class ExperimentConfig:
             self.filter_spacing_km and self.filter_spacing_km > 0
         ):
             fail("run.filter_spacing_km", "required and positive for lumped filtering")
+        # tested in meters, on the lengths propagate partitions
+        dz = self.dz_km * 1e3
+        spans = ["z_total_km", "record_every_km"]
+        if self.filter == "lumped":
+            spans.append("filter_spacing_km")
+        for field in spans:
+            span_km = getattr(self, field)
+            if step_count(span_km * 1e3, dz) is None:
+                fail("run.dz_km",
+                     f"{self.dz_km!r} km does not divide run.{field} = {span_km!r} km")
 
     # derived physical objects
 

@@ -16,6 +16,15 @@ exp(j*(beta2/2)*w^2*dz). Distributed filtering masks every step, lumped
 filtering only at multiples of the filter spacing, and unfiltered mode
 never masks; plain attenuation always applies.
 
+The Kerr factor is formed as cos(phi) + j*sin(phi) of the real phase
+phi = |q|^2 * (gamma*dz). The complex exp of j*phi has a real part of
+exactly 0, so it returns those two values to the bit, and the cheaper
+form keeps every trace bit-identical. The product keeps q as its first
+operand: numpy's complex multiply is not bitwise commutative, and the
+swapped order changes the last bit of some samples. A filter site
+gathers the out-of-band bins by index, books their energy and zeroes
+them in place.
+
 `propagate` drives `_step_kernel`, the only code that steps or filters
 a field; a single filtered step is `propagate` with z_total = dz =
 record_every and a distributed filter mode. Both work in raw FFT order
@@ -124,24 +133,52 @@ class EnergyTrace:
         return float(np.max(dev))
 
 
+def step_count(span: float, dz: float) -> int | None:
+    """The number of steps of size dz that make up span, or None if dz
+    does not divide span to within 1e-9 of span.
+
+    This is the one divisibility rule for step partitions: `propagate`,
+    `ExperimentConfig.validate` and the three-tone integrator apply it.
+    """
+    ratio = span / dz
+    if not math.isfinite(ratio):
+        return None
+    steps = int(round(ratio))
+    return steps if abs(steps * dz - span) <= 1e-9 * span else None
+
+
 # Noise floor below which out-of-band residue is reported as exactly zero,
 # relative to the total energy of the record.
 OUT_OF_BAND_FLOOR = 1e-14
 
 
-def _step_kernel(q, nl_coef, decay, disp_phase, mask):
-    """One split step on a raw sample array; returns (q', discarded)."""
-    q = q * np.exp(nl_coef * np.abs(q) ** 2)
-    spec = np.fft.fft(q)
+def _step_kernel(q, gdz, decay, disp_phase, oob):
+    """One split step on a raw sample array; returns (q', discarded).
+
+    gdz is gamma*dz. The Kerr factor is cos(phi) + j*sin(phi) with the
+    real phase phi = |q|^2 * gdz, bit for bit what exp(1j*gdz*|q|^2)
+    returns, since that argument has a real part of exactly 0. q stays
+    the first operand of the product, because numpy's complex multiply
+    is not bitwise commutative. oob indexes the out-of-band bins of a
+    filter site (None elsewhere): their energy is booked before this
+    step's decay, then they are zeroed. Every spectral factor is applied
+    in place.
+    """
+    phi = np.abs(q)
+    phi *= phi
+    phi *= gdz
+    kerr = np.empty_like(q)
+    kerr.real = np.cos(phi)
+    kerr.imag = np.sin(phi)
+    spec = np.fft.fft(np.multiply(q, kerr, out=kerr))
     discarded = 0.0
-    if mask is not None:
-        # bookkeeping happens before the alpha0 decay of this step
-        out = spec[~mask]
+    if oob is not None:
+        out = spec[oob]
         discarded = float(np.vdot(out, out).real)
-        spec = np.where(mask, spec, 0.0)
+        spec[oob] = 0
     if decay != 1.0:
-        spec = spec * decay
-    spec = spec * disp_phase
+        spec *= decay
+    spec *= disp_phase
     return np.fft.ifft(spec), discarded
 
 
@@ -169,8 +206,8 @@ def propagate(
     def stride(span: float, what: str) -> int:
         if not math.isfinite(span):
             raise InvalidStepPartition(f"{what} = {span} is not finite")
-        s = int(round(span / dz))
-        if s < 1 or abs(s * dz - span) > 1e-9 * span:
+        s = step_count(span, dz)
+        if s is None or s < 1:
             raise InvalidStepPartition(f"dz = {dz} does not divide {what} = {span}")
         return s
 
@@ -188,7 +225,8 @@ def propagate(
     omegas = np.fft.ifftshift(bin_omegas(n, dt))
     disp_phase = np.exp(0.5j * params.beta2 * dz * omegas**2)
     decay = float(np.exp(-0.5 * params.alpha0 * dz))
-    nl_coef = 1j * params.gamma * dz
+    gdz = params.gamma * dz
+    oob = np.flatnonzero(~inband)
 
     zs, totals, per_ch, disc = [], [], [], []
 
@@ -212,7 +250,7 @@ def propagate(
         filtered = mode.kind == "distributed" or (
             mode.kind == "lumped" and s % filt_stride == 0
         )
-        q, d = _step_kernel(q, nl_coef, decay, disp_phase, inband if filtered else None)
+        q, d = _step_kernel(q, gdz, decay, disp_phase, oob if filtered else None)
         discarded_total += d * scale
         if s % rec_stride == 0 or s == steps:
             record(s, q, discarded_total)

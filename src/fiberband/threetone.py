@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .propagation import step_count
+
 
 @dataclass(frozen=True)
 class ToneState:
@@ -72,10 +74,9 @@ def integrate_tones(
     """
     if not (0 < dz < math.inf and 0 <= z_total < math.inf):
         raise ValueError(f"need finite dz > 0 and z_total >= 0, got {dz} and {z_total}")
-    steps = int(round(z_total / dz))
-    # relative to z_total alone: a dz above z_total > 0 rounds to no step
-    if abs(steps * dz - z_total) > 1e-9 * z_total:
-        raise ValueError("dz must divide z_total")
+    steps = step_count(z_total, dz)
+    if steps is None:
+        raise ValueError(f"dz = {dz} does not divide z_total = {z_total}")
     beta2, gamma = params.beta2, params.gamma
     q = state0.amplitudes()
     out = [state0]

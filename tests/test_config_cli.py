@@ -102,6 +102,10 @@ def test_parse_rejects_garbage():
          "channels.count"),
         # 0.01 GHz channels between the bins of a 0.03125 GHz grid
         (dict(width_ghz=0.01), "channels.width_ghz"),
+        # steps of dz must partition the run, the records and the filter spacing
+        (dict(dz_km=0.3), "run.dz_km"),
+        (dict(record_every_km=5.05), "run.dz_km"),
+        (dict(filter_spacing_km=10.05), "run.dz_km"),
     ],
 )
 def test_validate_reports_the_offending_key(changes, field):
@@ -357,6 +361,24 @@ def test_cli_simulate_names_a_non_finite_override(tmp_path, capsys, option, valu
 
 
 @pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--dz-km", "0.3", "run.dz_km: 0.3 km does not divide run.z_total_km = 160.0 km"),
+        ("--record-every-km", "5.05",
+         "run.dz_km: 0.1 km does not divide run.record_every_km = 5.05 km"),
+        ("--filter-spacing-km", "10.05",
+         "run.dz_km: 0.1 km does not divide run.filter_spacing_km = 10.05 km"),
+    ],
+    ids=["z-total", "record-every", "filter-spacing"],
+)
+def test_cli_simulate_names_a_step_that_does_not_divide(tmp_path, capsys, option, value, message):
+    argv = ["simulate", "--config", "sidon5", "--out", str(tmp_path), option, value]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
     "name, line, bad_line, key",
     [
         ("uniform5", "span_w = 23.0", "span_w = 5.0", "channels.span_w"),
@@ -485,6 +507,8 @@ def test_cli_three_tone_rejects_bad_list(capsys):
         ("--z-km", "-1"),
         ("--dz-m", "inf"),
         ("--dz-m", "0"),
+        ("--dz-m", "1e12"),
+        ("--dz-m", "0.3"),
         ("--spacing-ghz", "nan"),
         ("--powers-w", "nan,1,1"),
         ("--powers-w", "-1,1,1"),

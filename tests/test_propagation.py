@@ -9,6 +9,7 @@ attenuation alone scales the field by exp(-alpha0*z/2) pointwise.
 import numpy as np
 import pytest
 
+from fiberband import propagation
 from fiberband.bands import make_bandset
 from fiberband.fields import SampledField, band_energy, band_mask, rrc_pulse, transform
 from fiberband.propagation import (
@@ -203,6 +204,41 @@ def test_distributed_keeps_field_in_band():
     out, tr = propagate(g, 2e3, 100.0, params, FilterMode("distributed"), chans, 2e3)
     assert energy_in(out, chans) == pytest.approx(out.energy(), rel=1e-12)
     assert tr.total[-1] == pytest.approx(np.sum(tr.per_channel[-1]), rel=1e-12)
+
+
+def reference_step(q, gdz, decay, disp_phase, oob):
+    """The split step written with the complex exp, a boolean mask and copies."""
+    q = q * np.exp(1j * gdz * np.abs(q) ** 2)
+    spec = np.fft.fft(q)
+    discarded = 0.0
+    if oob is not None:
+        mask = np.ones(q.size, dtype=bool)
+        mask[oob] = False
+        out = spec[~mask]
+        discarded = float(np.vdot(out, out).real)
+        spec = np.where(mask, spec, 0.0)
+    if decay != 1.0:
+        spec = spec * decay
+    spec = spec * disp_phase
+    return np.fft.ifft(spec), discarded
+
+
+@pytest.mark.parametrize("mode", [FilterMode("distributed"), FilterMode("lumped", 400.0),
+                                  FilterMode("none")], ids=lambda m: m.kind)
+def test_step_kernel_matches_reference_formula(monkeypatch, mode):
+    f, chans = two_channel_launch()
+    # Kerr phases up to about 13 rad per step, and alpha0 > 0 so decay != 1
+    g = SampledField(f.samples * 3e2, DT, T0)
+    params = FiberParams(alpha0=4.6e-5, beta2=-21.667e-27, gamma=1.2578e-3)
+    runs = []
+    for kernel in (propagation._step_kernel, reference_step):
+        monkeypatch.setattr(propagation, "_step_kernel", kernel)
+        runs.append(propagate(g, 2e3, 100.0, params, mode, chans, 400.0))
+    (out, tr), (ref_out, ref_tr) = runs
+    assert np.array_equal(out.samples, ref_out.samples)
+    for name in ("total", "per_channel", "discarded_cumulative"):
+        assert np.array_equal(getattr(tr, name), getattr(ref_tr, name))
+    assert (tr.discarded_cumulative[-1] > 0) == (mode.kind != "none")
 
 
 def test_channel_rhs_single_channel_is_pure_decay():
