@@ -226,7 +226,10 @@ def cmd_three_tone(args) -> int:
 
 def cmd_bounds(args) -> int:
     k_max = args.k_max
-    table = max_sidon_table(k_max)
+    try:
+        table = max_sidon_table(k_max)
+    except ValueError as exc:
+        raise ValueError(f"--k-max: {exc}") from None
     bose_seqs = []
     q = 2
     while q <= k_max:

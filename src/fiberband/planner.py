@@ -101,22 +101,27 @@ def sidon_for_channels(n: int) -> SidonSequence:
 def _search_length(k: int, target: int, minspan: list) -> tuple | None:
     """Lexicographically first Sidon subset of {1..k} of size `target`.
 
-    Any Sidon set translates to one whose minimum is 1, so the search
-    roots at 1 without losing maximal sets. A set is Sidon iff its
+    Precondition: no Sidon set of size `target` fits in {1..k-1}. Any
+    Sidon set translates to one whose minimum is 1, so the search roots
+    at 1 without losing maximal sets, and by the precondition every set
+    it can find spans exactly k - 1: both end marks, 1 and k, are pinned
+    and only the interior marks are searched. A set is Sidon iff its
     pairwise differences are distinct (a Golomb ruler). `diffs` is a
-    bitmask of the differences used so far and `back` has bit d set iff
-    a mark sits d below the last mark `last` (bit 0 is `last` itself).
-    A candidate c's differences to the marks are then exactly the bits
-    of back << (c - last), so c is admissible iff that shifted register
-    misses `diffs`: one integer test per candidate, after the
-    shift-register search for optimal Golomb rulers (Dollas, Rankin &
-    McCracken 1998).
+    bitmask of the differences used so far, including each mark's
+    difference to the far mark k, and `back` has bit d set iff a mark
+    sits d below the last mark `last` (bit 0 is `last` itself). A
+    candidate c's differences to the marks below it are then exactly the
+    bits of new = back << (c - last), so c is admissible iff that
+    shifted register misses `diffs` and its difference k - c to the far
+    mark misses `diffs | new`: two integer tests per candidate, after
+    the shift-register search for optimal Golomb rulers (Dollas, Rankin
+    & McCracken 1998).
 
     `minspan[m]`, when present, is the exact minimal span of an
     m-element Sidon set; a candidate c with m elements still owed
-    (itself included) is viable only if minspan[m] fits in [c, k].
-    Without it the counting floor m*(m-1)/2 applies: that many distinct
-    positive differences must not exceed the span.
+    (itself and the far mark included) is viable only if minspan[m]
+    fits in [c, k]. Without it the counting floor m*(m-1)/2 applies:
+    that many distinct positive differences must not exceed the span.
     """
     if target == 1:
         return (1,)
@@ -126,26 +131,30 @@ def _search_length(k: int, target: int, minspan: list) -> tuple | None:
             return minspan[m]
         return m * (m - 1) // 2
 
-    # candidate ceiling per node depth, hoisted out of the search
-    ceiling = [k - span_floor(target - d) for d in range(target)]
+    if k - 1 < span_floor(target):  # no room, and at k = 1 the far mark is the root
+        return None
+    # candidate ceiling per interior node depth, hoisted out of the search
+    ceiling = [k - span_floor(target - d) for d in range(target - 1)]
 
     def dfs(depth: int, last: int, back: int, diffs: int) -> tuple | None:
-        if depth == target:
+        if depth == target - 1:
             return last, back
         new = back
         for c in range(last + 1, ceiling[depth] + 1):
             new <<= 1  # back << (c - last)
             if not new & diffs:
-                hit = dfs(depth + 1, c, new | 1, diffs | new)
-                if hit:
-                    return hit
+                far = 1 << (k - c)
+                if not far & (diffs | new):
+                    hit = dfs(depth + 1, c, new | 1, diffs | new | far)
+                    if hit:
+                        return hit
         return None
 
-    hit = dfs(1, 1, 1, 0)
+    hit = dfs(1, 1, 1, 1 << (k - 1))
     if hit is None:
         return None
     last, back = hit
-    return tuple(last - d for d in range(last, -1, -1) if back >> d & 1)
+    return tuple(last - d for d in range(last, -1, -1) if back >> d & 1) + (k,)
 
 
 def _table_rows():
@@ -153,7 +162,9 @@ def _table_rows():
 
     N(k) grows by at most 1 per k (drop one element of an optimal set),
     so each k only has to decide whether a set one longer than the
-    previous optimum fits in {1..k}. The witness is the
+    previous optimum fits in {1..k}. Row k - 1 has already shown that no
+    such set fits in {1..k-1}, which is the precondition under which
+    _search_length pins both end marks at 1 and k. The witness is the
     lexicographically first set found at the first k where N(k) reached
     its value.
     """
@@ -170,6 +181,8 @@ def _table_rows():
 @lru_cache(maxsize=None)
 def max_sidon_table(k_max: int) -> tuple:
     """(N(k), witness) for every k in 1..k_max; see _table_rows."""
+    if k_max < 1:
+        raise ValueError(f"table size must be at least 1, got {k_max}")
     if k_max > BRUTE_FORCE_BUDGET:
         raise BudgetExceeded(f"k_max {k_max} exceeds budget {BRUTE_FORCE_BUDGET}")
     return tuple(islice(_table_rows(), k_max))
@@ -180,9 +193,15 @@ def densest_sidon(n: int) -> SidonSequence:
 
     This is the table's witness at the first k where N(k) = n: the
     lexicographically first length-n set among those of least span.
+    A length the counting floor already puts beyond the budget raises
+    BudgetExceeded before any search.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    top = n * (n - 1) // 2 + 1  # n marks need n(n-1)/2 distinct differences
+    if top > BRUTE_FORCE_BUDGET:
+        raise BudgetExceeded(f"no length-{n} sequence within span {BRUTE_FORCE_BUDGET}: "
+                             f"its top slot is at least {top}")
     for best, witness in islice(_table_rows(), BRUTE_FORCE_BUDGET):
         if best == n:
             return SidonSequence(witness)

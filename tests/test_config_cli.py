@@ -10,6 +10,7 @@ import dataclasses
 import json
 import math
 import re
+import time
 from importlib import resources
 
 import numpy as np
@@ -453,6 +454,16 @@ def test_cli_plan_rejects_a_slot_budget_below_the_top_slot(capsys):
     assert "slot budget below the plan's top slot" in captured.err
 
 
+def test_cli_plan_densest_fails_at_once_past_the_budget(capsys):
+    # 18 marks need a top slot of at least 18*17/2 + 1 = 154 > 150
+    start = time.perf_counter()
+    assert main(["plan", "--mode", "densest", "--n", "18"]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no length-18 sequence within span 150: its top slot is at least 154\n"
+
+
 def test_cli_check_verdicts(tmp_path, capsys):
     good = tmp_path / "good.txt"
     good.write_text("# slots 1 2 5, width 2\n0 2\n6 8\n\n18, 20\n")
@@ -535,3 +546,11 @@ def test_cli_bounds_table(capsys):
     assert len(lines) == 6
     last = lines[-1].split()
     assert last[0] == "5" and last[1] == "3"  # N(5) = 3, e.g. (1, 2, 5)
+
+
+@pytest.mark.parametrize("k_max", ["0", "-1"])
+def test_cli_bounds_rejects_a_table_size_below_one(capsys, k_max):
+    assert main(["bounds", "--k-max", k_max]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --k-max: table size must be at least 1, got {k_max}\n"

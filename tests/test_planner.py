@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fiberband import planner
 from fiberband.bands import EmptyBandSet, OverlappingIntervals
 from fiberband.planner import (
     BRUTE_FORCE_BUDGET,
@@ -122,12 +123,19 @@ def test_brute_force_small_table():
     assert table[-1] == (5, (1, 2, 5, 10, 12))
     with pytest.raises(BudgetExceeded):
         max_sidon_table(BRUTE_FORCE_BUDGET + 1)
+    for k_max in (0, -1):
+        with pytest.raises(ValueError, match=f"table size must be at least 1, got {k_max}"):
+            max_sidon_table(k_max)
 
 
 def test_densest_sidon():
     assert densest_sidon(4).values == (1, 2, 5, 7)
     assert densest_sidon(5).values == (1, 2, 5, 10, 12)
     assert densest_sidon(1).values == (1,)
+    # 18 marks need 153 distinct differences, so a top slot past the
+    # budget: this fails before any row is searched
+    with pytest.raises(BudgetExceeded, match="top slot is at least 154"):
+        densest_sidon(18)
     # the table's witness at the first k where N(k) = n
     table = max_sidon_table(30)
     for n in (6, 7):
@@ -158,6 +166,33 @@ def test_table_meets_published_golomb_lengths():
     rows = [n for n, _ in max_sidon_table(60)]
     for marks, length in enumerate(GOLOMB_LENGTHS, start=1):
         assert rows.index(marks) + 1 == length + 1, marks
+
+
+def test_table_witness_ends_where_the_row_grows():
+    # the pinned search rests on this: a row that grows holds a set of
+    # span exactly k - 1, since the row before it held none of that size
+    table = max_sidon_table(60)
+    for k in range(2, 61):
+        n, witness = table[k - 1]
+        if n > table[k - 2][0]:
+            assert witness[0] == 1 and witness[-1] == k, k
+        else:
+            assert witness == table[k - 2][1], k
+
+
+def _table_minspan(target: int) -> list:
+    """minspan as _table_rows holds it when it searches for `target` marks."""
+    rows = [n for n, _ in max_sidon_table(60)]
+    return [0, 0] + [rows.index(m) for m in range(2, target)]
+
+
+def test_pinned_search_on_table_rows():
+    # 9 marks need span 44 and 8 marks span 34 (GOLOMB_LENGTHS), so both
+    # calls meet the precondition: no set of `target` fits below k
+    assert planner._search_length(44, 9, _table_minspan(9)) is None
+    found = planner._search_length(35, 8, _table_minspan(8))
+    assert found[0] == 1 and found[-1] == 35 and is_sidon(found)
+    assert found == max_sidon_table(35)[-1][1]
 
 
 def _enumerated_row(k: int) -> tuple:
