@@ -17,7 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import GHZ, ExperimentConfig, load_config, parse_config, with_overrides
+from .config import (
+    GHZ,
+    ConfigError,
+    ExperimentConfig,
+    load_config,
+    parse_config,
+    with_overrides,
+)
 from .fields import parseval_residual
 from .planner import (
     bose_sequence,
@@ -92,7 +99,7 @@ def run_simulation(cfg: ExperimentConfig, out_dir: Path, stem: str, fmt: str) ->
         "total_loss_pct": 100.0 * loss,
         "per_channel_max_dev_pct": 100.0 * trace.max_channel_deviation(),
         "parseval_residual": parseval_residual(final),
-        "steps": int(round(z_total / dz)),
+        "steps": step_count(z_total, dz),
         "seed": cfg.seed,
         "launch_energy_J": float(trace.total[0]),
         "final_energy_J": float(trace.total[-1]),
@@ -111,6 +118,9 @@ def run_simulation(cfg: ExperimentConfig, out_dir: Path, stem: str, fmt: str) ->
 
 def cmd_simulate(args) -> int:
     cfg = resolve_config(args.config)
+    if args.seed is not None and cfg.energies_pj is not None and cfg.phases_rad is not None:
+        raise ConfigError(f"run.seed: --seed {args.seed} cannot change the launch, since "
+                          "pulses.energies_pj and pulses.phases_rad are both pinned")
     cfg = with_overrides(
         cfg,
         dz_km=args.dz_km,
@@ -128,17 +138,26 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    n = args.n
+    n, width = args.n, args.width_ghz
+    if n < 1:
+        raise ValueError(f"--n: channel count must be at least 1, got {n}")
+    if not 0 < width < math.inf:
+        raise ValueError(f"--width-ghz: must be finite and positive, got {width}")
     if args.mode == "densest":
         seq = densest_sidon(n)
     else:
         seq = sidon_for_channels(n)
     # widths in GHz carry through; the verdict and eta are scale-free, so certify
     # at width 1, where floats hold the slot edges exactly and touching sums stay apart
-    width = args.width_ghz
-    plan = plan_channels(seq, width)
+    try:
+        plan = plan_channels(seq, width)
+    except ValueError as exc:
+        raise ValueError(f"--width-ghz: {exc}") from None
     decoupled, witness = is_energy_decoupled(plan_channels(seq, 1.0).intervals())
-    eta = spectral_filling_efficiency(plan, slot_budget=args.k)
+    try:
+        eta = spectral_filling_efficiency(plan, slot_budget=args.k)
+    except ValueError as exc:
+        raise ValueError(f"--k: {exc}") from None
     print(f"sequence      : {tuple(seq)}")
     print(f"channel width : {width:g} GHz")
     centers = ", ".join(f"{c:g}" for c in plan.centers())
@@ -297,7 +316,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

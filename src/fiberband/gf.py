@@ -8,7 +8,9 @@ generator; addition reads a flat table of digit-wise sums. The
 quadratic extension GF(N^2) over GF(N), where the exponent-set
 construction lives, has elements (a0, a1) = a0 + a1 x with a0, a1 ints
 of GF(N), and x generates GF(N^2)*: the modulus is the first primitive
-quadratic.
+quadratic. Primitivity is read off the powers of x alone (Lidl &
+Niederreiter, Finite Fields, Thm 3.18), by the same multiply-by-x
+recurrence that walks the exponent set.
 
 Polynomial and element enumeration order is fixed once and for all:
 index i maps to base-N digits of i, least significant digit = constant
@@ -20,6 +22,7 @@ element a0 + a1 N.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -111,7 +114,6 @@ class GaloisField:
     def __init__(self, p: int, k: int = 1):
         self.p, self.k = p, k
         self.order = q = p**k
-        self.zero, self.one = 0, 1
         self.reduction = first_irreducible(p, k)
         digits = [_digits(a, p, k) for a in range(q)]
         weights = [p**j for j in range(k)]
@@ -160,16 +162,10 @@ class GaloisField:
     def neg(self, a: int) -> int:
         return self.negs[a]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.sums[a * self.order + self.negs[b]]
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         return self.exp[self.log[a] + self.log[b]]
-
-    def elements(self):
-        return range(self.order)
 
 
 class QuadraticExt:
@@ -182,63 +178,37 @@ class QuadraticExt:
         self.base = base
         self.modulus = tuple(modulus)
         self.order = base.order**2
-        self.zero, self.one = (0, 0), (1, 0)
-
-    def mul(self, u: tuple, v: tuple) -> tuple:
-        f = self.base
-        c, b = self.modulus
-        top = f.mul(u[1], v[1])  # times x^2 = -b x - c
-        lo = f.sub(f.mul(u[0], v[0]), f.mul(c, top))
-        hi = f.sub(f.add(f.mul(u[0], v[1]), f.mul(u[1], v[0])), f.mul(b, top))
-        return lo, hi
 
 
-def pow_element(field, a, e: int):
-    result = field.one
-    base = a
-    while e:
-        if e & 1:
-            result = field.mul(result, base)
-        base = field.mul(base, base)
-        e >>= 1
-    return result
+def _is_primitive(base: GaloisField, c: int, b: int) -> bool:
+    """True iff x^2 + b x + c is primitive over GF(N), i.e. x generates GF(N^2)*.
 
-
-def is_generator(field, a) -> bool:
-    """True iff a generates the full multiplicative group."""
-    m = field.order - 1
-    if a == field.zero:
-        return False
-    for q in factorize(m):
-        if pow_element(field, a, m // q) == field.one:
-            return False
-    return True
-
-
-def _reducible_constants(base: GaloisField, b: int) -> set:
-    """The c for which x^2 + b x + c has a root t in GF(N), i.e. c = -t(t + b).
-
-    A quadratic without a root is irreducible, so these are exactly the
-    reducible x^2 + b x + c.
+    By Lidl & Niederreiter, Finite Fields, Thm 3.18, it is primitive iff
+    the first t >= 1 with x^t in GF(N) is t = N + 1, and x^(N+1) = c is
+    primitive in GF(N). So the test walks at most N + 1 powers of x.
     """
-    return {base.neg(base.mul(t, base.add(t, b))) for t in base.elements()}
+    if c == 0:  # x divides the modulus, so it is no unit
+        return False
+    n, exp, log, sums, negs = base.order, base.exp, base.log, base.sums, base.negs
+    log_c, log_b = log[negs[c]], log[negs[b]]
+    # x (u0 + u1 x) = -c u1 + (u0 - b u1) x, as x^2 = -b x - c
+    t, u0, u1 = 1, 0, 1
+    while u1 and t <= n:
+        lu = log[u1]
+        u0, u1 = exp[log_c + lu], sums[u0 * n + (exp[log_b + lu] if b else 0)]
+        t += 1
+    return u1 == 0 and t == n + 1 and math.gcd(log[u0], n - 1) == 1
 
 
 def _first_primitive_quadratic(base: GaloisField) -> tuple:
-    """Low coefficients of the first monic quadratic whose root generates.
+    """Low coefficients (c, b) of the first primitive monic quadratic.
 
-    Scans the enumeration order (c, b) = (i % N, i // N) but keeps only
-    polynomials that are primitive, i.e. x itself has full multiplicative
-    order in the quotient. Primitive quadratics exist over every finite
-    field, so the scan always terminates.
+    Scans the enumeration order (c, b) = (i % N, i // N) with
+    `_is_primitive` (Thm 3.18). Primitive quadratics exist over every
+    finite field, so the scan always terminates.
     """
-    x = (0, 1)
-    for b in base.elements():
-        reducible = _reducible_constants(base, b)
-        for c in base.elements():
-            if c not in reducible and is_generator(QuadraticExt(base, (c, b)), x):
-                return c, b
-    raise RuntimeError("no primitive quadratic found")  # cannot happen
+    n = base.order
+    return next((i % n, i // n) for i in range(n * n) if _is_primitive(base, i % n, i // n))
 
 
 @dataclass(frozen=True)
@@ -247,12 +217,11 @@ class FieldGF:
 
     N = p^k. `modulus` holds the low coefficients (c, b) of the monic
     x^2 + b x + c over GF(N) defining the extension: the first primitive
-    quadratic in enumeration order, so the root x generates GF(N^2)*.
+    quadratic in enumeration order (primitivity as in Lidl &
+    Niederreiter, Thm 3.18), so the root x generates GF(N^2)*.
     Coefficients are ints of GF(N).
     """
 
-    p: int
-    k: int
     modulus: tuple
     base: GaloisField
     ext: QuadraticExt
@@ -266,10 +235,9 @@ class FieldGF:
         the conventional reference choice for the length-11 sequence
         quoted in the literature.
         """
-        p, k = prime_power(n)
-        base = GaloisField(p, k)
+        base = GaloisField(*prime_power(n))
         modulus = _first_primitive_quadratic(base)
-        return cls(p, k, modulus, base, QuadraticExt(base, modulus))
+        return cls(modulus, base, QuadraticExt(base, modulus))
 
     def exponent_set(self) -> list[int]:
         """Exponents m in 1..N^2-1 with x^m - x in GF(N).

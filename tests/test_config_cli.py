@@ -350,6 +350,26 @@ def test_cli_simulate_missing_config_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["sidon5", "uniform5"])
+def test_cli_simulate_rejects_a_seed_that_cannot_change_the_launch(tmp_path, capsys, name):
+    # both bundled configs pin energies and phases, so no seed draws anything
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", name, "--out", str(out), "--seed", "7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: run.seed: --seed 7 ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [("simulate", "--config"), ("check", "--intervals")])
+def test_cli_reports_a_directory_as_an_error(tmp_path, capsys, command, flag):
+    assert main([command, flag, str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(tmp_path) in captured.err
+
+
 @pytest.mark.parametrize(
     "option, value, key",
     [("--dz-km", "nan", "run.dz_km"), ("--filter-spacing-km", "inf", "run.filter_spacing_km")],
@@ -452,6 +472,27 @@ def test_cli_plan_rejects_a_slot_budget_below_the_top_slot(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "slot budget below the plan's top slot" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "0"], "--n: channel count must be at least 1, got 0"),
+        (["--mode", "bose", "--n", "-3"], "--n: channel count must be at least 1, got -3"),
+        (["--n", "5", "--width-ghz", "0"], "--width-ghz: must be finite and positive, got 0.0"),
+        (["--n", "5", "--width-ghz", "nan"], "--width-ghz: must be finite and positive, got nan"),
+        (["--n", "5", "--width-ghz", "inf"], "--width-ghz: must be finite and positive, got inf"),
+        (["--mode", "bose", "--n", "11", "--width-ghz", "1e308"],
+         "--width-ghz: channel width 1e+308 puts the top edge out of range"),
+        (["--n", "5", "--k", "11"], "--k: slot budget below the plan's top slot"),
+    ],
+    ids=["n-densest", "n-bose", "width-zero", "width-nan", "width-inf", "width-huge", "k"],
+)
+def test_cli_plan_names_the_bad_flag(capsys, argv, message):
+    assert main(["plan", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_cli_plan_densest_fails_at_once_past_the_budget(capsys):

@@ -160,6 +160,21 @@ def test_frozen_bose_sequences():
         assert _sha256(list(bose_sequence(int(q)))) == FROZEN["bose_sha256"][q], q
 
 
+# one digest over the Bose sequences of all 70 prime powers q <= 256,
+# frozen before primitivity was read off the powers of x
+BOSE_256_SHA256 = "087d492ffe4fbb32162e3fa274b33dc176431bcde4a80b805852b4b43e1b60f5"
+
+
+def test_frozen_bose_sequences_to_256():
+    sizes = []
+    q = 2
+    while q <= 256:
+        sizes.append(q)
+        q = next_prime_power(q + 1)
+    assert len(sizes) == 70
+    assert _sha256([list(bose_sequence(q)) for q in sizes]) == BOSE_256_SHA256
+
+
 def test_table_meets_published_golomb_lengths():
     # a Sidon set in {1..k} is a Golomb ruler of length at most k - 1, so
     # the first k with N(k) = m is the optimal m-mark length plus one
