@@ -7,11 +7,11 @@ close to linear in the spacing. Prints the sweep and the linear-fit R2.
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from fiberband.cli import resolve_config
-from fiberband.config import with_overrides
 from fiberband.propagation import propagate
 
 
@@ -24,7 +24,7 @@ def main(argv=None) -> int:
     spacings = [float(s) for s in args.spacings_km.split(",")]
     discarded = []
     for spacing in spacings:
-        cfg = with_overrides(resolve_config(args.config), filter_spacing_km=spacing)
+        cfg = replace(resolve_config(args.config), filter_spacing_km=spacing)
         z_total, dz, _ = cfg.run_lengths()
         _, trace = propagate(
             cfg.launch_field(), z_total, dz, cfg.fiber(), cfg.filter_mode(),

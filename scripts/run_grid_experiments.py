@@ -12,10 +12,10 @@ Writes trace CSVs and summary JSONs under --out (default results/).
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from fiberband.cli import resolve_config, run_simulation
-from fiberband.config import with_overrides
 
 
 def main(argv=None) -> int:
@@ -29,7 +29,7 @@ def main(argv=None) -> int:
     for name in ("sidon5", "uniform5"):
         cfg = resolve_config(name)
         if args.dz_km is not None:
-            cfg = with_overrides(cfg, dz_km=args.dz_km)
+            cfg = replace(cfg, dz_km=args.dz_km)
         summary = run_simulation(cfg, out, name, "csv")
         rows.append((name, summary))
 

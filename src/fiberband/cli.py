@@ -12,19 +12,13 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    GHZ,
-    ConfigError,
-    ExperimentConfig,
-    load_config,
-    parse_config,
-    with_overrides,
-)
+from .config import GHZ, ConfigError, ExperimentConfig, parse_config
 from .fields import parseval_residual
 from .planner import (
     bose_sequence,
@@ -44,13 +38,12 @@ from .threetone import ToneState, integrate_tones
 def resolve_config(name: str) -> ExperimentConfig:
     """Load a config from a path, or fall back to a bundled one by name."""
     path = Path(name)
-    if path.exists():
-        return load_config(path)
-    stem = name if name.endswith(".cfg") else name + ".cfg"
-    bundled = resources.files("fiberband").joinpath("configs", stem)
-    if bundled.is_file():
-        return parse_config(bundled.read_text(encoding="utf-8"))
-    raise FileNotFoundError(f"no config file or bundled config named {name!r}")
+    if not path.exists():
+        stem = name if name.endswith(".cfg") else name + ".cfg"
+        path = resources.files("fiberband").joinpath("configs", stem)
+        if not path.is_file():
+            raise FileNotFoundError(f"no config file or bundled config named {name!r}")
+    return parse_config(path.read_text(encoding="utf-8"))
 
 
 def trace_table(trace) -> tuple[list[str], list[list[float]]]:
@@ -82,7 +75,6 @@ def write_trace_json(path: Path, trace) -> None:
 
 def run_simulation(cfg: ExperimentConfig, out_dir: Path, stem: str, fmt: str) -> dict:
     """Propagate per config; write trace and summary files; return summary."""
-    cfg.validate()
     launch = cfg.launch_field()
     z_total, dz, record_every = cfg.run_lengths()
     final, trace = propagate(
@@ -121,13 +113,9 @@ def cmd_simulate(args) -> int:
     if args.seed is not None and cfg.energies_pj is not None and cfg.phases_rad is not None:
         raise ConfigError(f"run.seed: --seed {args.seed} cannot change the launch, since "
                           "pulses.energies_pj and pulses.phases_rad are both pinned")
-    cfg = with_overrides(
-        cfg,
-        dz_km=args.dz_km,
-        filter_spacing_km=args.filter_spacing_km,
-        record_every_km=args.record_every_km,
-        seed=args.seed,
-    )
+    overrides = dict(dz_km=args.dz_km, filter_spacing_km=args.filter_spacing_km,
+                     record_every_km=args.record_every_km, seed=args.seed)
+    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     stem = Path(args.config).stem
     summary = run_simulation(cfg, Path(args.out), stem, args.format)
     print(f"steps                  : {summary['steps']}")

@@ -8,6 +8,10 @@ Python parses back to the identical value.
 
 Pulse energies and phases may be omitted; they are then drawn from a
 seeded generator so a run remains reproducible from its config alone.
+
+A config is checked when it is built: the constructor, `parse_config`
+and `dataclasses.replace` all raise `ConfigError` naming the offending
+key, and `parse_config` rejects any section or key it does not read.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +40,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run: fiber, grid, channels, pulses and steps, in the units its
+    field names carry. `__post_init__` validates, so every instance is a
+    valid config; derive one from another with `dataclasses.replace`.
+    The defaults are the bundled sidon5 run with its launch drawn by seed 0."""
+
     # fiber
     alpha0_db_per_km: float = 0.0
     beta2_ps2_per_km: float = -21.667
@@ -48,7 +57,7 @@ class ExperimentConfig:
     channel_count: int = 5
     width_ghz: float = 1.0
     placement: str = "sequence"
-    sequence: tuple | None = None
+    sequence: tuple | None = (1, 2, 5, 10, 12)
     span_w: float | None = None
     # pulses
     rolloff: float = 0.15
@@ -61,6 +70,9 @@ class ExperimentConfig:
     filter_spacing_km: float | None = 10.0
     record_every_km: float = 5.0
     seed: int = 0
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         def fail(field: str, msg: str):
@@ -84,6 +96,8 @@ class ExperimentConfig:
         ):
             if value is not None and not np.all(np.isfinite(value)):
                 fail(key, f"must be finite, got {value}")
+        if self.alpha0_db_per_km < 0:
+            fail("fiber.alpha0_db_per_km", f"must be nonnegative, got {self.alpha0_db_per_km}")
         if self.n < 2 or self.n & (self.n - 1):
             fail("grid.n", f"{self.n} is not a power of two >= 2")
         if self.dt_ps <= 0:
@@ -135,6 +149,8 @@ class ExperimentConfig:
                 fail(f"pulses.{name}", f"needs {self.channel_count} elements")
         if self.energies_pj is not None and any(e < 0 for e in self.energies_pj):
             fail("pulses.energies_pj", "energies must be nonnegative")
+        if self.seed < 0:
+            fail("run.seed", f"must be nonnegative, got {self.seed}")
         for field in ("z_total_km", "dz_km", "record_every_km"):
             if getattr(self, field) <= 0:
                 fail(f"run.{field}", "must be positive")
@@ -256,13 +272,17 @@ def emit_config(cfg: ExperimentConfig) -> str:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    cp = configparser.ConfigParser()
+    # no header can name the default section "", so [DEFAULT] is an ordinary,
+    # unknown section rather than keys copied into every section
+    cp = configparser.ConfigParser(default_section="")
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
+    read = {}  # section -> the keys read from it
 
     def get(section, key, cast, default=None):
+        read.setdefault(section, set()).add(key)
         if not cp.has_option(section, key):
             if default is not None:
                 return default
@@ -281,7 +301,7 @@ def parse_config(text: str) -> ExperimentConfig:
     floats = lambda raw: tuple(float(x) for x in raw.split())
     ints = lambda raw: tuple(int(x) for x in raw.split())
 
-    cfg = ExperimentConfig(
+    values = dict(
         alpha0_db_per_km=get("fiber", "alpha0_db_per_km", float, 0.0),
         beta2_ps2_per_km=get("fiber", "beta2_ps2_per_km", float, -21.667),
         gamma_per_w_km=get("fiber", "gamma_per_w_km", float, 1.2578),
@@ -303,18 +323,10 @@ def parse_config(text: str) -> ExperimentConfig:
         record_every_km=get("run", "record_every_km", float),
         seed=get("run", "seed", int, 0),
     )
-    cfg.validate()
-    return cfg
-
-
-def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
-
-
-def with_overrides(cfg: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    """Replace fields given as keyword arguments that are not None."""
-    updates = {k: v for k, v in kwargs.items() if v is not None}
-    out = replace(cfg, **updates)
-    out.validate()
-    return out
+    for section in cp.sections():
+        if section not in read:
+            raise ConfigError(f"{section}: unknown section")
+        for key in cp.options(section):
+            if key not in read[section]:
+                raise ConfigError(f"{section}.{key}: unknown key")
+    return ExperimentConfig(**values)

@@ -34,7 +34,11 @@ BRUTE_FORCE_BUDGET = 150  # largest span the exhaustive search accepts
 
 @dataclass(frozen=True)
 class SidonSequence:
-    """Strictly increasing positive values with distinct pairwise sums."""
+    """Strictly increasing positive values: the slots of a channel grid.
+
+    Only the order and the sign are checked. Distinct pairwise sums are
+    not: `is_sidon` decides that, and a config's `sequence` placement
+    accepts any such grid."""
 
     values: tuple
 

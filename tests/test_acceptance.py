@@ -8,13 +8,13 @@ rather than loosened.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fiberband.bands import make_bandset
 from fiberband.cli import resolve_config
-from fiberband.config import with_overrides
 from fiberband.fields import (
     SampledField,
     band_energy,
@@ -98,7 +98,7 @@ def test_criterion_02_distributed_energy_invariance():
     # leakage the filter shaves, which is first order in dz
     start = time.perf_counter()
     cfg = resolve_config("sidon5")
-    cfg = with_overrides(
+    cfg = replace(
         cfg,
         filter="distributed",
         energies_pj=tuple(0.02 * e for e in cfg.energies_pj),
@@ -117,7 +117,7 @@ def test_criterion_02_distributed_energy_invariance():
 
 def test_criterion_03_attenuation_law():
     cfg = resolve_config("sidon5")
-    cfg = with_overrides(
+    cfg = replace(
         cfg,
         alpha0_db_per_km=0.2,
         filter="distributed",
@@ -190,7 +190,7 @@ def test_criterion_06_lumped_loss_scaling():
     spacings = (2.5, 5.0, 10.0, 20.0)
     discarded = []
     for spacing in spacings:
-        cfg = with_overrides(resolve_config("uniform5"), filter_spacing_km=spacing)
+        cfg = replace(resolve_config("uniform5"), filter_spacing_km=spacing)
         _, trace = propagate(
             cfg.launch_field(),
             *cfg.run_lengths()[:2],

@@ -22,9 +22,7 @@ from fiberband.config import (
     ConfigError,
     ExperimentConfig,
     emit_config,
-    load_config,
     parse_config,
-    with_overrides,
 )
 
 
@@ -50,20 +48,13 @@ def test_emit_parse_round_trip_exact():
 
 def test_round_trip_with_optionals_absent():
     cfg = ExperimentConfig(
-        placement="uniform", span_w=None, energies_pj=None, phases_rad=None
+        placement="uniform", sequence=None, span_w=None, energies_pj=None, phases_rad=None
     )
     text = emit_config(cfg)
-    assert "energies_pj" not in text and "span_w" not in text
+    assert "energies_pj" not in text and "span_w" not in text and "sequence" not in text
     back = parse_config(text)
     assert back == cfg
     assert back.energies_pj is None and back.span_w is None
-
-
-def test_load_config_reads_file(tmp_path):
-    cfg = sidon_cfg(seed=7)
-    path = tmp_path / "run.cfg"
-    path.write_text(emit_config(cfg), encoding="utf-8")
-    assert load_config(path) == cfg
 
 
 def test_parse_rejects_garbage():
@@ -107,17 +98,22 @@ def test_parse_rejects_garbage():
         (dict(dz_km=0.3), "run.dz_km"),
         (dict(record_every_km=5.05), "run.dz_km"),
         (dict(filter_spacing_km=10.05), "run.dz_km"),
+        (dict(seed=-1), "run.seed"),
+        (dict(seed=-3, energies_pj=None, phases_rad=None), "run.seed"),
+        (dict(alpha0_db_per_km=-0.2), "fiber.alpha0_db_per_km"),
     ],
 )
 def test_validate_reports_the_offending_key(changes, field):
-    cfg = sidon_cfg(**changes)
+    # the constructor and dataclasses.replace both validate
     with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
-        cfg.validate()
+        sidon_cfg(**changes)
+    with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
+        dataclasses.replace(sidon_cfg(), **changes)
 
 
 def test_grid_errors_speak_in_ghz():
     with pytest.raises(ConfigError) as exc:
-        sidon_cfg(width_ghz=2.0).validate()
+        sidon_cfg(width_ghz=2.0)
     assert str(exc.value) == (
         "channels.width_ghz: top channel edge 46 GHz is not below the Nyquist "
         "edge 32 GHz of grid.dt_ps = 15.625"
@@ -125,13 +121,13 @@ def test_grid_errors_speak_in_ghz():
     # bins are 1 / (2048 * 15.625 ps) = 31.25 MHz apart; a 10 MHz channel
     # at [20, 30] MHz falls between the bins at 0 and 31.25 MHz
     with pytest.raises(ConfigError) as exc:
-        sidon_cfg(width_ghz=0.01).validate()
+        sidon_cfg(width_ghz=0.01)
     assert str(exc.value) == (
         "channels.width_ghz: channel 2 [0.02, 0.03] GHz holds no frequency bin: width "
         "0.01 GHz against a bin spacing of 0.03125 GHz (grid.n = 2048, grid.dt_ps = 15.625)"
     )
     with pytest.raises(ConfigError) as exc:
-        ExperimentConfig(placement="uniform", channel_count=30).validate()
+        ExperimentConfig(placement="uniform", channel_count=30)
     assert str(exc.value) == (
         "channels.count: channels [0, 1] and [0.758621, 1.75862] GHz overlap"
     )
@@ -140,7 +136,6 @@ def test_grid_errors_speak_in_ghz():
 def test_channels_wider_than_a_bin_launch():
     # 50 MHz channels on a 31.25 MHz bin grid hold one or two bins each
     cfg = sidon_cfg(width_ghz=0.05)
-    cfg.validate()
     assert cfg.launch_field().energy() == pytest.approx(sum(cfg.energies_pj) * 1e-12)
 
 
@@ -168,7 +163,7 @@ NAN, INF = float("nan"), float("inf")
 )
 def test_validate_rejects_non_finite_values(changes, field):
     with pytest.raises(ConfigError, match=field.replace(".", r"\.") + ": must be finite"):
-        sidon_cfg(**changes).validate()
+        sidon_cfg(**changes)
 
 
 def test_config_is_frozen():
@@ -177,15 +172,12 @@ def test_config_is_frozen():
         cfg.seed = 5
 
 
-def test_with_overrides_replaces_and_validates():
+def test_replace_can_unpin_the_phases():
     cfg = sidon_cfg()
-    out = with_overrides(cfg, dz_km=0.05, seed=9, filter_spacing_km=None)
-    assert out.dz_km == 0.05 and out.seed == 9
-    # None means "keep", so lumped filtering retains its spacing
-    assert out.filter_spacing_km == cfg.filter_spacing_km
-    assert out.sequence == cfg.sequence
-    with pytest.raises(ConfigError):
-        with_overrides(cfg, dz_km=-1.0)
+    energies, phases = dataclasses.replace(cfg, phases_rad=None, seed=3).pulse_parameters()
+    assert energies == cfg.pulse_parameters()[0]
+    # with the energies pinned, the seed draws only the phases
+    assert phases == tuple(np.random.default_rng(3).uniform(-math.pi, math.pi, 5))
 
 
 # ---------------------------------------------------------------- placement
@@ -254,17 +246,19 @@ def test_launch_field_energy_is_sum_of_channel_energies():
 
 
 def test_bundled_configs_resolve_and_validate():
-    for name in ("sidon5", "uniform5.cfg"):
-        cfg = resolve_config(name)
-        cfg.validate()
-    assert resolve_config("sidon5").placement == "sequence"
-    assert resolve_config("uniform5").placement == "uniform"
+    sidon5 = resolve_config("sidon5")
+    assert sidon5.placement == "sequence"
+    assert resolve_config("uniform5.cfg").placement == "uniform"
+    # the defaults are sidon5 with its launch left to seed 0
+    unpinned = dataclasses.replace(sidon5, energies_pj=None, phases_rad=None, seed=0)
+    assert ExperimentConfig() == unpinned
 
 
 def test_resolve_prefers_filesystem_path(tmp_path):
     path = tmp_path / "local.cfg"
-    path.write_text(emit_config(sidon_cfg(seed=42)), encoding="utf-8")
-    assert resolve_config(str(path)).seed == 42
+    cfg = sidon_cfg(seed=42)
+    path.write_text(emit_config(cfg), encoding="utf-8")
+    assert resolve_config(str(path)) == cfg
     with pytest.raises(FileNotFoundError):
         resolve_config("no_such_config")
 
@@ -370,6 +364,14 @@ def test_cli_reports_a_directory_as_an_error(tmp_path, capsys, command, flag):
     assert str(tmp_path) in captured.err
 
 
+def test_cli_simulate_names_a_negative_seed(tmp_path, capsys):
+    path = write_cfg(tmp_path, short_cfg(energies_pj=None, phases_rad=None))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out), "--seed", "-3"]) == 1
+    assert capsys.readouterr().err == "error: run.seed: must be nonnegative, got -3\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "option, value, key",
     [("--dz-km", "nan", "run.dz_km"), ("--filter-spacing-km", "inf", "run.filter_spacing_km")],
@@ -406,10 +408,19 @@ def test_cli_simulate_names_a_step_that_does_not_divide(tmp_path, capsys, option
         ("sidon5", "sequence = 1 2 5 10 12", "sequence = 5 1 2 10 12", "channels.sequence"),
         ("sidon5", "width_ghz = 1.0", "width_ghz = 2.0", "channels.width_ghz"),
         ("sidon5", "width_ghz = 1.0", "width_ghz = 0.01", "channels.width_ghz"),
+        ("sidon5", "alpha0_db_per_km = 0.0", "alpha0_db_per_kn = 0.2",
+         "fiber.alpha0_db_per_kn"),
+        ("uniform5", "[fiber]", "[fibre]", "fibre"),
+        ("sidon5", "seed = 1", "seed = -1", "run.seed"),
+        ("sidon5", "alpha0_db_per_km = 0.0", "alpha0_db_per_km = -0.2",
+         "fiber.alpha0_db_per_km"),
+        ("sidon5", "[fiber]", "[DEFAULT]\nseed = 2\n\n[fiber]", "DEFAULT"),
     ],
-    ids=["touching", "unsorted", "outside-window", "narrower-than-a-bin"],
+    ids=["touching", "unsorted", "outside-window", "narrower-than-a-bin", "unknown-key",
+         "unknown-section", "negative-seed", "negative-alpha0", "default-section"],
 )
 def test_cli_simulate_names_a_bad_channel_grid(tmp_path, capsys, name, line, bad_line, key):
+    # also a bad key, section or value outside the grid: each fails naming it
     text = resources.files("fiberband").joinpath("configs", f"{name}.cfg").read_text()
     assert line in text
     path = tmp_path / f"{name}.cfg"

@@ -8,12 +8,13 @@ Likewise channel_energy_rhs (a frequency-domain mixing integral) is
 checked against finite differences of a propagated energy trace.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fiberband.bands import make_bandset
 from fiberband.cli import resolve_config
-from fiberband.config import with_overrides
 from fiberband.fields import SampledField
 from fiberband.propagation import (
     FiberParams,
@@ -67,7 +68,7 @@ def test_three_tone_model_matches_full_propagator():
 def uniform_run(alpha0_db_per_km: float):
     """Central difference of per-channel energy about z0 = 1 km, and the
     mixing-integral prediction evaluated on the field at z0."""
-    cfg = with_overrides(resolve_config("uniform5"), alpha0_db_per_km=alpha0_db_per_km)
+    cfg = replace(resolve_config("uniform5"), alpha0_db_per_km=alpha0_db_per_km)
     launch = cfg.launch_field()
     chans = cfg.channels()
     params = cfg.fiber()

@@ -5,10 +5,11 @@ fiber, coarse step, small N) and must exit 0 and print its summary.
 """
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 from fiberband.cli import resolve_config
-from fiberband.config import emit_config, with_overrides
+from fiberband.config import emit_config
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -31,7 +32,7 @@ def test_run_grid_experiments(tmp_path, capsys):
 
 
 def test_filter_spacing_sweep(tmp_path, capsys):
-    cfg = with_overrides(resolve_config("uniform5"), z_total_km=20.0)
+    cfg = replace(resolve_config("uniform5"), z_total_km=20.0)
     path = tmp_path / "short.cfg"
     path.write_text(emit_config(cfg), encoding="utf-8")
     main = load_script("filter_spacing_sweep").main
