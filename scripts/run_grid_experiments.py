@@ -1,11 +1,12 @@
 """Run the two bundled 5-channel experiments and print a comparison.
 
-Both launch the same pulse energies (seed 1) into 160 km of lossless
-fiber with lumped band filters every 10 km. The only difference is the
-grid: `sidon5` places channels on slots (1, 2, 5, 10, 12) so that no
-four-wave-mixing product of one channel pair lands on another pair,
-while `uniform5` spreads the same five channels evenly over the same
-23-width bandwidth. The table shows what that one choice costs.
+Both configs pin the same pulse energies and phases and launch them
+into 160 km of lossless fiber with lumped band filters every 10 km.
+The only difference is the grid: `sidon5` places channels on slots
+(1, 2, 5, 10, 12) so that no four-wave-mixing product of one channel
+pair lands on another pair, while `uniform5` spreads the same five
+channels evenly over the same 23-width bandwidth. The table shows what
+that one choice costs.
 
 Writes trace CSVs and summary JSONs under --out (default results/).
 """

@@ -6,12 +6,19 @@ are the dominant failure mode in fiber simulations. `parse_config` and
 `emit_config` round-trip exactly: floats are written with repr, which
 Python parses back to the identical value.
 
+The file's schema is written once, on the `ExperimentConfig` fields:
+each field's metadata holds its key (`<section>.<option>`), the parser of
+its text and what a file that omits the key gets (REQUIRED, DEFAULTED
+or UNSET). `parse_config`, `emit_config` and `validate` loop over
+`dataclasses.fields` and spell no key of their own.
+
 Pulse energies and phases may be omitted; they are then drawn from a
 seeded generator so a run remains reproducible from its config alone.
 
 A config is checked when it is built: the constructor, `parse_config`
 and `dataclasses.replace` all raise `ConfigError` naming the offending
-key, and `parse_config` rejects any section or key it does not read.
+key. `parse_config` rejects a section or key that no field names before
+it looks for a missing or unparsable one.
 """
 
 from __future__ import annotations
@@ -19,23 +26,42 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .bands import BandError, BandSet, OverlappingIntervals, make_bandset
 from .fields import BandOutOfRange, SampledField, band_mask, bin_omegas, rrc_pulse
-from .planner import NotIncreasing, SidonSequence, plan_channels, sidon_for_channels
+from .planner import NotIncreasing, plan_channels
 from .propagation import FiberParams, FilterMode, step_count
 
 GHZ = 2.0 * math.pi * 1e9  # rad/s per GHz of ordinary frequency
 
-PLACEMENTS = ("sequence", "sidon", "uniform")
+PLACEMENTS = ("sequence", "uniform")
 FILTERS = ("distributed", "lumped", "none")
 
 
 class ConfigError(ValueError):
     pass
+
+
+# what a file that omits a key gets
+REQUIRED = "required"  # the error `<key>: missing`
+DEFAULTED = "defaulted"  # the field's default
+UNSET = "unset"  # None
+
+
+def _floats(text: str) -> tuple:
+    return tuple(float(x) for x in text.split())
+
+
+def _ints(text: str) -> tuple:
+    return tuple(int(x) for x in text.split())
+
+
+def _entry(default, key: str, parse, omitted: str):
+    """A field with its schema: config key, parser of its text, omission rule."""
+    return field(default=default, metadata={"key": key, "parse": parse, "omitted": omitted})
 
 
 @dataclass(frozen=True)
@@ -45,131 +71,113 @@ class ExperimentConfig:
     valid config; derive one from another with `dataclasses.replace`.
     The defaults are the bundled sidon5 run with its launch drawn by seed 0."""
 
-    # fiber
-    alpha0_db_per_km: float = 0.0
-    beta2_ps2_per_km: float = -21.667
-    gamma_per_w_km: float = 1.2578
-    # grid
-    n: int = 2048
-    dt_ps: float = 15.625
-    t0_ns: float = -16.0
-    # channels
-    channel_count: int = 5
-    width_ghz: float = 1.0
-    placement: str = "sequence"
-    sequence: tuple | None = (1, 2, 5, 10, 12)
-    span_w: float | None = None
-    # pulses
-    rolloff: float = 0.15
-    energies_pj: tuple | None = None
-    phases_rad: tuple | None = None
-    # run
-    z_total_km: float = 160.0
-    dz_km: float = 0.1
-    filter: str = "lumped"
-    filter_spacing_km: float | None = 10.0
-    record_every_km: float = 5.0
-    seed: int = 0
+    alpha0_db_per_km: float = _entry(0.0, "fiber.alpha0_db_per_km", float, DEFAULTED)
+    beta2_ps2_per_km: float = _entry(-21.667, "fiber.beta2_ps2_per_km", float, DEFAULTED)
+    gamma_per_w_km: float = _entry(1.2578, "fiber.gamma_per_w_km", float, DEFAULTED)
+    n: int = _entry(2048, "grid.n", int, REQUIRED)
+    dt_ps: float = _entry(15.625, "grid.dt_ps", float, REQUIRED)
+    t0_ns: float = _entry(-16.0, "grid.t0_ns", float, REQUIRED)
+    channel_count: int = _entry(5, "channels.count", int, REQUIRED)
+    width_ghz: float = _entry(1.0, "channels.width_ghz", float, REQUIRED)
+    placement: str = _entry("sequence", "channels.placement", str, REQUIRED)
+    sequence: tuple | None = _entry((1, 2, 5, 10, 12), "channels.sequence", _ints, UNSET)
+    span_w: float | None = _entry(None, "channels.span_w", float, UNSET)
+    rolloff: float = _entry(0.15, "pulses.rolloff", float, DEFAULTED)
+    energies_pj: tuple | None = _entry(None, "pulses.energies_pj", _floats, UNSET)
+    phases_rad: tuple | None = _entry(None, "pulses.phases_rad", _floats, UNSET)
+    z_total_km: float = _entry(160.0, "run.z_total_km", float, REQUIRED)
+    dz_km: float = _entry(0.1, "run.dz_km", float, REQUIRED)
+    filter: str = _entry("lumped", "run.filter", str, REQUIRED)
+    filter_spacing_km: float | None = _entry(10.0, "run.filter_spacing_km", float, UNSET)
+    record_every_km: float = _entry(5.0, "run.record_every_km", float, REQUIRED)
+    seed: int = _entry(0, "run.seed", int, DEFAULTED)
 
     def __post_init__(self):
         self.validate()
 
     def validate(self) -> None:
-        def fail(field: str, msg: str):
-            raise ConfigError(f"{field}: {msg}")
+        def fail(name: str, msg: str):
+            raise ConfigError(f"{_KEYS[name]}: {msg}")
 
-        for key, value in (
-            ("fiber.alpha0_db_per_km", self.alpha0_db_per_km),
-            ("fiber.beta2_ps2_per_km", self.beta2_ps2_per_km),
-            ("fiber.gamma_per_w_km", self.gamma_per_w_km),
-            ("grid.dt_ps", self.dt_ps),
-            ("grid.t0_ns", self.t0_ns),
-            ("channels.width_ghz", self.width_ghz),
-            ("channels.span_w", self.span_w),
-            ("pulses.rolloff", self.rolloff),
-            ("pulses.energies_pj", self.energies_pj),
-            ("pulses.phases_rad", self.phases_rad),
-            ("run.z_total_km", self.z_total_km),
-            ("run.dz_km", self.dz_km),
-            ("run.filter_spacing_km", self.filter_spacing_km),
-            ("run.record_every_km", self.record_every_km),
-        ):
-            if value is not None and not np.all(np.isfinite(value)):
-                fail(key, f"must be finite, got {value}")
+        def setting(name: str) -> str:
+            return f"{_KEYS[name]} = {getattr(self, name)!r}"
+
+        for f in fields(self):
+            value = getattr(self, f.name)
+            floats = f.metadata["parse"] in (float, _floats)
+            if floats and value is not None and not np.all(np.isfinite(value)):
+                fail(f.name, f"must be finite, got {value}")
         if self.alpha0_db_per_km < 0:
-            fail("fiber.alpha0_db_per_km", f"must be nonnegative, got {self.alpha0_db_per_km}")
+            fail("alpha0_db_per_km", f"must be nonnegative, got {self.alpha0_db_per_km}")
         if self.n < 2 or self.n & (self.n - 1):
-            fail("grid.n", f"{self.n} is not a power of two >= 2")
+            fail("n", f"{self.n} is not a power of two >= 2")
         if self.dt_ps <= 0:
-            fail("grid.dt_ps", "must be positive")
+            fail("dt_ps", "must be positive")
         if self.channel_count < 1:
-            fail("channels.count", "need at least one channel")
+            fail("channel_count", "need at least one channel")
         if self.width_ghz <= 0:
-            fail("channels.width_ghz", "must be positive")
+            fail("width_ghz", "must be positive")
         if self.placement not in PLACEMENTS:
-            fail("channels.placement", f"{self.placement!r} not in {PLACEMENTS}")
+            fail("placement", f"{self.placement!r} not in {PLACEMENTS}")
         if self.placement == "sequence":
             if not self.sequence:
-                fail("channels.sequence", "required for placement = sequence")
+                fail("sequence", "required for placement = sequence")
             if len(self.sequence) != self.channel_count:
-                fail("channels.sequence", f"needs {self.channel_count} elements")
-        if self.placement == "uniform" and self.span_w is not None:
-            if self.span_w < self.channel_count:
-                fail("channels.span_w", "span cannot hold the channels")
-        grid_key = "channels.sequence"
-        if self.placement == "uniform":  # name the key the config set
-            grid_key = "channels.count" if self.span_w is None else "channels.span_w"
-        try:  # a sidon placement is a valid grid by construction
+                fail("sequence", f"needs {self.channel_count} elements")
+            grid_name = "sequence"
+        else:  # name the key the config set
+            if self.span_w is not None and self.span_w < self.channel_count:
+                fail("span_w", "span cannot hold the channels")
+            grid_name = "channel_count" if self.span_w is None else "span_w"
+        try:
             grid = self.channels()
         except OverlappingIntervals as exc:
             a, b = (f"[{lo / GHZ:g}, {hi / GHZ:g}]" for lo, hi in exc.pair)
-            fail(grid_key, f"channels {a} and {b} GHz overlap")
+            fail(grid_name, f"channels {a} and {b} GHz overlap")
         except (BandError, NotIncreasing) as exc:
-            fail(grid_key, str(exc))
+            fail(grid_name, str(exc))
         dt = self.dt_ps * 1e-12
         try:
             band_mask(self.n, dt, grid)
         except BandOutOfRange:
             nyquist = -bin_omegas(self.n, dt)[0] / GHZ
-            fail("channels.width_ghz", f"top channel edge {grid.hi / GHZ:g} GHz is not below "
-                 f"the Nyquist edge {nyquist:g} GHz of grid.dt_ps = {self.dt_ps!r}")
+            fail("width_ghz", f"top channel edge {grid.hi / GHZ:g} GHz is not below "
+                 f"the Nyquist edge {nyquist:g} GHz of {setting('dt_ps')}")
         # launch_field gives each pulse its whole channel as support, and
         # rrc_pulse needs a bin in that support
         for number, (lo, hi) in enumerate(grid.intervals, start=1):
             if not band_mask(self.n, dt, make_bandset([(lo, hi)])).any():
                 spacing = bin_omegas(self.n, dt)[self.n // 2 + 1] / GHZ  # first bin above 0
-                fail("channels.width_ghz", f"channel {number} [{lo / GHZ:g}, {hi / GHZ:g}] GHz "
+                fail("width_ghz", f"channel {number} [{lo / GHZ:g}, {hi / GHZ:g}] GHz "
                      f"holds no frequency bin: width {self.width_ghz!r} GHz against a bin "
-                     f"spacing of {spacing:g} GHz (grid.n = {self.n}, "
-                     f"grid.dt_ps = {self.dt_ps!r})")
+                     f"spacing of {spacing:g} GHz ({setting('n')}, {setting('dt_ps')})")
         if not 0.0 <= self.rolloff <= 1.0:
-            fail("pulses.rolloff", "must lie in [0, 1]")
-        for name, vals in (("energies_pj", self.energies_pj), ("phases_rad", self.phases_rad)):
+            fail("rolloff", "must lie in [0, 1]")
+        for name in ("energies_pj", "phases_rad"):
+            vals = getattr(self, name)
             if vals is not None and len(vals) != self.channel_count:
-                fail(f"pulses.{name}", f"needs {self.channel_count} elements")
+                fail(name, f"needs {self.channel_count} elements")
         if self.energies_pj is not None and any(e < 0 for e in self.energies_pj):
-            fail("pulses.energies_pj", "energies must be nonnegative")
+            fail("energies_pj", "energies must be nonnegative")
         if self.seed < 0:
-            fail("run.seed", f"must be nonnegative, got {self.seed}")
-        for field in ("z_total_km", "dz_km", "record_every_km"):
-            if getattr(self, field) <= 0:
-                fail(f"run.{field}", "must be positive")
+            fail("seed", f"must be nonnegative, got {self.seed}")
+        for name in ("z_total_km", "dz_km", "record_every_km"):
+            if getattr(self, name) <= 0:
+                fail(name, "must be positive")
         if self.filter not in FILTERS:
-            fail("run.filter", f"{self.filter!r} not in {FILTERS}")
+            fail("filter", f"{self.filter!r} not in {FILTERS}")
         if self.filter == "lumped" and not (
             self.filter_spacing_km and self.filter_spacing_km > 0
         ):
-            fail("run.filter_spacing_km", "required and positive for lumped filtering")
+            fail("filter_spacing_km", "required and positive for lumped filtering")
         # tested in meters, on the lengths propagate partitions
         dz = self.dz_km * 1e3
         spans = ["z_total_km", "record_every_km"]
         if self.filter == "lumped":
             spans.append("filter_spacing_km")
-        for field in spans:
-            span_km = getattr(self, field)
-            if step_count(span_km * 1e3, dz) is None:
-                fail("run.dz_km",
-                     f"{self.dz_km!r} km does not divide run.{field} = {span_km!r} km")
+        for name in spans:
+            if step_count(getattr(self, name) * 1e3, dz) is None:
+                fail("dz_km", f"{self.dz_km!r} km does not divide {setting(name)} km")
 
     # derived physical objects
 
@@ -189,11 +197,7 @@ class ExperimentConfig:
                 step = (span - w) / (self.channel_count - 1)
                 centers = [0.5 * w + i * step for i in range(self.channel_count)]
             return make_bandset([(c - 0.5 * w, c + 0.5 * w) for c in centers])
-        if self.placement == "sidon":
-            seq = sidon_for_channels(self.channel_count)
-        else:
-            seq = SidonSequence(tuple(self.sequence))
-        return make_bandset(plan_channels(seq, w).intervals())
+        return make_bandset(plan_channels(self.sequence, w).intervals())
 
     def filter_mode(self) -> FilterMode:
         spacing = self.filter_spacing_km * 1e3 if self.filter == "lumped" else None
@@ -226,6 +230,9 @@ class ExperimentConfig:
         return self.z_total_km * 1e3, self.dz_km * 1e3, self.record_every_km * 1e3
 
 
+_KEYS = {f.name: f.metadata["key"] for f in fields(ExperimentConfig)}
+
+
 def _fmt(value) -> str:
     if isinstance(value, (tuple, list)):
         return " ".join(_fmt(v) for v in value)
@@ -233,39 +240,14 @@ def _fmt(value) -> str:
 
 
 def emit_config(cfg: ExperimentConfig) -> str:
+    sections = {}  # an unset (None) field writes no key
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if value is not None:
+            section, option = f.metadata["key"].split(".")
+            sections.setdefault(section, {})[option] = _fmt(value)
     cp = configparser.ConfigParser()
-    cp["fiber"] = {
-        "alpha0_db_per_km": _fmt(cfg.alpha0_db_per_km),
-        "beta2_ps2_per_km": _fmt(cfg.beta2_ps2_per_km),
-        "gamma_per_w_km": _fmt(cfg.gamma_per_w_km),
-    }
-    cp["grid"] = {"n": _fmt(cfg.n), "dt_ps": _fmt(cfg.dt_ps), "t0_ns": _fmt(cfg.t0_ns)}
-    channels = {
-        "count": _fmt(cfg.channel_count),
-        "width_ghz": _fmt(cfg.width_ghz),
-        "placement": cfg.placement,
-    }
-    if cfg.sequence is not None:
-        channels["sequence"] = _fmt(cfg.sequence)
-    if cfg.span_w is not None:
-        channels["span_w"] = _fmt(cfg.span_w)
-    cp["channels"] = channels
-    pulses = {"rolloff": _fmt(cfg.rolloff)}
-    if cfg.energies_pj is not None:
-        pulses["energies_pj"] = _fmt(cfg.energies_pj)
-    if cfg.phases_rad is not None:
-        pulses["phases_rad"] = _fmt(cfg.phases_rad)
-    cp["pulses"] = pulses
-    run = {
-        "z_total_km": _fmt(cfg.z_total_km),
-        "dz_km": _fmt(cfg.dz_km),
-        "filter": cfg.filter,
-        "record_every_km": _fmt(cfg.record_every_km),
-        "seed": _fmt(cfg.seed),
-    }
-    if cfg.filter_spacing_km is not None:
-        run["filter_spacing_km"] = _fmt(cfg.filter_spacing_km)
-    cp["run"] = run
+    cp.read_dict(sections)
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
@@ -279,54 +261,25 @@ def parse_config(text: str) -> ExperimentConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-    read = {}  # section -> the keys read from it
-
-    def get(section, key, cast, default=None):
-        read.setdefault(section, set()).add(key)
-        if not cp.has_option(section, key):
-            if default is not None:
-                return default
-            raise ConfigError(f"{section}.{key}: missing")
-        raw = cp.get(section, key).strip()
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{section}.{key}: {exc}") from exc
-
-    def opt(section, key, cast):
-        if not cp.has_option(section, key):
-            return None
-        return get(section, key, cast)
-
-    floats = lambda raw: tuple(float(x) for x in raw.split())
-    ints = lambda raw: tuple(int(x) for x in raw.split())
-
-    values = dict(
-        alpha0_db_per_km=get("fiber", "alpha0_db_per_km", float, 0.0),
-        beta2_ps2_per_km=get("fiber", "beta2_ps2_per_km", float, -21.667),
-        gamma_per_w_km=get("fiber", "gamma_per_w_km", float, 1.2578),
-        n=get("grid", "n", int),
-        dt_ps=get("grid", "dt_ps", float),
-        t0_ns=get("grid", "t0_ns", float),
-        channel_count=get("channels", "count", int),
-        width_ghz=get("channels", "width_ghz", float),
-        placement=get("channels", "placement", str),
-        sequence=opt("channels", "sequence", ints),
-        span_w=opt("channels", "span_w", float),
-        rolloff=get("pulses", "rolloff", float, 0.15),
-        energies_pj=opt("pulses", "energies_pj", floats),
-        phases_rad=opt("pulses", "phases_rad", floats),
-        z_total_km=get("run", "z_total_km", float),
-        dz_km=get("run", "dz_km", float),
-        filter=get("run", "filter", str),
-        filter_spacing_km=opt("run", "filter_spacing_km", float),
-        record_every_km=get("run", "record_every_km", float),
-        seed=get("run", "seed", int, 0),
-    )
+    schema = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
+    # unknown names first, so a misspelled required key is named as written
     for section in cp.sections():
-        if section not in read:
+        if not any(key.startswith(f"{section}.") for key in schema):
             raise ConfigError(f"{section}: unknown section")
-        for key in cp.options(section):
-            if key not in read[section]:
-                raise ConfigError(f"{section}.{key}: unknown key")
+        for option in cp.options(section):
+            if f"{section}.{option}" not in schema:
+                raise ConfigError(f"{section}.{option}: unknown key")
+    values = {}
+    for key, f in schema.items():
+        section, option = key.split(".")
+        if cp.has_option(section, option):
+            try:
+                values[f.name] = f.metadata["parse"](cp.get(section, option).strip())
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
+        elif f.metadata["omitted"] == REQUIRED:
+            raise ConfigError(f"{key}: missing")
+        elif f.metadata["omitted"] == UNSET:
+            values[f.name] = None
     return ExperimentConfig(**values)
+

@@ -48,13 +48,31 @@ def test_emit_parse_round_trip_exact():
 
 def test_round_trip_with_optionals_absent():
     cfg = ExperimentConfig(
-        placement="uniform", sequence=None, span_w=None, energies_pj=None, phases_rad=None
+        alpha0_db_per_km=0.2, beta2_ps2_per_km=-20.0, gamma_per_w_km=1.3, rolloff=0.5, seed=7,
+        placement="uniform", sequence=None, span_w=None, energies_pj=None, phases_rad=None,
+        filter="distributed", filter_spacing_km=None,
     )
     text = emit_config(cfg)
-    assert "energies_pj" not in text and "span_w" not in text and "sequence" not in text
+    unset = ("sequence", "span_w", "energies_pj", "phases_rad", "filter_spacing_km")
+    assert not any(key in text for key in unset)
     back = parse_config(text)
     assert back == cfg
-    assert back.energies_pj is None and back.span_w is None
+    # an omitted unset key gives None, even where the field's default is not None
+    assert all(getattr(back, key) is None for key in unset)
+    # an omitted defaulted key gives the field's default
+    fiber, rest = text.split("[grid]")
+    assert fiber.startswith("[fiber]")
+    rest = re.sub(r"(?m)^(rolloff|seed) = .*\n", "", rest)
+    assert "rolloff" not in rest and "seed" not in rest
+    defaults = ExperimentConfig()
+    assert parse_config("[grid]" + rest) == dataclasses.replace(
+        cfg,
+        alpha0_db_per_km=defaults.alpha0_db_per_km,
+        beta2_ps2_per_km=defaults.beta2_ps2_per_km,
+        gamma_per_w_km=defaults.gamma_per_w_km,
+        rolloff=defaults.rolloff,
+        seed=defaults.seed,
+    )
 
 
 def test_parse_rejects_garbage():
@@ -415,9 +433,13 @@ def test_cli_simulate_names_a_step_that_does_not_divide(tmp_path, capsys, option
         ("sidon5", "alpha0_db_per_km = 0.0", "alpha0_db_per_km = -0.2",
          "fiber.alpha0_db_per_km"),
         ("sidon5", "[fiber]", "[DEFAULT]\nseed = 2\n\n[fiber]", "DEFAULT"),
+        # a misspelled required key is unknown, not the required one missing
+        ("sidon5", "n = 2048", "nn = 2048", "grid.nn"),
+        ("sidon5", "placement = sequence", "placement = sidon", "channels.placement"),
     ],
     ids=["touching", "unsorted", "outside-window", "narrower-than-a-bin", "unknown-key",
-         "unknown-section", "negative-seed", "negative-alpha0", "default-section"],
+         "unknown-section", "negative-seed", "negative-alpha0", "default-section",
+         "misspelled-required-key", "sidon-placement"],
 )
 def test_cli_simulate_names_a_bad_channel_grid(tmp_path, capsys, name, line, bad_line, key):
     # also a bad key, section or value outside the grid: each fails naming it
