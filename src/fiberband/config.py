@@ -246,7 +246,7 @@ def emit_config(cfg: ExperimentConfig) -> str:
         if value is not None:
             section, option = f.metadata["key"].split(".")
             sections.setdefault(section, {})[option] = _fmt(value)
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp.read_dict(sections)
     buf = io.StringIO()
     cp.write(buf)
@@ -255,8 +255,9 @@ def emit_config(cfg: ExperimentConfig) -> str:
 
 def parse_config(text: str) -> ExperimentConfig:
     # no header can name the default section "", so [DEFAULT] is an ordinary,
-    # unknown section rather than keys copied into every section
-    cp = configparser.ConfigParser(default_section="")
+    # unknown section rather than keys copied into every section; a value is
+    # read as written, so "%" is a bad number, not a reference to another key
+    cp = configparser.ConfigParser(default_section="", interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:

@@ -4,9 +4,11 @@ GF(p^k) is GF(p)[x] modulo the first irreducible monic polynomial of
 degree k, and its elements are the ints 0..p^k - 1: the base-p digits
 of an int are the polynomial's coefficients, constant term first.
 Multiplication reads log/antilog tables built from the field's first
-generator; addition reads a flat table of digit-wise sums. The
-quadratic extension GF(N^2) over GF(N), where the exponent-set
-construction lives, has elements (a0, a1) = a0 + a1 x with a0, a1 ints
+generator; addition reads a flat table of digit-wise sums. Both are
+gathered from permutation rows of N ints, with no polynomial product
+and no arithmetic per entry (see `GaloisField`), and a product is the
+same whichever generator the tables follow. The quadratic extension
+GF(N^2) over GF(N), where the exponent-set construction lives, has elements (a0, a1) = a0 + a1 x with a0, a1 ints
 of GF(N), and x generates GF(N^2)*: the modulus is the first primitive
 quadratic. Primitivity is read off the powers of x alone (Lidl &
 Niederreiter, Finite Fields, Thm 3.18), by the same multiply-by-x
@@ -24,6 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 
 class NotPrimePower(ValueError):
@@ -109,46 +113,64 @@ class GaloisField:
     g^i for the first generator g, stored twice over so that a product
     needs no reduction of its exponent; `log` inverts it on 1..N-1.
     `sums[a * N + b]` is a + b and `negs[a]` is -a.
+
+    The tables are built by gathers, with no arithmetic per entry. Row a
+    of `sums` (b -> a + b) is row a - p^j gathered through the rotation
+    that adds 1 at digit j. Multiplying by g is GF(p)-linear, so its row
+    is assembled from g's images of the basis 1, x, ..., x^(k-1) and
+    their multiples, read through `sums`; the powers of g then follow
+    that row. Every product a * b is the same whichever generator the
+    tables follow: only `exp` and `log` depend on the choice.
     """
 
     def __init__(self, p: int, k: int = 1):
         self.p, self.k = p, k
         self.order = q = p**k
         self.reduction = first_irreducible(p, k)
-        digits = [_digits(a, p, k) for a in range(q)]
         weights = [p**j for j in range(k)]
 
-        def encode(coeffs) -> int:
-            return sum((c % p) * w for c, w in zip(coeffs, weights))
-
-        # digit-wise sums, built one digit at a time: a = a0 + p a1 adds
-        # its constant digit a0 mod p and its higher digits a1 as before
-        sums, size = [0], 1
-        for _ in range(k):
-            sums = [
-                (a0 + b0) % p + p * sums[a1 * size + b1]
-                for a1 in range(size) for a0 in range(p)
-                for b1 in range(size) for b0 in range(p)
-            ]
-            size *= p
+        # row a of sums (b -> a + b) is row a - w gathered through the
+        # digit-j increment (w = p^j), which rotates each block of p * w
+        # ints by w. The rotation is a list, not an iterator: star-expanding
+        # an iterator leaves a resized tuple that CPython 3.11 never reuses
+        sums = list(range(q))
+        for w in weights:
+            rotation = []
+            for i in range(0, q, p * w):
+                rotation += range(i + w, i + p * w)
+                rotation += range(i, i + w)
+            step = itemgetter(*rotation)
+            for a in range(w, p * w):
+                sums += step(sums[(a - w) * q : (a - w + 1) * q])
         self.sums = sums
-        self.negs = [encode(-c for c in da) for da in digits]
+        self.negs = [sums.index(0, s) - s for s in range(0, q * q, q)]
 
-        # schoolbook products only until the tables exist
-        modulus = list(self.reduction) + [1]
+        def row(a: int) -> list:
+            return sums[a * q : a * q + q]
 
-        def schoolbook(a: int, b: int) -> int:
-            prod = [0] * (2 * k - 1)
-            for i, x in enumerate(digits[a]):
-                for j, y in enumerate(digits[b]):
-                    prod[i + j] += x * y
-            return encode(_poly_mod(prod, modulus, p))
+        def multiples(v: int) -> list:
+            """0, v, 2v, ..., (p - 1) v."""
+            out, add_v = [0], row(v)
+            for _ in range(p - 1):
+                out.append(add_v[out[-1]])
+            return out
+
+        # times_x[b] = x b: the low k - 1 digits shift up, and the top
+        # digit t comes back as t x^k = -t (r0 + ... + r_{k-1} x^{k-1})
+        x_k = self.negs[sum(r * w for r, w in zip(self.reduction, weights))]
+        times_x = list(chain.from_iterable(row(m)[::p] for m in multiples(x_k)))
 
         for g in range(1, q):
+            # times_g[b] = g b, one base-p digit of b at a time from g x^j
+            times_g, image = multiples(g), g
+            for _ in range(1, k):
+                image = times_x[image]
+                gather = itemgetter(*times_g)
+                times_g = list(chain.from_iterable(gather(row(m)) for m in multiples(image)))
             powers, e = [1], g
             while e != 1:
                 powers.append(e)
-                e = schoolbook(e, g)
+                e = times_g[e]
             if len(powers) == q - 1:
                 break
         self.exp = powers + powers

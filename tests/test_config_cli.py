@@ -436,10 +436,12 @@ def test_cli_simulate_names_a_step_that_does_not_divide(tmp_path, capsys, option
         # a misspelled required key is unknown, not the required one missing
         ("sidon5", "n = 2048", "nn = 2048", "grid.nn"),
         ("sidon5", "placement = sequence", "placement = sidon", "channels.placement"),
+        ("sidon5", "dt_ps = 15.625", "dt_ps = 15.625%", "grid.dt_ps"),
+        ("sidon5", "dt_ps = 15.625", "dt_ps = %(n)s", "grid.dt_ps"),
     ],
     ids=["touching", "unsorted", "outside-window", "narrower-than-a-bin", "unknown-key",
          "unknown-section", "negative-seed", "negative-alpha0", "default-section",
-         "misspelled-required-key", "sidon-placement"],
+         "misspelled-required-key", "sidon-placement", "percent-sign", "interpolation"],
 )
 def test_cli_simulate_names_a_bad_channel_grid(tmp_path, capsys, name, line, bad_line, key):
     # also a bad key, section or value outside the grid: each fails naming it

@@ -11,6 +11,11 @@ coefficients, constant term first, so in GF(4) the int 2 is x and 3 is
 x + 1.
 """
 
+import hashlib
+import random
+import timeit
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -101,7 +106,9 @@ def _schoolbook(a: int, b: int, p: int, k: int, reduction: tuple) -> int:
     return sum((c % p) * p**j for j, c in enumerate(prod[:k]))
 
 
-@pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)])
+@pytest.mark.parametrize(
+    "p, k", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 6), (41, 1)]
+)
 def test_table_products_match_schoolbook(p, k):
     # pins the int encoding to the enumeration order: int i is the
     # polynomial whose base-p digits are i's, constant term first
@@ -114,6 +121,58 @@ def test_table_products_match_schoolbook(p, k):
             assert f.add(a, b) == sum(
                 (((a // p**j) + (b // p**j)) % p) * p**j for j in range(k)
             )
+
+
+def test_products_walk_past_a_non_primitive_x():
+    # x^8 + x^4 + x^3 + x + 1 is irreducible but x has order 51 modulo
+    # it, so the first generator of GF(2^8) is x + 1, as in GF(9)
+    f = GaloisField(2, 8)
+    assert f.reduction == (1, 1, 0, 1, 1, 0, 0, 0)
+    assert f.exp[1] == 3
+    assert GaloisField(3, 2).exp[1] == 4
+    rng = random.Random(8)
+    for _ in range(2000):
+        a, b = rng.randrange(256), rng.randrange(256)
+        assert f.mul(a, b) == _schoolbook(a, b, 2, 8, f.reduction), (a, b)
+
+
+# one digest over (reduction, sums, negs, exp, log) of every prime power
+# q <= 256, frozen while the tables were still built by schoolbook products
+TABLES_256_SHA256 = "b1d2ce64e93cc11698a45d0dfdc7091ab02b75d187f47c8e760fdb2d4727c786"
+
+
+def test_frozen_tables_to_256():
+    digest = hashlib.sha256()
+    for q in _prime_powers(256):
+        f = GaloisField(*prime_power(q))
+        digest.update(repr((f.reduction, f.sums, f.negs, f.exp, f.log)).encode())
+    assert digest.hexdigest() == TABLES_256_SHA256
+
+
+def test_gf_1024_builds_fast():
+    # the 2^20-entry sum table is gathered row by row, not summed entry
+    # by entry
+    best = min(timeit.repeat(lambda: GaloisField(2, 10), number=1, repeat=5))
+    assert best <= 0.15
+
+
+def test_rebuilding_fields_holds_no_memory():
+    # plan and bounds rebuild the same fields on every pass, so a build
+    # must free all it makes: CPython 3.11 never reuses a freed 20-item
+    # tuple or the resized tuple of a star-expanded iterator
+    sizes = [(2, 2), (3, 1), (2, 3), (3, 2), (5, 1), (7, 1), (2, 4), (5, 2)]
+    tracemalloc.start()
+    try:
+        for size in sizes:
+            GaloisField(*size)
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(100):
+            for size in sizes:
+                GaloisField(*size)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 4096
 
 
 def test_for_size_reference_tower():
