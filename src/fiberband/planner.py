@@ -102,6 +102,17 @@ def sidon_for_channels(n: int) -> SidonSequence:
     return SidonSequence(full.values[:n])
 
 
+def _gap_floor(used: int, r: int) -> int:
+    """Sum of the r smallest positive integers whose bit is clear in `used`."""
+    used |= 1  # a gap is positive
+    floor = 0
+    for _ in range(r):
+        low = ~used & (used + 1)  # lowest clear bit
+        floor += low.bit_length() - 1
+        used |= low
+    return floor
+
+
 def _search_length(k: int, target: int, minspan: list) -> tuple | None:
     """Lexicographically first Sidon subset of {1..k} of size `target`.
 
@@ -126,6 +137,20 @@ def _search_length(k: int, target: int, minspan: list) -> tuple | None:
     (itself and the far mark included) is viable only if minspan[m]
     fits in [c, k]. Without it the counting floor m*(m-1)/2 applies:
     that many distinct positive differences must not exceed the span.
+
+    A gap-sum floor tightens that ceiling once per node. A child c at a
+    node of depth `depth` is followed by r = target - depth - 1 gaps up
+    to k, and they sum to k - c. Each gap has an end that the node has
+    not placed yet (c and every mark above it but k), so on a Golomb
+    ruler it differs from the other gaps and from every difference
+    between placed marks: the r gaps are distinct positive integers
+    whose bits are clear in the node's `diffs`, and k - c is at least
+    the sum F of the r smallest of them (`_gap_floor`). F depends on
+    the node alone, so it is computed once and every candidate above
+    k - F is cut before the loop. A leaf child (r = 1) is exempt: its
+    one gap k - c is the far-mark difference that the second bit test
+    already decides exactly, and counted from the child's own `diffs`,
+    where k - c is booked, the floor would even exclude it.
     """
     if target == 1:
         return (1,)
@@ -143,8 +168,11 @@ def _search_length(k: int, target: int, minspan: list) -> tuple | None:
     def dfs(depth: int, last: int, back: int, diffs: int) -> tuple | None:
         if depth == target - 1:
             return last, back
+        top = ceiling[depth]
+        if depth < target - 2:  # the child is no leaf: r >= 2 gaps follow it
+            top = min(top, k - _gap_floor(diffs, target - depth - 1))
         new = back
-        for c in range(last + 1, ceiling[depth] + 1):
+        for c in range(last + 1, top + 1):
             new <<= 1  # back << (c - last)
             if not new & diffs:
                 far = 1 << (k - c)
@@ -237,6 +265,15 @@ def is_energy_decoupled(channels) -> tuple[bool, tuple | None]:
     (False, ((n1, n2), (n, n3))) with 1-based channel numbers in the
     caller's channel order: the first colliding pair of pairs in
     enumeration order.
+
+    "Decoupled" is meant as in the paper's continuous model: sum
+    intervals that only touch share no bandwidth and do not collide.
+    On the propagator's bin grid that is not exact. A slot channel
+    [(2m-2)W, (2m-1)W] has its edges on bin centres and holds both edge
+    bins, so two touching sum intervals share a bin, and their channels
+    couple weakly through it. On sidon5, whose sum intervals touch 8
+    times, channel 1 under a distributed filter drifts 3.2e-9 from its
+    decoupled energy after 40 km and 7.5e-6 after 160 km.
 
     The M = N(N+1)/2 sum intervals are swept once in (lo, hi) order
     with the running maximum of the upper edges seen so far, an

@@ -13,7 +13,7 @@ import hashlib
 import json
 import re
 import timeit
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
@@ -208,6 +208,47 @@ def test_pinned_search_on_table_rows():
     found = planner._search_length(35, 8, _table_minspan(8))
     assert found[0] == 1 and found[-1] == 35 and is_sidon(found)
     assert found == max_sidon_table(35)[-1][1]
+
+
+def _diffs(marks) -> int:
+    """Bitmask of the pairwise differences of `marks`."""
+    used = 0
+    for a, b in combinations(marks, 2):
+        used |= 1 << (b - a)
+    return used
+
+
+def test_gap_floor_admits_every_known_ruler():
+    assert planner._gap_floor(0, 0) == 0
+    assert planner._gap_floor(0, 3) == 1 + 2 + 3
+    assert planner._gap_floor(1, 1) == 1  # bit 0 is no gap
+    assert planner._gap_floor(0b110, 2) == 3 + 4
+    assert planner._gap_floor(0b1010, 3) == 2 + 4 + 5
+    # the gaps from a mark up to the far mark are distinct differences
+    # that no earlier pair uses, so they sum to at least the floor
+    rulers = [witness for _, witness in max_sidon_table(60)]
+    q = 2
+    while q <= 32:
+        rulers.append(bose_sequence(q).values)  # rooted at 1, as the search is
+        q = next_prime_power(q + 1)
+    checked = 0
+    for ruler in rulers:
+        top = ruler[-1]
+        for i in range(1, len(ruler) - 1):  # len(ruler) - i >= 2 gaps left
+            prefix = ruler[:i]
+            assert top - prefix[-1] >= planner._gap_floor(_diffs(prefix + (top,)), len(ruler) - i)
+            checked += 1
+    assert checked == 530
+    # a leaf is exempt: its one gap, 12 - 10, is the far-mark difference,
+    # already booked once the leaf is placed, so the floor would reject it
+    assert 12 - 10 < planner._gap_floor(_diffs((1, 2, 5, 10, 12)), 1)
+    assert planner._search_length(12, 5, _table_minspan(5)) == (1, 2, 5, 10, 12)
+
+
+def test_table_to_52_is_fast():
+    # the gap-sum floor bounds every node's candidates (about 0.6 s without)
+    best = min(timeit.repeat(lambda: tuple(islice(planner._table_rows(), 52)), number=1, repeat=3))
+    assert best <= 0.3
 
 
 def _enumerated_row(k: int) -> tuple:
