@@ -8,6 +8,7 @@ the trace files carry everything a plotting tool needs.
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
 import json
 import math
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bands import BandError
 from .config import GHZ, ConfigError, ExperimentConfig, parse_config
 from .fields import parseval_residual
 from .planner import (
@@ -173,7 +175,10 @@ def cmd_check(args) -> int:
             raise ValueError(f"{path}, line {lineno}: expected two finite numbers 'lo hi', "
                              f"got {line!r}")
         intervals.append((lo, hi))
-    decoupled, witness = is_energy_decoupled(intervals)
+    try:
+        decoupled, witness = is_energy_decoupled(intervals)
+    except BandError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if decoupled:
         print("energy-decoupled: yes")
         return 0
@@ -245,10 +250,8 @@ def cmd_bounds(args) -> int:
     print(f"{'k':>4} {'N(k)':>5} {'bound':>8} {'bose_fit':>8}")
     for k in range(1, k_max + 1):
         n_k, _ = table[k - 1]
-        fit = 1  # the single-element sequence (1) always fits
-        for seq in bose_seqs:
-            count = sum(1 for m in seq if m <= k)
-            fit = max(fit, count)
+        # the single-element sequence (1) always fits
+        fit = max([1] + [bisect.bisect_right(seq, k) for seq in bose_seqs])
         print(f"{k:>4} {n_k:>5} {erdos_bound(k):>8.3f} {fit:>8}")
     return 0
 

@@ -8,11 +8,11 @@ generator; addition reads a flat table of digit-wise sums. Both are
 gathered from permutation rows of N ints, with no polynomial product
 and no arithmetic per entry (see `GaloisField`), and a product is the
 same whichever generator the tables follow. The quadratic extension
-GF(N^2) over GF(N), where the exponent-set construction lives, has elements (a0, a1) = a0 + a1 x with a0, a1 ints
-of GF(N), and x generates GF(N^2)*: the modulus is the first primitive
-quadratic. Primitivity is read off the powers of x alone (Lidl &
-Niederreiter, Finite Fields, Thm 3.18), by the same multiply-by-x
-recurrence that walks the exponent set.
+GF(N^2) has elements (a0, a1) = a0 + a1 x with a0, a1 ints of GF(N),
+and its modulus is the first primitive quadratic, so x generates
+GF(N^2)*. One walk of x, ..., x^(N+1) tests primitivity (Lidl &
+Niederreiter, Finite Fields, Thm 3.18) and holds the exponent set:
+every later power is a power of the norm x^(N+1) times one of the first N.
 
 Polynomial and element enumeration order is fixed once and for all:
 index i maps to base-N digits of i, least significant digit = constant
@@ -202,35 +202,37 @@ class QuadraticExt:
         self.order = base.order**2
 
 
-def _is_primitive(base: GaloisField, c: int, b: int) -> bool:
-    """True iff x^2 + b x + c is primitive over GF(N), i.e. x generates GF(N^2)*.
+def _walk_to_norm(base: GaloisField, c: int, b: int) -> tuple[list, int] | None:
+    """Walk x, x^2, ..., x^(N+1) modulo x^2 + b x + c, up to the first power in GF(N).
 
-    By Lidl & Niederreiter, Finite Fields, Thm 3.18, it is primitive iff
-    the first t >= 1 with x^t in GF(N) is t = N + 1, and x^(N+1) = c is
-    primitive in GF(N). So the test walks at most N + 1 powers of x.
+    By Lidl & Niederreiter, Finite Fields, Thm 3.18, x generates
+    GF(N^2)* iff that power is the norm x^(N+1) = c and c is primitive
+    in GF(N). If so, returns (u1, c): u1[m - 1] is the x-coefficient of
+    x^m for m in 1..N. Otherwise returns None.
     """
     if c == 0:  # x divides the modulus, so it is no unit
-        return False
+        return None
     n, exp, log, sums, negs = base.order, base.exp, base.log, base.sums, base.negs
     log_c, log_b = log[negs[c]], log[negs[b]]
     # x (u0 + u1 x) = -c u1 + (u0 - b u1) x, as x^2 = -b x - c
-    t, u0, u1 = 1, 0, 1
-    while u1 and t <= n:
+    u0, u1, coeffs = 0, 1, []
+    while u1 and len(coeffs) < n:
+        coeffs.append(u1)
         lu = log[u1]
         u0, u1 = exp[log_c + lu], sums[u0 * n + (exp[log_b + lu] if b else 0)]
-        t += 1
-    return u1 == 0 and t == n + 1 and math.gcd(log[u0], n - 1) == 1
+    if u1 or len(coeffs) < n or math.gcd(log[u0], n - 1) != 1:
+        return None
+    return coeffs, u0
 
 
 def _first_primitive_quadratic(base: GaloisField) -> tuple:
     """Low coefficients (c, b) of the first primitive monic quadratic.
 
-    Scans the enumeration order (c, b) = (i % N, i // N) with
-    `_is_primitive` (Thm 3.18). Primitive quadratics exist over every
-    finite field, so the scan always terminates.
+    Scans the enumeration order (c fastest) with `_walk_to_norm`. Primitive
+    quadratics exist over every finite field, so the scan terminates.
     """
     n = base.order
-    return next((i % n, i // n) for i in range(n * n) if _is_primitive(base, i % n, i // n))
+    return next((c, b) for b in range(n) for c in range(n) if _walk_to_norm(base, c, b))
 
 
 @dataclass(frozen=True)
@@ -262,23 +264,17 @@ class FieldGF:
         return cls(modulus, base, QuadraticExt(base, modulus))
 
     def exponent_set(self) -> list[int]:
-        """Exponents m in 1..N^2-1 with x^m - x in GF(N).
+        """Exponents m in 1..N^2-1 with x^m - x in GF(N), sorted.
 
         Membership only depends on the x-coefficient of x^m being 1,
         since GF(N) inside GF(N^2) is exactly the elements with zero
-        x-coefficient.
+        x-coefficient. The first N + 1 powers of x, up to the norm
+        c = x^(N+1), hold the whole set: x^(m + (N+1) j) = c^j x^m, and c
+        generates GF(N)*, so each m in 1..N has exactly one j in 0..N-2
+        with c^j u1(m) = 1 for the x-coefficient u1(m) of x^m.
         """
         f, n = self.base, self.base.order
-        c, b = self.modulus
-        # x (u0 + u1 x) = -c u1 + (u0 - b u1) x, as x^2 = -b x - c: the
-        # products by a constant are rows of N entries
-        neg_c = [f.mul(f.neg(c), u) for u in range(n)]
-        neg_b = [f.mul(f.neg(b), u) for u in range(n)]
-        sums = f.sums
-        hits = []
-        u0, u1 = 1, 0
-        for m in range(1, n * n):
-            u0, u1 = neg_c[u1], sums[u0 * n + neg_b[u1]]
-            if u1 == 1:
-                hits.append(m)
-        return hits
+        coeffs, norm = _walk_to_norm(f, *self.modulus)
+        # j log c = -log u1(m) mod N - 1; at N = 2 the inverse mod 1 is 0
+        inv = pow(f.log[norm], -1, n - 1)
+        return sorted(m + (n + 1) * (-f.log[u1] * inv % (n - 1)) for m, u1 in enumerate(coeffs, 1))

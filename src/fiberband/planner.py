@@ -76,7 +76,9 @@ def bose_sequence(n: int) -> SidonSequence:
 
     n must be a prime power. The sequence is {m : x^m - x in GF(n)},
     sorted, where x generates GF(n^2)* (see FieldGF); it always starts
-    at 1 and stays below n^2.
+    at 1 and stays below n^2. It is read off the first n + 1 powers of
+    x, through the norm x^(n+1): each later power is a power of the norm
+    times one of the first n.
     """
     field = FieldGF.for_size(n)
     return SidonSequence(tuple(field.exponent_set()))

@@ -567,6 +567,15 @@ def test_cli_check_names_the_malformed_line(tmp_path, capsys, line):
     assert f"{path}, line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["# no channels\n", "0 2\n1 3\n", "0 2\n6 5\n"],
+                         ids=["empty", "overlapping", "lo-not-below-hi"])
+def test_cli_check_names_the_file_of_a_bad_grid(tmp_path, capsys, text):
+    path = tmp_path / "grid.txt"
+    path.write_text(text)
+    assert main(["check", "--intervals", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 def test_cli_three_tone(tmp_path, capsys):
     rc = main([
         "three-tone", "--powers-w", "0.001,0.0016,0.0004",

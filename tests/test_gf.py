@@ -24,7 +24,7 @@ from fiberband.gf import (
     GaloisField,
     NotPrimePower,
     _is_irreducible,
-    _is_primitive,
+    _walk_to_norm,
     factorize,
     first_irreducible,
     prime_power,
@@ -51,6 +51,26 @@ def order_of_x(base: GaloisField, modulus: tuple) -> int:
         # x (u0 + u1 x) = u0 x + u1 x^2 and x^2 = -b x - c
         u0, u1 = base.neg(base.mul(c, u1)), base.add(u0, base.neg(base.mul(b, u1)))
     return 0
+
+
+def exponent_set_by_full_walk(base: GaloisField, modulus: tuple) -> list[int]:
+    """Exponents m in 1..N^2-1 whose x^m has x-coefficient 1.
+
+    Walks all N^2 - 1 powers of x with the base field's own add/neg/mul,
+    the products by -c and -b read from rows of N entries.
+    """
+    c, b = modulus
+    q = base.order
+    neg_c = [base.mul(base.neg(c), u) for u in range(q)]
+    neg_b = [base.mul(base.neg(b), u) for u in range(q)]
+    hits = []
+    u0, u1 = 1, 0
+    for m in range(1, q * q):
+        # x (u0 + u1 x) = -c u1 + (u0 - b u1) x, as x^2 = -b x - c
+        u0, u1 = neg_c[u1], base.add(u0, neg_b[u1])
+        if u1 == 1:
+            hits.append(m)
+    return hits
 
 
 def test_factorize_and_prime_power():
@@ -204,7 +224,7 @@ def test_primitivity_walk_matches_the_order_of_x(q):
     for c in range(q):
         for b in range(q):
             full = order_of_x(base, (c, b)) == q * q - 1
-            assert _is_primitive(base, c, b) == full, (c, b)
+            assert (_walk_to_norm(base, c, b) is not None) == full, (c, b)
 
 
 def test_exponent_set_membership_count():
@@ -216,6 +236,14 @@ def test_exponent_set_membership_count():
         assert len(exps) == n
         assert exps[0] == 1
         assert all(1 <= m <= n * n - 1 for m in exps)
+
+
+def test_exponent_set_matches_the_full_walk_above_the_frozen_sizes():
+    # tests/frozen_sidon.json pins every prime power up to 128; the
+    # N + 1-step walk must also agree with all N^2 - 1 powers beyond it
+    for q in (131, 243, 256, 343, 512):
+        g = FieldGF.for_size(q)
+        assert g.exponent_set() == exponent_set_by_full_walk(g.base, g.modulus), q
 
 
 @settings(max_examples=12, deadline=None)
