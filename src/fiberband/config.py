@@ -39,6 +39,7 @@ GHZ = 2.0 * math.pi * 1e9  # rad/s per GHz of ordinary frequency
 
 PLACEMENTS = ("sequence", "uniform")
 FILTERS = ("distributed", "lumped", "none")
+_SPAN_W = 23.0  # channel widths a uniform grid spans when span_w is unset
 
 
 class ConfigError(ValueError):
@@ -124,11 +125,25 @@ class ExperimentConfig:
                 fail("sequence", "required for placement = sequence")
             if len(self.sequence) != self.channel_count:
                 fail("sequence", f"needs {self.channel_count} elements")
-            grid_name = "sequence"
+            grid_name, reach = "sequence", 2 * self.sequence[-1] - 1
         else:  # name the key the config set
             if self.span_w is not None and self.span_w < self.channel_count:
                 fail("span_w", "span cannot hold the channels")
             grid_name = "channel_count" if self.span_w is None else "span_w"
+            reach = 1 if self.channel_count == 1 else self.span_w or _SPAN_W
+        dt = self.dt_ps * 1e-12
+        nyquist = -bin_omegas(self.n, dt)[0] / GHZ
+
+        def above_nyquist(top_ghz: float):
+            fail("width_ghz", f"top channel edge {top_ghz:g} GHz is not below "
+                 f"the Nyquist edge {nyquist:g} GHz of {setting('dt_ps')}")
+
+        try:  # reach is the top channel edge in widths; scaled as `channels` does
+            top_ghz, top = reach * self.width_ghz, reach * (self.width_ghz * GHZ)
+        except OverflowError:  # an int slot past the largest float
+            top_ghz = top = math.inf if reach > 0 else -math.inf
+        if top == math.inf:  # no grid can be built, and its edge is above Nyquist
+            above_nyquist(top_ghz)
         try:
             grid = self.channels()
         except OverlappingIntervals as exc:
@@ -136,13 +151,10 @@ class ExperimentConfig:
             fail(grid_name, f"channels {a} and {b} GHz overlap")
         except (BandError, NotIncreasing) as exc:
             fail(grid_name, str(exc))
-        dt = self.dt_ps * 1e-12
         try:
             band_mask(self.n, dt, grid)
         except BandOutOfRange:
-            nyquist = -bin_omegas(self.n, dt)[0] / GHZ
-            fail("width_ghz", f"top channel edge {grid.hi / GHZ:g} GHz is not below "
-                 f"the Nyquist edge {nyquist:g} GHz of {setting('dt_ps')}")
+            above_nyquist(grid.hi / GHZ)
         # launch_field gives each pulse its whole channel as support, and
         # rrc_pulse needs a bin in that support
         for number, (lo, hi) in enumerate(grid.intervals, start=1):
@@ -190,7 +202,7 @@ class ExperimentConfig:
         """The channel grid in rad/s, also the filter: interval k is channel k."""
         w = self.width_ghz * GHZ
         if self.placement == "uniform":
-            span = (self.span_w if self.span_w is not None else 23.0) * w
+            span = (self.span_w if self.span_w is not None else _SPAN_W) * w
             if self.channel_count == 1:
                 centers = [0.5 * w]
             else:

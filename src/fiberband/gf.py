@@ -124,7 +124,6 @@ class GaloisField:
     """
 
     def __init__(self, p: int, k: int = 1):
-        self.p, self.k = p, k
         self.order = q = p**k
         self.reduction = first_irreducible(p, k)
         weights = [p**j for j in range(k)]
@@ -191,28 +190,25 @@ class GaloisField:
 
 
 class QuadraticExt:
-    """GF(N^2) = GF(N)[x] / (x^2 + b x + c); elements (a0, a1) = a0 + a1 x.
+    """GF(N^2) = GF(N)[x] / (x^2 + b x + c); elements (a0, a1) = a0 + a1 x."""
 
-    `modulus` holds the low coefficients (c, b) as ints of `base`.
-    """
-
-    def __init__(self, base: GaloisField, modulus: tuple):
-        self.base = base
-        self.modulus = tuple(modulus)
+    def __init__(self, base: GaloisField):
         self.order = base.order**2
 
 
-def _walk_to_norm(base: GaloisField, c: int, b: int) -> tuple[list, int] | None:
+def _walk_to_norm(base: GaloisField, c: int, b: int) -> list | None:
     """Walk x, x^2, ..., x^(N+1) modulo x^2 + b x + c, up to the first power in GF(N).
 
     By Lidl & Niederreiter, Finite Fields, Thm 3.18, x generates
-    GF(N^2)* iff that power is the norm x^(N+1) = c and c is primitive
-    in GF(N). If so, returns (u1, c): u1[m - 1] is the x-coefficient of
-    x^m for m in 1..N. Otherwise returns None.
+    GF(N^2)* iff c is primitive in GF(N) and that power is x^(N+1),
+    which is then the norm c. So a c that does not generate GF(N)* is
+    rejected before any walk. If x generates, returns u1: u1[m - 1] is
+    the x-coefficient of x^m for m in 1..N. Otherwise returns None.
     """
-    if c == 0:  # x divides the modulus, so it is no unit
-        return None
     n, exp, log, sums, negs = base.order, base.exp, base.log, base.sums, base.negs
+    # c = 0: x divides the modulus, so it is no unit (and log[0] reads 0)
+    if c == 0 or math.gcd(log[c], n - 1) != 1:
+        return None
     log_c, log_b = log[negs[c]], log[negs[b]]
     # x (u0 + u1 x) = -c u1 + (u0 - b u1) x, as x^2 = -b x - c
     u0, u1, coeffs = 0, 1, []
@@ -220,9 +216,7 @@ def _walk_to_norm(base: GaloisField, c: int, b: int) -> tuple[list, int] | None:
         coeffs.append(u1)
         lu = log[u1]
         u0, u1 = exp[log_c + lu], sums[u0 * n + (exp[log_b + lu] if b else 0)]
-    if u1 or len(coeffs) < n or math.gcd(log[u0], n - 1) != 1:
-        return None
-    return coeffs, u0
+    return None if u1 or len(coeffs) < n else coeffs
 
 
 def _first_primitive_quadratic(base: GaloisField) -> tuple:
@@ -261,7 +255,7 @@ class FieldGF:
         """
         base = GaloisField(*prime_power(n))
         modulus = _first_primitive_quadratic(base)
-        return cls(modulus, base, QuadraticExt(base, modulus))
+        return cls(modulus, base, QuadraticExt(base))
 
     def exponent_set(self) -> list[int]:
         """Exponents m in 1..N^2-1 with x^m - x in GF(N), sorted.
@@ -273,8 +267,8 @@ class FieldGF:
         generates GF(N)*, so each m in 1..N has exactly one j in 0..N-2
         with c^j u1(m) = 1 for the x-coefficient u1(m) of x^m.
         """
-        f, n = self.base, self.base.order
-        coeffs, norm = _walk_to_norm(f, *self.modulus)
+        f, n, (c, b) = self.base, self.base.order, self.modulus
+        coeffs = _walk_to_norm(f, c, b)
         # j log c = -log u1(m) mod N - 1; at N = 2 the inverse mod 1 is 0
-        inv = pow(f.log[norm], -1, n - 1)
+        inv = pow(f.log[c], -1, n - 1)
         return sorted(m + (n + 1) * (-f.log[u1] * inv % (n - 1)) for m, u1 in enumerate(coeffs, 1))

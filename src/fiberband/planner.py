@@ -98,8 +98,6 @@ def sidon_for_channels(n: int) -> SidonSequence:
     """Length-n Sidon sequence for any n >= 1: next prime power, truncated."""
     if n < 1:
         raise ValueError("need at least one channel")
-    if n == 1:
-        return SidonSequence((1,))
     full = bose_sequence(next_prime_power(n))
     return SidonSequence(full.values[:n])
 

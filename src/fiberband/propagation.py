@@ -29,8 +29,8 @@ them in place.
 a field; a single filtered step is `propagate` with z_total = dz =
 record_every and a distributed filter mode. Both work in raw FFT order
 on the grid and masks of `fields.bin_omegas` and `fields.band_mask`:
-one mask of the channel grid is both the in-band mask and the filter,
-and every band energy recorded here is `fields.band_energy`.
+the filter is the OR of the channel masks the trace books, and every
+band energy recorded here is `fields.band_energy`.
 
 All quantities are SI: m, s, rad/s, W, J.
 """
@@ -194,11 +194,13 @@ def propagate(
     """Propagate over z_total, recording an EnergyTrace.
 
     channels is the channel grid: its intervals, in frequency order, are
-    the channels of the trace, and their union is the filter of `mode`.
-    dz must be positive and divide z_total, record_every and (in lumped
-    mode) the filter spacing, and those spans must be finite; violations
-    raise InvalidStepPartition. Records happen at z = 0, every
-    record_every, and at z_total.
+    the channels of the trace, and the OR of their masks is the filter.
+    `mode` is one stride of steps between filter sites: 1 distributed,
+    spacing / dz lumped, 0 (never) unfiltered. dz must be positive and
+    divide z_total, record_every and (in lumped mode) the filter spacing,
+    and those spans must be finite; violations raise
+    InvalidStepPartition. Records happen at z = 0, every record_every,
+    and at z_total.
     """
     if not dz > 0:
         raise InvalidStepPartition(f"dz = {dz} must be positive")
@@ -213,13 +215,15 @@ def propagate(
 
     steps = stride(z_total, "z_total")
     rec_stride = stride(record_every, "record_every")
-    filt_stride = stride(mode.spacing, "filter spacing") if mode.kind == "lumped" else 0
+    filt_stride = int(mode.kind == "distributed")  # 0 never filters
+    if mode.kind == "lumped":
+        filt_stride = stride(mode.spacing, "filter spacing")
     n, dt, t0 = f0.n, f0.dt, f0.t0
 
-    inband = np.fft.ifftshift(band_mask(n, dt, channels))  # also the filter
     channel_masks = [
         np.fft.ifftshift(band_mask(n, dt, make_bandset([iv]))) for iv in channels.intervals
     ]
+    inband = np.logical_or.reduce(channel_masks)  # also the filter
     scale = dt / n  # |FFT(q)|^2 summed equals n * sum|q|^2; scale restores joules
 
     omegas = np.fft.ifftshift(bin_omegas(n, dt))
@@ -228,7 +232,7 @@ def propagate(
     gdz = params.gamma * dz
     oob = np.flatnonzero(~inband)
 
-    zs, totals, per_ch, disc = [], [], [], []
+    rows = []
 
     def record(step_idx: int, q: np.ndarray, discarded_so_far: float) -> None:
         spec = np.fft.fft(q)
@@ -238,30 +242,20 @@ def propagate(
         inband_energy = band_energy(power, inband, dt)
         if total - inband_energy < OUT_OF_BAND_FLOOR * total:
             total = inband_energy
-        zs.append(step_idx * dz)
-        totals.append(total)
-        per_ch.append(chans)
-        disc.append(discarded_so_far)
+        rows.append((step_idx * dz, total, *chans, discarded_so_far))
 
     q = f0.samples
     discarded_total = 0.0
     record(0, q, 0.0)
     for s in range(1, steps + 1):
-        filtered = mode.kind == "distributed" or (
-            mode.kind == "lumped" and s % filt_stride == 0
-        )
+        filtered = filt_stride and s % filt_stride == 0
         q, d = _step_kernel(q, gdz, decay, disp_phase, oob if filtered else None)
         discarded_total += d * scale
         if s % rec_stride == 0 or s == steps:
             record(s, q, discarded_total)
 
-    trace = EnergyTrace(
-        z=np.array(zs),
-        total=np.array(totals),
-        per_channel=np.array(per_ch),
-        discarded_cumulative=np.array(disc),
-    )
-    return SampledField(q, dt, t0), trace
+    cols = np.array(rows).T  # z, total, the channels, discarded
+    return SampledField(q, dt, t0), EnergyTrace(cols[0], cols[1], cols[2:-1].T, cols[-1])
 
 
 def channel_energy_rhs(

@@ -119,6 +119,11 @@ def test_parse_rejects_garbage():
         (dict(seed=-1), "run.seed"),
         (dict(seed=-3, energies_pj=None, phases_rad=None), "run.seed"),
         (dict(alpha0_db_per_km=-0.2), "fiber.alpha0_db_per_km"),
+        # top channel edges past the largest float, in rad/s or in GHz
+        (dict(width_ghz=1e298), "channels.width_ghz"),
+        (dict(sequence=(1, 2, 5, 10, 10**300)), "channels.width_ghz"),
+        (dict(sequence=(1, 2, 5, 10, 10**309)), "channels.width_ghz"),
+        (dict(placement="uniform", span_w=23.0, width_ghz=1e300), "channels.width_ghz"),
     ],
 )
 def test_validate_reports_the_offending_key(changes, field):
@@ -143,6 +148,13 @@ def test_grid_errors_speak_in_ghz():
     assert str(exc.value) == (
         "channels.width_ghz: channel 2 [0.02, 0.03] GHz holds no frequency bin: width "
         "0.01 GHz against a bin spacing of 0.03125 GHz (grid.n = 2048, grid.dt_ps = 15.625)"
+    )
+    # 23 widths of 1e298 GHz overflow in rad/s, not in GHz
+    with pytest.raises(ConfigError) as exc:
+        sidon_cfg(width_ghz=1e298)
+    assert str(exc.value) == (
+        "channels.width_ghz: top channel edge 2.3e+299 GHz is not below the Nyquist "
+        "edge 32 GHz of grid.dt_ps = 15.625"
     )
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig(placement="uniform", channel_count=30)
@@ -426,6 +438,8 @@ def test_cli_simulate_names_a_step_that_does_not_divide(tmp_path, capsys, option
         ("sidon5", "sequence = 1 2 5 10 12", "sequence = 5 1 2 10 12", "channels.sequence"),
         ("sidon5", "width_ghz = 1.0", "width_ghz = 2.0", "channels.width_ghz"),
         ("sidon5", "width_ghz = 1.0", "width_ghz = 0.01", "channels.width_ghz"),
+        ("sidon5", "sequence = 1 2 5 10 12", f"sequence = 1 2 5 10 {10**309}",
+         "channels.width_ghz"),
         ("sidon5", "alpha0_db_per_km = 0.0", "alpha0_db_per_kn = 0.2",
          "fiber.alpha0_db_per_kn"),
         ("uniform5", "[fiber]", "[fibre]", "fibre"),
@@ -439,7 +453,8 @@ def test_cli_simulate_names_a_step_that_does_not_divide(tmp_path, capsys, option
         ("sidon5", "dt_ps = 15.625", "dt_ps = 15.625%", "grid.dt_ps"),
         ("sidon5", "dt_ps = 15.625", "dt_ps = %(n)s", "grid.dt_ps"),
     ],
-    ids=["touching", "unsorted", "outside-window", "narrower-than-a-bin", "unknown-key",
+    ids=["touching", "unsorted", "outside-window", "narrower-than-a-bin",
+         "slot-past-the-largest-float", "unknown-key",
          "unknown-section", "negative-seed", "negative-alpha0", "default-section",
          "misspelled-required-key", "sidon-placement", "percent-sign", "interpolation"],
 )

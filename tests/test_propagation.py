@@ -241,6 +241,20 @@ def test_step_kernel_matches_reference_formula(monkeypatch, mode):
     assert (tr.discarded_cumulative[-1] > 0) == (mode.kind != "none")
 
 
+def test_distributed_filter_is_lumped_at_spacing_dz():
+    f, chans = two_channel_launch()
+    g = SampledField(f.samples * 3e2, DT, T0)
+    params = FiberParams(alpha0=4.6e-5, beta2=-21.667e-27, gamma=1.2578e-3)
+    (out, tr), (lumped_out, lumped_tr) = (
+        propagate(g, 2e3, 100.0, params, mode, chans, 400.0)
+        for mode in (FilterMode("distributed"), FilterMode("lumped", 100.0))
+    )
+    assert np.array_equal(out.samples, lumped_out.samples)
+    for name in ("z", "total", "per_channel", "discarded_cumulative"):
+        assert np.array_equal(getattr(tr, name), getattr(lumped_tr, name))
+    assert tr.discarded_cumulative[-1] > 0
+
+
 def test_channel_rhs_single_channel_is_pure_decay():
     _, chans = two_channel_launch()
     lone = make_bandset(chans.intervals[:1])
