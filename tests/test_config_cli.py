@@ -16,7 +16,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from fiberband.cli import cmd_check, main, resolve_config
+from fiberband.cli import BOSE_BUDGET, cmd_check, main, resolve_config
 from fiberband.config import (
     GHZ,
     ConfigError,
@@ -553,6 +553,15 @@ def test_cli_plan_densest_fails_at_once_past_the_budget(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: no length-18 sequence within span 150: its top slot is at least 154\n"
+
+
+def test_cli_plan_bose_fails_at_once_past_the_budget(capsys):
+    start = time.perf_counter()
+    assert main(["plan", "--mode", "bose", "--n", str(BOSE_BUDGET + 1)]) == 1
+    assert time.perf_counter() - start < 1.0  # before GF(N) or any certification
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --n: 1025 channels exceed the bose budget of 1024\n"
 
 
 def test_cli_check_verdicts(tmp_path, capsys):

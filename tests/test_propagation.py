@@ -32,12 +32,14 @@ def energy_in(f, band):
     return band_energy(power, np.fft.ifftshift(band_mask(f.n, f.dt, band)), f.dt)
 
 
-def two_channel_launch():
+def two_channel_launch(n=N):
+    """Two RRC channels on an n-sample window of spacing DT, centred on t = 0."""
+    t0 = -0.5 * n * DT
     chans = make_bandset([(0.0, W), (2 * W, 3 * W)])
-    q = np.zeros(N, dtype=complex)
+    q = np.zeros(n, dtype=complex)
     for channel, e_pj, ph in zip(chans.intervals, (0.06, 0.11), (0.4, -1.0)):
-        q = q + rrc_pulse(channel, 0.15, e_pj * 1e-12, ph, DT, N, T0).samples
-    return SampledField(q, DT, T0), chans
+        q = q + rrc_pulse(channel, 0.15, e_pj * 1e-12, ph, DT, n, t0).samples
+    return SampledField(q, DT, t0), chans
 
 
 def test_engineering_conversions():
@@ -206,8 +208,12 @@ def test_distributed_keeps_field_in_band():
     assert tr.total[-1] == pytest.approx(np.sum(tr.per_channel[-1]), rel=1e-12)
 
 
-def reference_step(q, gdz, decay, disp_phase, oob):
-    """The split step written with the complex exp, a boolean mask and copies."""
+def reference_step(q, gdz, decay, disp_phase, oob, phi, kerr):
+    """The split step written with the complex exp, a boolean mask, copies
+    and the default-normalised ifft. `propagate` passes the dispersion
+    phase already divided by n, so it is multiplied back (exactly, n being
+    a power of two); the scratch buffers phi and kerr are not used.
+    """
     q = q * np.exp(1j * gdz * np.abs(q) ** 2)
     spec = np.fft.fft(q)
     discarded = 0.0
@@ -219,16 +225,20 @@ def reference_step(q, gdz, decay, disp_phase, oob):
         spec = np.where(mask, spec, 0.0)
     if decay != 1.0:
         spec = spec * decay
-    spec = spec * disp_phase
+    spec = spec * (disp_phase * q.size)
     return np.fft.ifft(spec), discarded
 
 
-@pytest.mark.parametrize("mode", [FilterMode("distributed"), FilterMode("lumped", 400.0),
-                                  FilterMode("none")], ids=lambda m: m.kind)
-def test_step_kernel_matches_reference_formula(monkeypatch, mode):
-    f, chans = two_channel_launch()
+@pytest.mark.parametrize(
+    "mode, n",
+    [(FilterMode("distributed"), N), (FilterMode("lumped", 400.0), N), (FilterMode("none"), N),
+     (FilterMode("distributed"), 4 * N)],
+    ids=["distributed", "lumped", "none", "distributed-n2048"],
+)
+def test_step_kernel_matches_reference_formula(monkeypatch, mode, n):
+    f, chans = two_channel_launch(n)
     # Kerr phases up to about 13 rad per step, and alpha0 > 0 so decay != 1
-    g = SampledField(f.samples * 3e2, DT, T0)
+    g = SampledField(f.samples * 3e2, DT, f.t0)
     params = FiberParams(alpha0=4.6e-5, beta2=-21.667e-27, gamma=1.2578e-3)
     runs = []
     for kernel in (propagation._step_kernel, reference_step):
@@ -239,6 +249,22 @@ def test_step_kernel_matches_reference_formula(monkeypatch, mode):
     for name in ("total", "per_channel", "discarded_cumulative"):
         assert np.array_equal(getattr(tr, name), getattr(ref_tr, name))
     assert (tr.discarded_cumulative[-1] > 0) == (mode.kind != "none")
+
+
+def test_propagate_scratch_is_per_call():
+    f, chans = two_channel_launch()
+    g = SampledField(f.samples * 3e2, DT, T0)
+    launch = g.samples.copy()
+    params = FiberParams(alpha0=4.6e-5, beta2=-21.667e-27, gamma=1.2578e-3)
+    (out, tr), (again, again_tr) = (
+        propagate(g, 2e3, 100.0, params, FilterMode("lumped", 400.0), chans, 400.0)
+        for _ in range(2)
+    )
+    assert np.array_equal(out.samples, again.samples)
+    for name in ("z", "total", "per_channel", "discarded_cumulative"):
+        assert np.array_equal(getattr(tr, name), getattr(again_tr, name))
+    assert not np.shares_memory(out.samples, again.samples)
+    assert np.array_equal(g.samples, launch)
 
 
 def test_distributed_filter_is_lumped_at_spacing_dz():
