@@ -231,10 +231,6 @@ def rrc_pulse(
     # the window check and the support; raises BandOutOfRange
     support = band_mask(n, dt, make_bandset([channel]))
 
-    coeff = np.zeros(n, dtype=complex)
-    if energy == 0.0:
-        return inverse(Spectrum(coeff, dt, t0))
-
     omegas = bin_omegas(n, dt)
     amp = np.zeros(n)
     amp[support] = rrc_spectral_amplitude(

@@ -116,7 +116,9 @@ def _gap_floor(used: int, r: int) -> int:
 def _search_length(k: int, target: int, minspan: list) -> tuple | None:
     """Lexicographically first Sidon subset of {1..k} of size `target`.
 
-    Precondition: no Sidon set of size `target` fits in {1..k-1}. Any
+    Precondition: target >= 2 (the table asks for one more than its
+    best so far, which starts at 1), and no Sidon set of size `target`
+    fits in {1..k-1}. Any
     Sidon set translates to one whose minimum is 1, so the search roots
     at 1 without losing maximal sets, and by the precondition every set
     it can find spans exactly k - 1: both end marks, 1 and k, are pinned
@@ -152,8 +154,6 @@ def _search_length(k: int, target: int, minspan: list) -> tuple | None:
     already decides exactly, and counted from the child's own `diffs`,
     where k - c is booked, the floor would even exclude it.
     """
-    if target == 1:
-        return (1,)
 
     def span_floor(m: int) -> int:
         if m < len(minspan):

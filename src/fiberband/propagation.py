@@ -38,7 +38,9 @@ a field; a single filtered step is `propagate` with z_total = dz =
 record_every and a distributed filter mode. Both work in raw FFT order
 on the grid and masks of `fields.bin_omegas` and `fields.band_mask`:
 the filter is the OR of the channel masks the trace books, and every
-band energy recorded here is `fields.band_energy`.
+band energy recorded here is `fields.band_energy`. The trace's total is
+the full-spectrum energy at every record, in every filter mode: the sum
+over all bins, in band or not.
 
 All quantities are SI: m, s, rad/s, W, J.
 """
@@ -114,7 +116,8 @@ class EnergyTrace:
     """Energies recorded along z; the quantities a WDM link budget tracks.
 
     z                    : record distances in m, starting at 0
-    total                : total field energy in J at each record
+    total                : full-spectrum field energy in J at each record,
+                           summed over every bin, in band or not
     per_channel          : (len(z), n_channels) in-band energies in J
     discarded_cumulative : running total of energy removed by masks in J
     """
@@ -153,11 +156,6 @@ def step_count(span: float, dz: float) -> int | None:
         return None
     steps = int(round(ratio))
     return steps if abs(steps * dz - span) <= 1e-9 * span else None
-
-
-# Noise floor below which out-of-band residue is reported as exactly zero,
-# relative to the total energy of the record.
-OUT_OF_BAND_FLOOR = 1e-14
 
 
 def _step_kernel(q, gdz, decay, disp_phase, oob, phi, kerr):
@@ -234,7 +232,7 @@ def propagate(
     channel_masks = [
         np.fft.ifftshift(band_mask(n, dt, make_bandset([iv]))) for iv in channels.intervals
     ]
-    inband = np.logical_or.reduce(channel_masks)  # also the filter
+    inband = np.logical_or.reduce(channel_masks)  # the filter
     scale = dt / n  # |FFT(q)|^2 summed equals n * sum|q|^2; scale restores joules
 
     omegas = np.fft.ifftshift(bin_omegas(n, dt))
@@ -250,9 +248,6 @@ def propagate(
         power = np.abs(spec) ** 2
         total = float(np.sum(power)) * scale
         chans = [band_energy(power, m, dt) for m in channel_masks]
-        inband_energy = band_energy(power, inband, dt)
-        if total - inband_energy < OUT_OF_BAND_FLOOR * total:
-            total = inband_energy
         rows.append((step_idx * dz, total, *chans, discarded_so_far))
 
     phi, kerr = np.empty(n), np.empty(n, dtype=complex)  # the kernel's scratch

@@ -242,6 +242,9 @@ def test_rrc_pulse_guards():
     with pytest.raises(GridTooCoarse):
         # channel narrower than a bin, centered between bins
         rrc_pulse((0.4 * domega, 0.6 * domega), 0.1, 1.0, 0.0, dt, n, t0)
+    with pytest.raises(GridTooCoarse):
+        # a dark pulse needs a bin in its channel all the same
+        rrc_pulse((0.4 * domega, 0.6 * domega), 0.1, 0.0, 0.0, dt, n, t0)
     with pytest.raises(BandOutOfRange):
         rrc_pulse((np.pi / dt - 2 * domega, np.pi / dt + 2 * domega), 0.1, 1.0, 0.0, dt, n, t0)
     zero = rrc_pulse((-2 * domega, 2 * domega), 0.1, 0.0, 0.0, dt, n, t0)

@@ -6,11 +6,14 @@ exp(j*(beta2/2)*w^2*z) with no approximation error beyond rounding, and
 attenuation alone scales the field by exp(-alpha0*z/2) pointwise.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fiberband import propagation
 from fiberband.bands import make_bandset
+from fiberband.cli import resolve_config
 from fiberband.fields import SampledField, band_energy, band_mask, rrc_pulse, transform
 from fiberband.propagation import (
     EnergyTrace,
@@ -183,6 +186,25 @@ def test_trace_record_schedule():
     assert tr.total[0] == pytest.approx(f.energy(), rel=1e-12)
     # nothing is filtered, so nothing may be discarded
     assert np.all(tr.discarded_cumulative == 0.0)
+
+
+@pytest.mark.parametrize("kind, spacing_km", [("distributed", None), ("lumped", 0.1), ("none", None)])
+def test_trace_total_is_the_full_spectrum_energy(kind, spacing_km):
+    # one 0.1-km step of sidon5: the total sums every bin, in band or not,
+    # at the launch and after the step, in every filter mode
+    cfg = dataclasses.replace(resolve_config("sidon5"), z_total_km=0.1, record_every_km=0.1,
+                              filter=kind, filter_spacing_km=spacing_km)
+    launch = cfg.launch_field()
+    z_total, dz, record_every = cfg.run_lengths()
+    out, tr = propagate(launch, z_total, dz, cfg.fiber(), cfg.filter_mode(), cfg.channels(),
+                        record_every)
+
+    def energy(q):
+        return float(np.sum(np.abs(np.fft.fft(q)) ** 2)) * launch.dt / launch.n
+
+    assert len(tr.total) == 2
+    assert tr.total[0] == energy(launch.samples)
+    assert tr.total[-1] == energy(out.samples)
 
 
 def test_lumped_discards_only_at_filters():
