@@ -3,16 +3,18 @@
 GF(p^k) is GF(p)[x] modulo the first irreducible monic polynomial of
 degree k, and its elements are the ints 0..p^k - 1: the base-p digits
 of an int are the polynomial's coefficients, constant term first.
-Multiplication reads log/antilog tables built from the field's first
-generator; addition reads a flat table of digit-wise sums. Both are
-gathered from permutation rows of N ints, with no polynomial product
-and no arithmetic per entry (see `GaloisField`), and a product is the
-same whichever generator the tables follow. The quadratic extension
-GF(N^2) has elements (a0, a1) = a0 + a1 x with a0, a1 ints of GF(N),
-and its modulus is the first primitive quadratic, so x generates
-GF(N^2)*. One walk of x, ..., x^(N+1) tests primitivity (Lidl &
-Niederreiter, Finite Fields, Thm 3.18) and holds the exponent set:
-every later power is a power of the norm x^(N+1) times one of the first N.
+A field is its tables, and callers read them directly: products from
+log/antilog tables built from the field's first generator, sums and
+negatives from flat tables. They are gathered from permutation rows of
+N ints, with no polynomial product and no arithmetic per entry (see
+`GaloisField`), and a product is the same whichever generator the
+tables follow. The quadratic extension GF(N^2) has elements
+(a0, a1) = a0 + a1 x with a0, a1 ints of GF(N), and its modulus is the
+first primitive quadratic, so x generates GF(N^2)*. One walk of
+x, ..., x^(N+1), run once in `FieldGF.for_size`, tests primitivity
+(Lidl & Niederreiter, Finite Fields, Thm 3.18) and holds the exponent
+set: every later power is a power of the norm x^(N+1) times one of the
+first N.
 
 Polynomial and element enumeration order is fixed once and for all:
 index i maps to base-N digits of i, least significant digit = constant
@@ -34,28 +36,21 @@ class NotPrimePower(ValueError):
     pass
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; fine for the small sizes here."""
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def prime_power(n: int) -> tuple[int, int]:
-    """Return (p, k) with n = p^k, or raise NotPrimePower."""
+    """Return (p, k) with n = p^k, or raise NotPrimePower.
+
+    p is the least prime factor of n, found by trial division up to
+    isqrt(n) (n itself if nothing divides); fine for the small sizes here.
+    """
     if n < 2:
         raise NotPrimePower(f"{n} is not a prime power")
-    fac = factorize(n)
-    if len(fac) != 1:
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    k, rest = 0, n
+    while rest % p == 0:
+        rest //= p
+        k += 1
+    if rest != 1:
         raise NotPrimePower(f"{n} is not a prime power")
-    [(p, k)] = fac.items()
     return p, k
 
 
@@ -107,12 +102,15 @@ def first_irreducible(p: int, degree: int) -> tuple:
 class GaloisField:
     """GF(p^k) on the ints 0..p^k - 1 (base-p digits, constant term first).
 
-    `reduction` holds the k low coefficients (r0..r_{k-1}) of the monic
-    modulus x^k + r_{k-1} x^{k-1} + ... + r0, the first irreducible of
-    degree k; for k = 1 it is x, so ints multiply mod p. `exp[i]` is
+    The field is its five tables, with no scalar operations: code that
+    adds or multiplies reads them. `reduction` holds the k low
+    coefficients (r0..r_{k-1}) of the monic modulus
+    x^k + r_{k-1} x^{k-1} + ... + r0, the first irreducible of degree k;
+    for k = 1 it is x, so ints multiply mod p. `exp[i]` is
     g^i for the first generator g, stored twice over so that a product
     needs no reduction of its exponent; `log` inverts it on 1..N-1.
-    `sums[a * N + b]` is a + b and `negs[a]` is -a.
+    `sums[a * N + b]` is a + b and `negs[a]` is -a. So a * b is
+    `exp[log[a] + log[b]]` for nonzero a and b.
 
     The tables are built by gathers, with no arithmetic per entry. Row a
     of `sums` (b -> a + b) is row a - p^j gathered through the rotation
@@ -177,17 +175,6 @@ class GaloisField:
         for i, e in enumerate(powers):
             self.log[e] = i
 
-    def add(self, a: int, b: int) -> int:
-        return self.sums[a * self.order + b]
-
-    def neg(self, a: int) -> int:
-        return self.negs[a]
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[self.log[a] + self.log[b]]
-
 
 class QuadraticExt:
     """GF(N^2) = GF(N)[x] / (x^2 + b x + c); elements (a0, a1) = a0 + a1 x."""
@@ -219,16 +206,6 @@ def _walk_to_norm(base: GaloisField, c: int, b: int) -> list | None:
     return None if u1 or len(coeffs) < n else coeffs
 
 
-def _first_primitive_quadratic(base: GaloisField) -> tuple:
-    """Low coefficients (c, b) of the first primitive monic quadratic.
-
-    Scans the enumeration order (c fastest) with `_walk_to_norm`. Primitive
-    quadratics exist over every finite field, so the scan terminates.
-    """
-    n = base.order
-    return next((c, b) for b in range(n) for c in range(n) if _walk_to_norm(base, c, b))
-
-
 @dataclass(frozen=True)
 class FieldGF:
     """The quadratic tower GF(N) in GF(N^2), generated by x.
@@ -237,25 +214,31 @@ class FieldGF:
     x^2 + b x + c over GF(N) defining the extension: the first primitive
     quadratic in enumeration order (primitivity as in Lidl &
     Niederreiter, Thm 3.18), so the root x generates GF(N^2)*.
-    Coefficients are ints of GF(N).
+    Coefficients are ints of GF(N). `walk` is the walk that proved x
+    primitive, run once in `for_size`: walk[m - 1] is the x-coefficient
+    of x^m for m in 1..N.
     """
 
     modulus: tuple
     base: GaloisField
     ext: QuadraticExt
+    walk: tuple
 
     @classmethod
     def for_size(cls, n: int):
         """Build the tower for N = n, a prime power.
 
-        The modulus is the first irreducible x^2 + b x + c whose root x
-        generates GF(N^2)*. For N = 11 this search lands on x^2 + x + 7,
-        the conventional reference choice for the length-11 sequence
-        quoted in the literature.
+        Scans the monic quadratics x^2 + b x + c in enumeration order (c
+        fastest) with `_walk_to_norm` and keeps the first whose root x
+        generates GF(N^2)*. Primitive quadratics exist over every finite
+        field, so the scan ends. For N = 11 it lands on x^2 + x + 7, the
+        conventional reference choice for the length-11 sequence quoted
+        in the literature.
         """
         base = GaloisField(*prime_power(n))
-        modulus = _first_primitive_quadratic(base)
-        return cls(modulus, base, QuadraticExt(base))
+        walks = ((c, b, _walk_to_norm(base, c, b)) for b in range(n) for c in range(n))
+        c, b, walk = next(w for w in walks if w[2])
+        return cls((c, b), base, QuadraticExt(base), tuple(walk))
 
     def exponent_set(self) -> list[int]:
         """Exponents m in 1..N^2-1 with x^m - x in GF(N), sorted.
@@ -265,10 +248,10 @@ class FieldGF:
         x-coefficient. The first N + 1 powers of x, up to the norm
         c = x^(N+1), hold the whole set: x^(m + (N+1) j) = c^j x^m, and c
         generates GF(N)*, so each m in 1..N has exactly one j in 0..N-2
-        with c^j u1(m) = 1 for the x-coefficient u1(m) of x^m.
+        with c^j u1(m) = 1 for the x-coefficient u1(m) = walk[m - 1] of
+        x^m. No power of x is walked again here.
         """
-        f, n, (c, b) = self.base, self.base.order, self.modulus
-        coeffs = _walk_to_norm(f, c, b)
+        f, n, c = self.base, self.base.order, self.modulus[0]
         # j log c = -log u1(m) mod N - 1; at N = 2 the inverse mod 1 is 0
         inv = pow(f.log[c], -1, n - 1)
-        return sorted(m + (n + 1) * (-f.log[u1] * inv % (n - 1)) for m, u1 in enumerate(coeffs, 1))
+        return sorted(m + (n + 1) * (-f.log[u1] * inv % (n - 1)) for m, u1 in enumerate(self.walk, 1))

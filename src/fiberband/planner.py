@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice
 
-from .bands import make_bandset
+from .bands import BandError, make_bandset
 from .gf import FieldGF, NotPrimePower, prime_power
 
 
@@ -282,19 +282,26 @@ def is_energy_decoupled(channels) -> tuple[bool, tuple | None]:
     with a later one iff the next lo is below its own hi. That flags
     exactly the colliding sum intervals in O(M log M), i.e.
     O(N^2 log N). A sum interval that rounding collapsed to a point
-    carries no bandwidth and stays out of the sweep. The first flagged
-    interval in enumeration order has all its partners later, so it is
-    the witness's first pair, and the second is the first flagged
-    interval after it that overlaps it.
+    carries no bandwidth and stays out of the sweep. A sum interval
+    with an edge that overflowed is not a point: it raises BandError
+    naming its two channels, since nothing can be certified about it.
+    The first flagged interval in enumeration order has all its
+    partners later, so it is the witness's first pair, and the second
+    is the first flagged interval after it that overlaps it.
     """
     intervals = [(float(lo), float(hi)) for lo, hi in channels]
-    make_bandset(intervals)
+    band = make_bandset(intervals)
     n = len(intervals)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     sums = [
         (intervals[i][0] + intervals[j][0], intervals[i][1] + intervals[j][1])
         for i, j in pairs
     ]
+    # rounding is monotone, so every sum edge lies in [2 lo, 2 hi] of the grid
+    if not (math.isfinite(2 * band.lo) and math.isfinite(2 * band.hi)):
+        k = next(k for k, edges in enumerate(sums) if not all(map(math.isfinite, edges)))
+        raise BandError(f"channels {pairs[k][0] + 1} and {pairs[k][1] + 1}: sum interval "
+                        f"{sums[k]} overflows a float")
     swept = sorted((lo, hi, k) for k, (lo, hi) in enumerate(sums) if lo < hi)
     next_los = [lo for lo, _, _ in swept[1:]] + [math.inf]
     flagged = []

@@ -600,6 +600,21 @@ def test_cli_check_names_the_file_of_a_bad_grid(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
+def test_cli_check_rejects_a_grid_whose_sums_overflow(tmp_path, capsys):
+    big = tmp_path / "big.txt"
+    big.write_text("1e308 1.5e308\n1.6e308 1.7e308\n")
+    assert main(["check", "--intervals", str(big)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {big}: channels 1 and 1: sum interval (inf, inf) "
+                            "overflows a float\n")
+    # the same grid at unit scale has a witness
+    small = tmp_path / "small.txt"
+    small.write_text("1 1.5\n1.6 1.7\n")
+    assert main(["check", "--intervals", str(small)]) == 0
+    assert capsys.readouterr().out == "energy-decoupled: no witness=(1, 1) vs (1, 2)\n"
+
+
 def test_cli_three_tone(tmp_path, capsys):
     rc = main([
         "three-tone", "--powers-w", "0.001,0.0016,0.0004",

@@ -8,7 +8,8 @@ in enumeration order is x^4+x+1.
 
 Elements of GF(p^k) are ints whose base-p digits are the polynomial's
 coefficients, constant term first, so in GF(4) the int 2 is x and 3 is
-x + 1.
+x + 1. A field is its tables; `add` and `mul` below read them as the
+code that builds the Bose sequence does.
 """
 
 import hashlib
@@ -19,26 +20,43 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fiberband import gf
 from fiberband.gf import (
     FieldGF,
     GaloisField,
     NotPrimePower,
     _is_irreducible,
     _walk_to_norm,
-    factorize,
     first_irreducible,
     prime_power,
 )
 
 
 def _prime_powers(top: int) -> list[int]:
-    return [q for q in range(2, top + 1) if len(factorize(q)) == 1]
+    out = []
+    for q in range(2, top + 1):
+        try:
+            prime_power(q)
+        except NotPrimePower:
+            continue
+        out.append(q)
+    return out
+
+
+def add(f: GaloisField, a: int, b: int) -> int:
+    return f.sums[a * f.order + b]
+
+
+def mul(f: GaloisField, a: int, b: int) -> int:
+    if a == 0 or b == 0:
+        return 0
+    return f.exp[f.log[a] + f.log[b]]
 
 
 def order_of_x(base: GaloisField, modulus: tuple) -> int:
     """Multiplicative order of x in GF(N)[x] / (x^2 + b x + c), or 0.
 
-    Walks x, x^2, ... with the base field's own add/neg/mul, up to
+    Walks x, x^2, ... with the base field's tables, up to
     x^(N^2 - 1), and returns the first m with x^m = 1; 0 if there is
     none, as when x is no unit.
     """
@@ -49,44 +67,47 @@ def order_of_x(base: GaloisField, modulus: tuple) -> int:
         if (u0, u1) == (1, 0):
             return m
         # x (u0 + u1 x) = u0 x + u1 x^2 and x^2 = -b x - c
-        u0, u1 = base.neg(base.mul(c, u1)), base.add(u0, base.neg(base.mul(b, u1)))
+        u0, u1 = base.negs[mul(base, c, u1)], add(base, u0, base.negs[mul(base, b, u1)])
     return 0
 
 
 def exponent_set_by_full_walk(base: GaloisField, modulus: tuple) -> list[int]:
     """Exponents m in 1..N^2-1 whose x^m has x-coefficient 1.
 
-    Walks all N^2 - 1 powers of x with the base field's own add/neg/mul,
-    the products by -c and -b read from rows of N entries.
+    Walks all N^2 - 1 powers of x with the base field's tables, the
+    products by -c and -b read from rows of N entries.
     """
     c, b = modulus
     q = base.order
-    neg_c = [base.mul(base.neg(c), u) for u in range(q)]
-    neg_b = [base.mul(base.neg(b), u) for u in range(q)]
+    neg_c = [mul(base, base.negs[c], u) for u in range(q)]
+    neg_b = [mul(base, base.negs[b], u) for u in range(q)]
     hits = []
     u0, u1 = 1, 0
     for m in range(1, q * q):
         # x (u0 + u1 x) = -c u1 + (u0 - b u1) x, as x^2 = -b x - c
-        u0, u1 = neg_c[u1], base.add(u0, neg_b[u1])
+        u0, u1 = neg_c[u1], add(base, u0, neg_b[u1])
         if u1 == 1:
             hits.append(m)
     return hits
 
 
-def test_factorize_and_prime_power():
-    assert factorize(360) == {2: 3, 3: 2, 5: 1}
-    assert factorize(113) == {113: 1}
+def test_prime_power():
+    assert prime_power(2) == (2, 1)
     assert prime_power(8) == (2, 3)
     assert prime_power(49) == (7, 2)
-    for bad in (1, 12, 60):
-        with pytest.raises(NotPrimePower):
+    assert prime_power(113) == (113, 1)
+    assert prime_power(961) == (31, 2)  # 31 = isqrt(961): the last divisor tried
+    assert prime_power(1024) == (2, 10)
+    for bad in (-8, 0, 1, 12, 60, 3 * 2**20):
+        with pytest.raises(NotPrimePower, match=f"^{bad} is not a prime power$"):
             prime_power(bad)
 
 
 def test_prime_field_arithmetic():
     f = GaloisField(7)
-    assert f.add(5, 4) == 2
-    assert f.mul(3, 5) == 1
+    assert add(f, 5, 4) == 2
+    assert mul(f, 3, 5) == 1
+    assert f.negs[2] == 5
     assert f.exp[:6] == [1, 3, 2, 6, 4, 5]  # the tables follow the first generator
 
 
@@ -100,15 +121,15 @@ def test_gf4_multiplication():
     gf4 = GaloisField(2, 2)
     assert gf4.reduction == (1, 1)  # x^2 + x + 1
     x = 2
-    assert gf4.mul(x, x) == 3  # x^2 = x + 1
-    assert gf4.mul(x, 3) == 1  # x^3 = 1
+    assert mul(gf4, x, x) == 3  # x^2 = x + 1
+    assert mul(gf4, x, 3) == 1  # x^3 = 1
 
 
 def test_gf16_ground_modulus():
     gf16 = GaloisField(2, 4)
     assert gf16.reduction == (1, 1, 0, 0)  # x^4 + x + 1
     assert gf16.order == 16
-    assert gf16.mul(8, 2) == 3  # x^3 * x = x^4 = x + 1
+    assert mul(gf16, 8, 2) == 3  # x^3 * x = x^4 = x + 1
 
 
 def _schoolbook(a: int, b: int, p: int, k: int, reduction: tuple) -> int:
@@ -137,8 +158,8 @@ def test_table_products_match_schoolbook(p, k):
     assert f.reduction == reduction
     for a in range(p**k):
         for b in range(p**k):
-            assert f.mul(a, b) == _schoolbook(a, b, p, k, reduction), (a, b)
-            assert f.add(a, b) == sum(
+            assert mul(f, a, b) == _schoolbook(a, b, p, k, reduction), (a, b)
+            assert add(f, a, b) == sum(
                 (((a // p**j) + (b // p**j)) % p) * p**j for j in range(k)
             )
 
@@ -153,7 +174,7 @@ def test_products_walk_past_a_non_primitive_x():
     rng = random.Random(8)
     for _ in range(2000):
         a, b = rng.randrange(256), rng.randrange(256)
-        assert f.mul(a, b) == _schoolbook(a, b, 2, 8, f.reduction), (a, b)
+        assert mul(f, a, b) == _schoolbook(a, b, 2, 8, f.reduction), (a, b)
 
 
 # one digest over (reduction, sums, negs, exp, log) of every prime power
@@ -225,6 +246,25 @@ def test_primitivity_walk_matches_the_order_of_x(q):
         for b in range(q):
             full = order_of_x(base, (c, b)) == q * q - 1
             assert (_walk_to_norm(base, c, b) is not None) == full, (c, b)
+
+
+def test_exponent_set_reads_the_walk_of_for_size(monkeypatch):
+    # the walk that proves x primitive holds the exponent set, so
+    # exponent_set walks no power of x again
+    calls = []
+
+    def counting(base, c, b):
+        calls.append((c, b))
+        return _walk_to_norm(base, c, b)
+
+    monkeypatch.setattr(gf, "_walk_to_norm", counting)
+    for q in (2, 11, 64):
+        g = FieldGF.for_size(q)
+        assert calls[-1] == g.modulus
+        assert len(g.walk) == q
+        calls.clear()
+        assert g.exponent_set() == exponent_set_by_full_walk(g.base, g.modulus)
+        assert calls == []
 
 
 def test_exponent_set_membership_count():

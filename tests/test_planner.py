@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fiberband import planner
-from fiberband.bands import EmptyBandSet, OverlappingIntervals
+from fiberband.bands import BandError, EmptyBandSet, OverlappingIntervals
 from fiberband.planner import (
     BRUTE_FORCE_BUDGET,
     BudgetExceeded,
@@ -329,6 +329,29 @@ def test_decoupling_edge_cases():
 def test_decoupling_rejects_non_finite_bounds(intervals):
     with pytest.raises(ValueError, match="non-finite"):
         is_energy_decoupled(intervals)
+
+
+@pytest.mark.parametrize(
+    "intervals, pair",
+    [([(1e308, 1.5e308), (1.6e308, 1.7e308)], "channels 1 and 1"),
+     ([(-1e307, -0.5e307), (-1.7e308, -1.6e308)], "channels 1 and 2"),
+     ([(-1.0, 1.0), (1e308, 1.7e308)], "channels 2 and 2")],
+)
+def test_decoupling_rejects_sum_bands_that_overflow(intervals, pair):
+    # the edges are finite but some of their sums are not: an overflowed
+    # band is no point of zero width, so no verdict can be given
+    with pytest.raises(BandError, match=f"^{pair}: sum interval .* overflows a float$"):
+        is_energy_decoupled(intervals)
+
+
+def test_decoupling_near_the_float_limit():
+    # every sum edge is finite (the largest is 1.7e308), so the grid
+    # certifies as the same grid at unit scale does
+    ivs = [(1e307, 1.5e307), (8e307, 8.5e307)]
+    assert is_energy_decoupled(ivs) == (True, None)
+    assert is_energy_decoupled([(lo / 1e307, hi / 1e307) for lo, hi in ivs]) == (True, None)
+    collide = [(1e307, 1.5e307), (4e307, 4.5e307), (7e307, 7.5e307)]
+    assert is_energy_decoupled(collide) == (False, ((1, 3), (2, 2)))
 
 
 @settings(max_examples=80)
