@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -38,8 +39,9 @@ from .threetone import ToneState, integrate_tones
 
 
 # Largest --n that `plan --mode bose` accepts. Building GF(N) and
-# certifying the N(N+1)/2 sum intervals peaked at 40, 75 and 213 MB of
-# resident memory for N = 256, 512 and 1024, about x3 per doubling.
+# certifying the N(N+1)/2 sum intervals peaked at 33, 41 and 72 MB of
+# resident memory for N = 256, 512 and 1024, about x1.8 per doubling
+# at the top, where the sum-interval arrays dominate.
 BOSE_BUDGET = 1024
 
 
@@ -264,7 +266,11 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every call.
+
+    Parsing leaves it unchanged; callers must not add to it."""
     parser = argparse.ArgumentParser(
         prog="fiberband",
         description="NLSE band-filter simulator and decoupled-grid planner",

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice
 
+import numpy as np
+
 from .bands import BandError, make_bandset
 from .gf import FieldGF, NotPrimePower, prime_power
 
@@ -249,11 +251,6 @@ def erdos_bound(k: int) -> float:
     return 0.5 * c + math.sqrt(0.25 * c * c + (a + 2) * (a - 1) * (k + a) / a**2)
 
 
-def _strictly_overlap(a: tuple[float, float], b: tuple[float, float]) -> bool:
-    # shared endpoints carry no bandwidth, hence no energy coupling
-    return max(a[0], b[0]) < min(a[1], b[1])
-
-
 def is_energy_decoupled(channels) -> tuple[bool, tuple | None]:
     """Certify that no two distinct channel pairs have colliding sum bands.
 
@@ -275,46 +272,51 @@ def is_energy_decoupled(channels) -> tuple[bool, tuple | None]:
     times, channel 1 under a distributed filter drifts 3.2e-9 from its
     decoupled energy after 40 km and 7.5e-6 after 160 km.
 
-    The M = N(N+1)/2 sum intervals are swept once in (lo, hi) order
-    with the running maximum of the upper edges seen so far, an
-    interval-intersection sweep (Shamos & Hoey 1976). An interval
-    collides with an earlier one iff its lo is below that maximum, and
-    with a later one iff the next lo is below its own hi. That flags
-    exactly the colliding sum intervals in O(M log M), i.e.
-    O(N^2 log N). A sum interval that rounding collapsed to a point
-    carries no bandwidth and stays out of the sweep. A sum interval
-    with an edge that overflowed is not a point: it raises BandError
-    naming its two channels, since nothing can be certified about it.
-    The first flagged interval in enumeration order has all its
-    partners later, so it is the witness's first pair, and the second
-    is the first flagged interval after it that overlaps it.
+    The M = N(N+1)/2 sum intervals are built as two edge arrays, the
+    pairs in enumeration order from `np.triu_indices`, and swept once
+    in (lo, hi) order, an interval-intersection sweep (Shamos & Hoey
+    1976). An interval collides with an earlier one iff its lo is below
+    the running maximum of the earlier upper edges
+    (`np.maximum.accumulate`), and with a later one iff the next lo is
+    below its own hi. That flags exactly the colliding sum intervals in
+    O(M log M), i.e. O(N^2 log N), with no Python loop over them. A sum
+    interval that rounding collapsed to a point carries no bandwidth
+    and stays out of the sweep. A sum interval with an edge that
+    overflowed is not a point: it raises BandError naming its two
+    channels, since nothing can be certified about it; the grid's outer
+    edges are checked for that before any array sum is formed. The
+    first flagged interval in enumeration order has all its partners
+    later, so it is the witness's first pair, and the second is the
+    first interval after it that overlaps it.
     """
     intervals = [(float(lo), float(hi)) for lo, hi in channels]
     band = make_bandset(intervals)
     n = len(intervals)
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    sums = [
-        (intervals[i][0] + intervals[j][0], intervals[i][1] + intervals[j][1])
-        for i, j in pairs
-    ]
     # rounding is monotone, so every sum edge lies in [2 lo, 2 hi] of the grid
     if not (math.isfinite(2 * band.lo) and math.isfinite(2 * band.hi)):
-        k = next(k for k, edges in enumerate(sums) if not all(map(math.isfinite, edges)))
-        raise BandError(f"channels {pairs[k][0] + 1} and {pairs[k][1] + 1}: sum interval "
-                        f"{sums[k]} overflows a float")
-    swept = sorted((lo, hi, k) for k, (lo, hi) in enumerate(sums) if lo < hi)
-    next_los = [lo for lo, _, _ in swept[1:]] + [math.inf]
-    flagged = []
-    reach = -math.inf  # highest upper edge among the intervals swept so far
-    for (lo, hi, k), next_lo in zip(swept, next_los):
-        if lo < reach or next_lo < hi:
-            flagged.append(k)
-        reach = max(reach, hi)
-    if not flagged:
+        for i, (lo_i, hi_i) in enumerate(intervals):
+            for j, (lo_j, hi_j) in enumerate(intervals[i:], start=i):
+                edges = (lo_i + lo_j, hi_i + hi_j)
+                if not all(map(math.isfinite, edges)):
+                    raise BandError(f"channels {i + 1} and {j + 1}: sum interval {edges} "
+                                    "overflows a float")
+    lo, hi = np.array(intervals).T
+    first, second = np.triu_indices(n)
+    sum_lo, sum_hi = lo[first] + lo[second], hi[first] + hi[second]
+    (kept,) = np.nonzero(sum_lo < sum_hi)
+    swept = kept[np.lexsort((sum_hi[kept], sum_lo[kept]))]  # stable: (lo, hi, index) order
+    swept_lo, swept_hi = sum_lo[swept], sum_hi[swept]
+    # highest upper edge among the intervals swept before each one
+    reach = np.append(-np.inf, np.maximum.accumulate(swept_hi)[:-1])
+    next_lo = np.append(swept_lo[1:], np.inf)
+    flagged = swept[(swept_lo < reach) | (next_lo < swept_hi)]
+    if not flagged.size:
         return True, None
-    p, *rest = sorted(flagged)
-    q = next(q for q in rest if _strictly_overlap(sums[p], sums[q]))
-    return False, ((pairs[p][0] + 1, pairs[p][1] + 1), (pairs[q][0] + 1, pairs[q][1] + 1))
+    p = flagged.min()
+    overlaps = np.maximum(sum_lo, sum_lo[p]) < np.minimum(sum_hi, sum_hi[p])
+    overlaps[: p + 1] = False
+    q = overlaps.argmax()
+    return False, tuple((int(first[k]) + 1, int(second[k]) + 1) for k in (p, q))
 
 
 @dataclass(frozen=True)

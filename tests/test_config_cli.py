@@ -16,6 +16,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from fiberband import cli
 from fiberband.cli import BOSE_BUDGET, cmd_check, main, resolve_config
 from fiberband.config import (
     GHZ,
@@ -579,6 +580,40 @@ def test_cli_check_verdicts(tmp_path, capsys):
     overlap = tmp_path / "overlap.txt"
     overlap.write_text("0 2\n1 3\n")
     assert main(["check", "--intervals", str(overlap)]) == 1
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    failing = tmp_path / "uniform.txt"
+    failing.write_text("0 2\n4 6\n8 10\n")
+    malformed = tmp_path / "malformed.txt"
+    malformed.write_text("0 2\n4\n")
+    calls = (
+        ["check", "--intervals", str(failing)],
+        ["plan", "--n", "5"],
+        ["plan", "--n", "5", "--no-such-flag"],
+        ["check", "--intervals", str(malformed)],
+        ["check", "--intervals", str(failing)],
+    )
+
+    def run_calls():
+        seen = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        return seen
+
+    assert cli.build_parser() is cli.build_parser()
+    reused = run_calls()
+    assert [code for code, _, _ in reused] == [0, 0, 2, 1, 0]
+    assert reused[0][1] == "energy-decoupled: no witness=(1, 3) vs (2, 2)\n"
+    assert reused[4] == reused[0]
+    # each call again with a parser built for it alone
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert run_calls() == reused
 
 
 @pytest.mark.parametrize("line", ["1 2 3", "a b", "4 inf", "nan 6"])

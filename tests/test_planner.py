@@ -447,12 +447,64 @@ def test_decoupling_witness_on_a_broken_bose_grid():
     assert is_energy_decoupled(intervals) == (False, witness)
 
 
+# arithmetic grids: every sum edge is tied with many others, and the
+# channels come in a drawn caller order
+arithmetic_grids = st.builds(
+    lambda n, start, step, width: [(start + k * step, start + k * step + width)
+                                   for k in range(n)],
+    st.integers(1, 20),
+    st.sampled_from([-7.5, 0.0, 0.1, 3.0]),
+    st.sampled_from([0.3, 1.0, 1.5, 2.5]),
+    st.sampled_from([0.1, 0.25]),
+).flatmap(st.permutations)
+slot_grids = (
+    st.lists(st.integers(1, 400), min_size=1, max_size=20, unique=True)
+    .flatmap(st.permutations)
+    .map(lambda slots: [((2 * m - 2) * 0.5, (2 * m - 1) * 0.5) for m in slots])
+)
+wide_float_grids = (
+    st.lists(st.floats(-100, 100), min_size=2, max_size=40, unique=True)
+    .map(sorted)
+    .map(lambda edges: list(zip(edges[0::2], edges[1::2])))
+    .flatmap(st.permutations)
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(arithmetic_grids, slot_grids, wide_float_grids))
+@example([(20.0 * m, 20.0 * m + 1.0) for m in sidon_for_channels(20)])  # decoupled, N = 20
+@example([(3.0 * k, 3.0 * k + 1.0) for k in range(30)])  # uniform, N = 30
+def test_decoupling_witness_matches_enumeration_up_to_20_channels(intervals):
+    witness = _first_collision(intervals)
+    assert is_energy_decoupled(intervals) == (witness is None, witness)
+
+
+def test_decoupling_witness_on_a_broken_41_channel_bose_grid():
+    # the plan workload's size: the last of 41 Bose slots moved to
+    # s39 + s40 - s1, so the pair sums (1, 41) and (39, 40) meet
+    slots = list(sidon_for_channels(41).values)
+    slots[-1] = slots[-2] + slots[-3] - slots[0]
+    intervals = plan_channels(slots, 1.0).intervals()
+    witness = _first_collision(intervals)
+    assert witness is not None and 41 in witness[0] + witness[1]
+    assert is_energy_decoupled(intervals) == (False, witness)
+
+
 def test_bose_128_certifies_fast():
     # the sum bands of 128 channels are swept once, not compared pairwise
     intervals = plan_channels(sidon_for_channels(128), 1.0).intervals()
     assert is_energy_decoupled(intervals) == (True, None)
     best = min(timeit.repeat(lambda: is_energy_decoupled(intervals), number=1, repeat=5))
     assert best <= 0.1
+
+
+def test_bose_512_certifies_as_array_arithmetic():
+    # 131 328 sum bands; a Python loop over them took 0.27 s, the array
+    # sweep about 0.03 s
+    intervals = plan_channels(sidon_for_channels(512), 1.0).intervals()
+    assert is_energy_decoupled(intervals) == (True, None)
+    best = min(timeit.repeat(lambda: is_energy_decoupled(intervals), number=1, repeat=3))
+    assert best <= 0.15
 
 
 def test_filling_efficiency():
