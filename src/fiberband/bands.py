@@ -47,9 +47,9 @@ def make_bandset(intervals) -> BandSet:
     """Validate and sort intervals into a BandSet.
 
     Raises EmptyBandSet on an empty list, OverlappingIntervals if any
-    two intervals intersect (shared endpoints count as intersecting, so
-    every edge bin belongs to exactly one channel), and BandError if a
-    bound is not finite or some lo >= hi.
+    two intervals intersect (shared endpoints count as intersecting;
+    `fields.band_mask` also rejects a bin in two intervals), and
+    BandError if a bound is not finite or some lo >= hi.
     """
     ivs = [(float(lo), float(hi)) for lo, hi in intervals]
     if not ivs:

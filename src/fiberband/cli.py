@@ -143,10 +143,10 @@ def cmd_plan(args) -> int:
         raise ValueError(f"--n: {n} channels exceed the bose budget of {BOSE_BUDGET}")
     if not 0 < width < math.inf:
         raise ValueError(f"--width-ghz: must be finite and positive, got {width}")
-    if args.mode == "densest":
-        seq = densest_sidon(n)
-    else:
-        seq = sidon_for_channels(n)
+    try:
+        seq = densest_sidon(n) if args.mode == "densest" else sidon_for_channels(n)
+    except ValueError as exc:
+        raise ValueError(f"--n: {exc}") from None
     # widths in GHz carry through; the verdict and eta are scale-free, so certify
     # at width 1, where floats hold the slot edges exactly and touching sums stay apart
     try:

@@ -132,7 +132,8 @@ class ExperimentConfig:
             grid_name = "channel_count" if self.span_w is None else "span_w"
             reach = 1 if self.channel_count == 1 else self.span_w or _SPAN_W
         dt = self.dt_ps * 1e-12
-        nyquist = -bin_omegas(self.n, dt)[0] / GHZ
+        edge = -bin_omegas(self.n, dt)[0]  # the Nyquist edge, n // 2 bins above 0
+        nyquist, spacing = edge / GHZ, edge / (self.n // 2)  # a power of two: exact
 
         def above_nyquist(top_ghz: float):
             fail("width_ghz", f"top channel edge {top_ghz:g} GHz is not below "
@@ -146,23 +147,26 @@ class ExperimentConfig:
             above_nyquist(top_ghz)
         try:
             grid = self.channels()
+            rows = band_mask(self.n, dt, grid)
+        except BandOutOfRange:
+            above_nyquist(grid.hi / GHZ)
         except OverlappingIntervals as exc:
             a, b = (f"[{lo / GHZ:g}, {hi / GHZ:g}]" for lo, hi in exc.pair)
+            (_, a_hi), (b_lo, _) = exc.pair
+            if a_hi < b_lo:  # disjoint, so both edges sit on the one bin they share
+                shared = round(0.5 * (a_hi + b_lo) / spacing) * spacing / GHZ
+                fail(grid_name, f"channels {a} and {b} GHz share the frequency bin at "
+                     f"{shared:g} GHz ({setting('n')}, {setting('dt_ps')})")
             fail(grid_name, f"channels {a} and {b} GHz overlap")
         except (BandError, NotIncreasing) as exc:
             fail(grid_name, str(exc))
-        try:
-            band_mask(self.n, dt, grid)
-        except BandOutOfRange:
-            above_nyquist(grid.hi / GHZ)
         # launch_field gives each pulse its whole channel as support, and
         # rrc_pulse needs a bin in that support
-        for number, (lo, hi) in enumerate(grid.intervals, start=1):
-            if not band_mask(self.n, dt, make_bandset([(lo, hi)])).any():
-                spacing = bin_omegas(self.n, dt)[self.n // 2 + 1] / GHZ  # first bin above 0
+        for number, ((lo, hi), row) in enumerate(zip(grid.intervals, rows), start=1):
+            if not row.any():
                 fail("width_ghz", f"channel {number} [{lo / GHZ:g}, {hi / GHZ:g}] GHz "
                      f"holds no frequency bin: width {self.width_ghz!r} GHz against a bin "
-                     f"spacing of {spacing:g} GHz ({setting('n')}, {setting('dt_ps')})")
+                     f"spacing of {spacing / GHZ:g} GHz ({setting('n')}, {setting('dt_ps')})")
         if not 0.0 <= self.rolloff <= 1.0:
             fail("rolloff", "must lie in [0, 1]")
         for name in ("energies_pj", "phases_rad"):

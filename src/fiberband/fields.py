@@ -20,8 +20,8 @@ EDGE_TOL of it, which absorbs last-ulp noise when channel edges are
 constructed to land exactly on bin centers.
 
 This module alone knows the spectral bookkeeping: `bin_omegas` builds
-the bin grid, `band_mask` the masks and the one check of the represented
-window, and `band_energy` the energy of masked bins. The propagator uses
+the bin grid, `band_mask` a mask row per channel and the one window
+check, and `band_energy` the energy of masked bins. The propagator uses
 them in raw FFT order; brick-wall filtering is a propagator step.
 """
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import BandSet, make_bandset
+from .bands import BandSet, OverlappingIntervals, make_bandset
 
 # Fraction of a bin spacing by which closed-interval membership is
 # widened. Must stay well below 1 so it can never capture a neighbour.
@@ -148,9 +148,9 @@ def inverse(s: Spectrum) -> SampledField:
 
 
 def band_mask(n: int, dt: float, band: BandSet) -> np.ndarray:
-    """Boolean mask of the bins of `bin_omegas(n, dt)` inside `band`.
-
-    A bin belongs to the closed band set when its center does. The grid
+    """Bool rows, one per interval of `band`: row i masks the bins of
+    `bin_omegas(n, dt)` whose centers lie in closed interval i. A bin in
+    two rows raises OverlappingIntervals naming both intervals. The grid
     represents [-(n//2)*domega, (n//2)*domega); a band reaching outside
     it raises BandOutOfRange.
     """
@@ -161,18 +161,20 @@ def band_mask(n: int, dt: float, band: BandSet) -> np.ndarray:
             f"band [{band.lo:g}, {band.hi:g}] exceeds represented "
             f"[-{half_span:g}, {half_span:g}) rad/s"
         )
-    omegas = bin_omegas(n, dt)
     tol = EDGE_TOL * domega
-    mask = np.zeros(n, dtype=bool)
-    for lo, hi in band.intervals:
-        mask |= (omegas >= lo - tol) & (omegas <= hi + tol)
-    return mask
+    lo, hi = np.array(band.intervals).T[:, :, None]  # columns against the bins
+    omegas = bin_omegas(n, dt)
+    rows = (omegas >= lo - tol) & (omegas <= hi + tol)
+    if (count := rows.sum(axis=0)).max() > 1:  # a bin in two rows
+        a, b = np.flatnonzero(rows[:, count.argmax()])[:2]
+        raise OverlappingIntervals(band.intervals[a], band.intervals[b])
+    return rows
 
 
 def band_energy(power: np.ndarray, mask: np.ndarray, dt: float) -> float:
     """Energy in J of the bins `mask` selects from power = |fft(q)|^2.
 
-    Both are in raw FFT order: mask is `ifftshift(band_mask(n, dt, band))`.
+    Both are in raw FFT order, as the rows of `ifftshift(band_mask(...), axes=1)` are.
     """
     return float(np.sum(power[mask])) * (dt / power.size)
 
@@ -229,7 +231,7 @@ def rrc_pulse(
     center, width = 0.5 * (lo + hi), hi - lo
     _check_pow2(n)
     # the window check and the support; raises BandOutOfRange
-    support = band_mask(n, dt, make_bandset([channel]))
+    (support,) = band_mask(n, dt, make_bandset([channel]))
 
     omegas = bin_omegas(n, dt)
     amp = np.zeros(n)

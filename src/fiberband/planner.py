@@ -282,27 +282,23 @@ def is_energy_decoupled(channels) -> tuple[bool, tuple | None]:
     O(M log M), i.e. O(N^2 log N), with no Python loop over them. A sum
     interval that rounding collapsed to a point carries no bandwidth
     and stays out of the sweep. A sum interval with an edge that
-    overflowed is not a point: it raises BandError naming its two
-    channels, since nothing can be certified about it; the grid's outer
-    edges are checked for that before any array sum is formed. The
-    first flagged interval in enumeration order has all its partners
-    later, so it is the witness's first pair, and the second is the
-    first interval after it that overlaps it.
+    overflowed is not a point: the first in enumeration order raises
+    BandError naming its two channels, since nothing can be certified
+    about it. The first flagged interval in enumeration order has all
+    its partners later, so it is the witness's first pair, and the
+    second is the first interval after it that overlaps it.
     """
     intervals = [(float(lo), float(hi)) for lo, hi in channels]
-    band = make_bandset(intervals)
-    n = len(intervals)
-    # rounding is monotone, so every sum edge lies in [2 lo, 2 hi] of the grid
-    if not (math.isfinite(2 * band.lo) and math.isfinite(2 * band.hi)):
-        for i, (lo_i, hi_i) in enumerate(intervals):
-            for j, (lo_j, hi_j) in enumerate(intervals[i:], start=i):
-                edges = (lo_i + lo_j, hi_i + hi_j)
-                if not all(map(math.isfinite, edges)):
-                    raise BandError(f"channels {i + 1} and {j + 1}: sum interval {edges} "
-                                    "overflows a float")
+    make_bandset(intervals)
     lo, hi = np.array(intervals).T
-    first, second = np.triu_indices(n)
-    sum_lo, sum_hi = lo[first] + lo[second], hi[first] + hi[second]
+    first, second = np.triu_indices(len(intervals))
+    with np.errstate(over="ignore"):  # an overflowed edge raises below
+        sum_lo, sum_hi = lo[first] + lo[second], hi[first] + hi[second]
+    finite = np.isfinite(sum_lo) & np.isfinite(sum_hi)
+    if not finite.all():
+        k = finite.argmin()  # the first in enumeration order
+        raise BandError(f"channels {first[k] + 1} and {second[k] + 1}: sum interval "
+                        f"{(float(sum_lo[k]), float(sum_hi[k]))} overflows a float")
     (kept,) = np.nonzero(sum_lo < sum_hi)
     swept = kept[np.lexsort((sum_hi[kept], sum_lo[kept]))]  # stable: (lo, hi, index) order
     swept_lo, swept_hi = sum_lo[swept], sum_hi[swept]

@@ -36,11 +36,11 @@ multiply and the FFT butterflies, barring subnormals.
 `propagate` drives `_step_kernel`, the only code that steps or filters
 a field; a single filtered step is `propagate` with z_total = dz =
 record_every and a distributed filter mode. Both work in raw FFT order
-on the grid and masks of `fields.bin_omegas` and `fields.band_mask`:
-the filter is the OR of the channel masks the trace books, and every
-band energy recorded here is `fields.band_energy`. The trace's total is
-the full-spectrum energy at every record, in every filter mode: the sum
-over all bins, in band or not.
+on the grid of `fields.bin_omegas` and the channel rows of one
+`fields.band_mask` call: the filter is the union of the rows the trace
+books, and every band energy recorded here is `fields.band_energy`.
+The trace's total is the full-spectrum energy at every record, in every
+filter mode: the sum over all bins, in band or not.
 
 All quantities are SI: m, s, rad/s, W, J.
 """
@@ -52,8 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import BandSet, make_bandset
-from .fields import SampledField, band_energy, band_mask, bin_omegas, transform
+from .bands import BandSet
+from .fields import SampledField, Spectrum, band_energy, band_mask, bin_omegas, transform
 
 LN10 = float(np.log(10.0))
 
@@ -203,7 +203,8 @@ def propagate(
     """Propagate over z_total, recording an EnergyTrace.
 
     channels is the channel grid: its intervals, in frequency order, are
-    the channels of the trace, and the OR of their masks is the filter.
+    the channels of the trace, and the union of their `band_mask` rows is
+    the filter; channels that share a bin raise OverlappingIntervals.
     `mode` is one stride of steps between filter sites: 1 distributed,
     spacing / dz lumped, 0 (never) unfiltered. dz must be positive and
     divide z_total, record_every and (in lumped mode) the filter spacing,
@@ -229,17 +230,14 @@ def propagate(
         filt_stride = stride(mode.spacing, "filter spacing")
     n, dt, t0 = f0.n, f0.dt, f0.t0
 
-    channel_masks = [
-        np.fft.ifftshift(band_mask(n, dt, make_bandset([iv]))) for iv in channels.intervals
-    ]
-    inband = np.logical_or.reduce(channel_masks)  # the filter
+    channel_masks = np.fft.ifftshift(band_mask(n, dt, channels), axes=1)
     scale = dt / n  # |FFT(q)|^2 summed equals n * sum|q|^2; scale restores joules
 
     omegas = np.fft.ifftshift(bin_omegas(n, dt))
     disp_phase = np.exp(0.5j * params.beta2 * dz * omegas**2) / n  # the ifft's 1/n
     decay = float(np.exp(-0.5 * params.alpha0 * dz))
     gdz = params.gamma * dz
-    oob = np.flatnonzero(~inband)
+    oob = np.flatnonzero(~channel_masks.any(axis=0))  # the bins the filter stops
 
     rows = []
 
@@ -281,15 +279,14 @@ def channel_energy_rhs(
 
     with exact linear convolutions (zero-padded FFTs of length 2n). The
     field is expected to be band-limited to the channel grid `channels`,
-    whose interval n_channel (counted from 0) is channel n; out-of-band
-    content contributes mixing paths the channel bookkeeping cannot
-    attribute. Useful as an independent check on the slope of a
-    propagated per-channel energy trace.
+    whose interval n_channel (counted from 0), with the bins of its
+    `band_mask` row, is channel n; out-of-band content contributes mixing
+    paths the channel bookkeeping cannot attribute. Useful as an
+    independent check on the slope of a propagated per-channel trace.
     """
     s = transform(f)
     q_full = s.coefficients
-    mask = band_mask(s.n, s.dt, make_bandset([channels.intervals[n_channel]]))
-    q_chan = np.where(mask, q_full, 0.0)
+    q_chan = np.where(band_mask(s.n, s.dt, channels)[n_channel], q_full, 0.0)
     dw = s.domega
 
     m = 2 * s.n
@@ -298,6 +295,5 @@ def channel_energy_rhs(
     conv_chan = np.fft.ifft(np.fft.fft(q_chan, m) * full_f) * dw
 
     integral = np.sum(conv_full * np.conj(conv_chan)) * dw
-    power = np.abs(np.fft.fft(f.samples)) ** 2
-    energy_n = band_energy(power, np.fft.ifftshift(mask), f.dt)
+    energy_n = Spectrum(q_chan, s.dt, s.t0).energy()
     return -alpha0 * energy_n - gamma / (4.0 * np.pi**3) * float(np.imag(integral))

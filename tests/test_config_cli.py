@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from fiberband import cli
+from fiberband.bands import OverlappingIntervals, make_bandset
 from fiberband.cli import BOSE_BUDGET, cmd_check, main, resolve_config
 from fiberband.config import (
     GHZ,
@@ -25,6 +26,8 @@ from fiberband.config import (
     emit_config,
     parse_config,
 )
+from fiberband.fields import SampledField
+from fiberband.propagation import FiberParams, FilterMode, propagate
 
 
 def sidon_cfg(**kw) -> ExperimentConfig:
@@ -125,6 +128,8 @@ def test_parse_rejects_garbage():
         (dict(sequence=(1, 2, 5, 10, 10**300)), "channels.width_ghz"),
         (dict(sequence=(1, 2, 5, 10, 10**309)), "channels.width_ghz"),
         (dict(placement="uniform", span_w=23.0, width_ghz=1e300), "channels.width_ghz"),
+        # 1e310 steps of 0.1 um: the step count is past the largest float
+        (dict(z_total_km=1e300, dz_km=1e-10), "run.dz_km"),
     ],
 )
 def test_validate_reports_the_offending_key(changes, field):
@@ -162,6 +167,36 @@ def test_grid_errors_speak_in_ghz():
     assert str(exc.value) == (
         "channels.count: channels [0, 1] and [0.758621, 1.75862] GHz overlap"
     )
+
+
+def test_channels_that_share_a_bin_fail_naming_the_grid_key():
+    # five 1 GHz channels over 5 + 1e-12 widths are disjoint intervals,
+    # but each inner edge pair falls within EDGE_TOL of one 31.25 MHz bin,
+    # which two channels would then both book
+    uniform = dict(placement="uniform", sequence=None, channel_count=5,
+                   energies_pj=None, phases_rad=None)
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(span_w=5.0 + 1e-12, **uniform)
+    assert str(exc.value) == (
+        "channels.span_w: channels [0, 1] and [1, 2] GHz share the frequency bin at 1 GHz "
+        "(grid.n = 2048, grid.dt_ps = 15.625)"
+    )
+    # the grid as `channels` builds it, handed to the propagator directly
+    w = GHZ
+    step = ((5.0 + 1e-12) * w - w) / 4
+    centers = [0.5 * w + i * step for i in range(5)]
+    chans = make_bandset([(c - 0.5 * w, c + 0.5 * w) for c in centers])
+    launch = SampledField(np.zeros(2048), 15.625e-12, -16e-9)
+    with pytest.raises(OverlappingIntervals):
+        propagate(launch, 1e3, 1e3, FiberParams(), FilterMode("distributed"), chans, 1e3)
+
+
+def test_a_two_sample_grid_names_the_channel_without_a_bin():
+    # bins at -32 and 0 GHz: the second 1 MHz channel holds neither
+    with pytest.raises(ConfigError, match=r"^channels\.width_ghz: channel 2 .* "
+                       r"bin spacing of 32 GHz \(grid\.n = 2,"):
+        ExperimentConfig(n=2, placement="uniform", sequence=None, channel_count=3,
+                         span_w=3.0, width_ghz=0.001, energies_pj=None, phases_rad=None)
 
 
 def test_channels_wider_than_a_bin_launch():
@@ -553,7 +588,8 @@ def test_cli_plan_densest_fails_at_once_past_the_budget(capsys):
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: no length-18 sequence within span 150: its top slot is at least 154\n"
+    assert captured.err == ("error: --n: no length-18 sequence within span 150: its top slot "
+                            "is at least 154\n")
 
 
 def test_cli_plan_bose_fails_at_once_past_the_budget(capsys):
@@ -681,6 +717,7 @@ def test_cli_three_tone_rejects_bad_list(capsys):
         ("--dz-m", "0.3"),
         ("--spacing-ghz", "nan"),
         ("--powers-w", "nan,1,1"),
+        ("--powers-w", "1,x,1"),
         ("--powers-w", "-1,1,1"),
         ("--phases-rad", "inf,0,0"),
         ("--beta2-ps2-per-km", "nan"),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fiberband.bands import BandSet, make_bandset
+from fiberband.bands import BandSet, OverlappingIntervals, make_bandset
 from fiberband.config import GHZ, ConfigError, ExperimentConfig
 from fiberband.fields import (
     BandOutOfRange,
@@ -124,13 +124,13 @@ def test_field_rejects_non_finite_input(samples, dt, t0):
 
 def test_band_mask_closed_interval_with_edge_snap():
     # dt = 1: 8 bins at (m-4)*pi/4, -pi .. 3pi/4
-    m = band_mask(8, 1.0, make_bandset([(0.0, np.pi / 4)]))
+    (m,) = band_mask(8, 1.0, make_bandset([(0.0, np.pi / 4)]))
     assert list(np.nonzero(m)[0]) == [4, 5]
     # an edge a hair inside the bin still owns it
-    m2 = band_mask(8, 1.0, make_bandset([(1e-12, np.pi / 4 - 1e-12)]))
+    (m2,) = band_mask(8, 1.0, make_bandset([(1e-12, np.pi / 4 - 1e-12)]))
     assert np.array_equal(m2, m)
     # but half a bin away it does not
-    m3 = band_mask(8, 1.0, make_bandset([(np.pi / 8, np.pi / 4)]))
+    (m3,) = band_mask(8, 1.0, make_bandset([(np.pi / 8, np.pi / 4)]))
     assert list(np.nonzero(m3)[0]) == [5]
 
 
@@ -138,6 +138,18 @@ def test_band_mask_range_check():
     with pytest.raises(BandOutOfRange):
         band_mask(8, 1.0, make_bandset([(3 * np.pi / 4, np.pi)]))  # hits Nyquist
     band_mask(8, 1.0, make_bandset([(-np.pi, -np.pi / 2)]))  # -pi is represented
+
+
+def test_band_mask_has_a_row_per_interval_and_books_a_bin_once():
+    # dt = 1: 8 bins at (m-4)*pi/4, -pi .. 3pi/4
+    rows = band_mask(8, 1.0, make_bandset([(0.0, np.pi / 4), (-np.pi, -np.pi / 2)]))
+    assert rows.shape == (2, 8)
+    assert [list(np.nonzero(r)[0]) for r in rows] == [[0, 1, 2], [4, 5]]
+    # disjoint, but both edges fall within EDGE_TOL of the bin at pi/4
+    a, b = (0.0, np.pi / 4), (np.pi / 4 * (1 + 1e-12), np.pi / 2)
+    with pytest.raises(OverlappingIntervals) as exc:
+        band_mask(8, 1.0, make_bandset([a, b]))
+    assert exc.value.pair == (a, b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -156,7 +168,7 @@ def test_band_energy_splits_the_field_energy(log2n, dt, k, seed):
     # bin above one of 2k distinct bins, so every band holds a bin
     bins = np.sort(rng.choice(np.arange(-(n // 2), n // 2), size=2 * k, replace=False))
     edges = (bins + rng.uniform(0.0, 0.99, size=2 * k)) * s.domega
-    mask = band_mask(n, dt, make_bandset(edges.reshape(k, 2)))
+    mask = band_mask(n, dt, make_bandset(edges.reshape(k, 2))).any(axis=0)
     power = np.abs(np.fft.fft(f.samples)) ** 2
     inside = band_energy(power, np.fft.ifftshift(mask), dt)
     outside = band_energy(power, np.fft.ifftshift(~mask), dt)
@@ -213,7 +225,7 @@ def test_rrc_pulse_energy_band_and_peak():
     f = rrc_pulse(channel, 0.15, energy=2.5, phase=0.8, dt=dt, n=n, t0=t0)
     assert f.energy() == pytest.approx(2.5, rel=1e-12)
     chan = make_bandset([channel])
-    mask = np.fft.ifftshift(band_mask(n, dt, chan))
+    (mask,) = np.fft.ifftshift(band_mask(n, dt, chan), axes=1)
     power = np.abs(np.fft.fft(f.samples)) ** 2
     assert band_energy(power, mask, dt) == pytest.approx(2.5, rel=1e-12)
     assert int(np.argmax(np.abs(f.samples))) == n // 2

@@ -22,6 +22,7 @@ from fiberband.propagation import (
     InvalidStepPartition,
     channel_energy_rhs,
     propagate,
+    step_count,
 )
 
 N, DT = 512, 15.625e-12
@@ -32,7 +33,7 @@ W = 32 * DOMEGA  # channel width, 32 bins
 
 def energy_in(f, band):
     power = np.abs(np.fft.fft(f.samples)) ** 2
-    return band_energy(power, np.fft.ifftshift(band_mask(f.n, f.dt, band)), f.dt)
+    return band_energy(power, np.fft.ifftshift(band_mask(f.n, f.dt, band).any(axis=0)), f.dt)
 
 
 def two_channel_launch(n=N):
@@ -81,6 +82,13 @@ def test_trace_helpers():
     assert tr.total_loss_fraction() == pytest.approx(0.25)
     # zero-launch channels are excluded from the deviation
     assert tr.max_channel_deviation() == pytest.approx(0.2)
+
+
+def test_dark_trace_has_no_loss_or_deviation():
+    dark = EnergyTrace(z=np.array([0.0, 1.0]), total=np.zeros(2),
+                       per_channel=np.zeros((2, 3)), discarded_cumulative=np.zeros(2))
+    assert dark.max_channel_deviation() == 0.0
+    assert dark.total_loss_fraction() == 0.0
 
 
 def test_linear_propagation_is_exact_dispersion():
@@ -163,6 +171,11 @@ def test_propagate_rejects_bad_step_sizes(z_total, dz, record_every, spacing):
     mode = FilterMode("lumped", spacing)
     with pytest.raises(InvalidStepPartition):
         propagate(f, z_total, dz, FiberParams(), mode, chans, record_every)
+
+
+def test_step_count_of_a_ratio_past_the_largest_float_is_none():
+    assert step_count(1e3, 250.0) == 4
+    assert step_count(1e300, 1e-10) is None  # 1e310 steps overflow to inf
 
 
 def test_propagate_stride_guards():
