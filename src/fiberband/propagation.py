@@ -19,13 +19,18 @@ never masks; plain attenuation always applies.
 The Kerr factor is formed as cos(phi) + j*sin(phi) of the real phase
 phi = |q|^2 * (gamma*dz). The complex exp of j*phi has a real part of
 exactly 0, so it returns those two values to the bit, and the cheaper
-form keeps every trace bit-identical. cos and sin write straight into
-the real and imaginary parts of one complex buffer, and |q| into one
-real buffer; `propagate` allocates both once per call and the kernel
-reuses them every step. The product keeps q as its first operand:
-numpy's complex multiply is not bitwise commutative, and the swapped
-order changes the last bit of some samples. A filter site gathers the
-out-of-band bins by index, books their energy and zeroes them in place.
+form keeps every trace bit-identical. `propagate` allocates, once per
+call, a real buffer for |q| and the phase, a complex buffer whose real
+and imaginary parts cos and sin write straight into, a spectrum buffer
+the forward FFT writes into, and the working field, a copy of the
+launch that the inverse FFT overwrites every step (`out=` in
+`numpy.fft` needs numpy >= 2.0). The product keeps q as its first
+operand: numpy's complex multiply is not bitwise commutative, and the
+swapped order changes the last bit of some samples. A filter site
+gathers the out-of-band bins by index, books their energy and zeroes
+them in place; the gather is the one array a step allocates, because
+numpy's indexing fast path copies them faster than `np.take` into a
+preallocated buffer does.
 
 The inverse FFT's 1/n is folded into the dispersion phase, which is
 built already divided by n, and the inverse runs unscaled
@@ -158,28 +163,30 @@ def step_count(span: float, dz: float) -> int | None:
     return steps if abs(steps * dz - span) <= 1e-9 * span else None
 
 
-def _step_kernel(q, gdz, decay, disp_phase, oob, phi, kerr):
-    """One split step on a raw sample array; returns (q', discarded).
+def _step_kernel(q, gdz, decay, disp_phase, oob, phi, kerr, spec):
+    """One split step on a raw sample array, in place; returns (q, discarded).
 
     gdz is gamma*dz. The Kerr factor is cos(phi) + j*sin(phi) with the
     real phase phi = |q|^2 * gdz, bit for bit what exp(1j*gdz*|q|^2)
     returns, since that argument has a real part of exactly 0. phi (real)
-    and kerr (complex) are scratch buffers of q's size: cos and sin are
-    written into kerr's real and imaginary parts in place, and q times
-    kerr overwrites kerr. q stays the first operand of the product,
-    because numpy's complex multiply is not bitwise commutative. oob
-    indexes the out-of-band bins of a filter site (None elsewhere): their
-    energy is booked before this step's decay, then they are zeroed.
-    disp_phase carries the inverse FFT's 1/n, so the inverse runs
-    unscaled; for a power-of-two n that gives the default ifft to the
-    bit, barring subnormals. Every spectral factor is applied in place.
+    and kerr, spec (complex) are scratch buffers of q's size: cos and sin
+    are written into kerr's real and imaginary parts in place, q times
+    kerr overwrites kerr, and its FFT is written into spec. q stays the
+    first operand of the product, because numpy's complex multiply is not
+    bitwise commutative. oob indexes the out-of-band bins of a filter
+    site (None elsewhere): their energy is booked before this step's
+    decay, then they are zeroed. disp_phase carries the inverse FFT's
+    1/n, so the inverse runs unscaled; for a power-of-two n that gives
+    the default ifft to the bit, barring subnormals. Every spectral
+    factor is applied in place, and the inverse FFT overwrites q, which
+    is returned.
     """
     np.abs(q, out=phi)
     phi *= phi
     phi *= gdz
     np.cos(phi, out=kerr.real)
     np.sin(phi, out=kerr.imag)
-    spec = np.fft.fft(np.multiply(q, kerr, out=kerr))
+    np.fft.fft(np.multiply(q, kerr, out=kerr), out=spec)
     discarded = 0.0
     if oob is not None:
         out = spec[oob]
@@ -188,7 +195,7 @@ def _step_kernel(q, gdz, decay, disp_phase, oob, phi, kerr):
     if decay != 1.0:
         spec *= decay
     spec *= disp_phase
-    return np.fft.ifft(spec, norm="forward"), discarded
+    return np.fft.ifft(spec, norm="forward", out=q), discarded
 
 
 def propagate(
@@ -248,14 +255,15 @@ def propagate(
         chans = [band_energy(power, m, dt) for m in channel_masks]
         rows.append((step_idx * dz, total, *chans, discarded_so_far))
 
-    phi, kerr = np.empty(n), np.empty(n, dtype=complex)  # the kernel's scratch
-    q = f0.samples
+    # the kernel's scratch, and its working field: the launch is read-only
+    phi, kerr, spec = np.empty(n), np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+    q = f0.samples.copy()
     discarded_total = 0.0
     record(0, q, 0.0)
     for s in range(1, steps + 1):
         filtered = filt_stride and s % filt_stride == 0
         q, d = _step_kernel(q, gdz, decay, disp_phase, oob if filtered else None,
-                            phi, kerr)
+                            phi, kerr, spec)
         discarded_total += d * scale
         if s % rec_stride == 0 or s == steps:
             record(s, q, discarded_total)
@@ -283,7 +291,11 @@ def channel_energy_rhs(
     `band_mask` row, is channel n; out-of-band content contributes mixing
     paths the channel bookkeeping cannot attribute. Useful as an
     independent check on the slope of a propagated per-channel trace.
+    An n_channel outside 0..len(channels.intervals) - 1 raises ValueError.
     """
+    count = len(channels.intervals)
+    if not 0 <= n_channel < count:
+        raise ValueError(f"n_channel = {n_channel} is outside the channels 0..{count - 1}")
     s = transform(f)
     q_full = s.coefficients
     q_chan = np.where(band_mask(s.n, s.dt, channels)[n_channel], q_full, 0.0)

@@ -243,11 +243,12 @@ def test_distributed_keeps_field_in_band():
     assert tr.total[-1] == pytest.approx(np.sum(tr.per_channel[-1]), rel=1e-12)
 
 
-def reference_step(q, gdz, decay, disp_phase, oob, phi, kerr):
+def reference_step(q, gdz, decay, disp_phase, oob, phi, kerr, spec):
     """The split step written with the complex exp, a boolean mask, copies
-    and the default-normalised ifft. `propagate` passes the dispersion
-    phase already divided by n, so it is multiplied back (exactly, n being
-    a power of two); the scratch buffers phi and kerr are not used.
+    and the default-normalised ifft, returning fresh arrays. `propagate`
+    passes the dispersion phase already divided by n, so it is multiplied
+    back (exactly, n being a power of two); the scratch buffers phi, kerr
+    and spec are not used.
     """
     q = q * np.exp(1j * gdz * np.abs(q) ** 2)
     spec = np.fft.fft(q)
@@ -286,20 +287,40 @@ def test_step_kernel_matches_reference_formula(monkeypatch, mode, n):
     assert (tr.discarded_cumulative[-1] > 0) == (mode.kind != "none")
 
 
+@pytest.mark.parametrize("oob", [np.arange(100, 300), None], ids=["filtered", "unfiltered"])
+def test_step_kernel_works_in_place(oob):
+    f, _ = two_channel_launch()
+    q0 = f.samples * 3e2
+    gdz, decay = 1.2578e-3 * 100.0, 0.75
+    disp_phase = np.exp(0.5j * np.linspace(-3.0, 3.0, N) ** 2) / N
+    q = q0.copy()
+    phi, kerr, spec = np.empty(N), np.empty(N, dtype=complex), np.empty(N, dtype=complex)
+    out, discarded = propagation._step_kernel(q, gdz, decay, disp_phase, oob, phi, kerr, spec)
+    assert out is q
+    want = np.fft.fft(q0 * np.exp(1j * gdz * np.abs(q0) ** 2))
+    booked = 0.0
+    if oob is not None:
+        booked = float(np.vdot(want[oob], want[oob]).real)
+        want[oob] = 0
+    assert discarded == booked
+    assert np.array_equal(spec, want * decay * disp_phase)
+    assert np.array_equal(q, np.fft.ifft(spec, norm="forward"))
+
+
 def test_propagate_scratch_is_per_call():
     f, chans = two_channel_launch()
     g = SampledField(f.samples * 3e2, DT, T0)
     launch = g.samples.copy()
     params = FiberParams(alpha0=4.6e-5, beta2=-21.667e-27, gamma=1.2578e-3)
-    (out, tr), (again, again_tr) = (
-        propagate(g, 2e3, 100.0, params, FilterMode("lumped", 400.0), chans, 400.0)
-        for _ in range(2)
-    )
-    assert np.array_equal(out.samples, again.samples)
-    for name in ("z", "total", "per_channel", "discarded_cumulative"):
-        assert np.array_equal(getattr(tr, name), getattr(again_tr, name))
-    assert not np.shares_memory(out.samples, again.samples)
-    assert np.array_equal(g.samples, launch)
+    for mode in (FilterMode("distributed"), FilterMode("lumped", 400.0), FilterMode("none")):
+        (out, tr), (again, again_tr) = (
+            propagate(g, 2e3, 100.0, params, mode, chans, 400.0) for _ in range(2)
+        )
+        assert np.array_equal(out.samples, again.samples)
+        for name in ("z", "total", "per_channel", "discarded_cumulative"):
+            assert np.array_equal(getattr(tr, name), getattr(again_tr, name))
+        assert not np.shares_memory(out.samples, again.samples)
+        assert np.array_equal(g.samples, launch)
 
 
 def test_distributed_filter_is_lumped_at_spacing_dz():
@@ -314,6 +335,13 @@ def test_distributed_filter_is_lumped_at_spacing_dz():
     for name in ("z", "total", "per_channel", "discarded_cumulative"):
         assert np.array_equal(getattr(tr, name), getattr(lumped_tr, name))
     assert tr.discarded_cumulative[-1] > 0
+
+
+def test_channel_rhs_rejects_an_index_outside_the_grid():
+    f, chans = two_channel_launch()
+    for n_channel in (-1, len(chans.intervals)):
+        with pytest.raises(ValueError, match=rf"n_channel = {n_channel} .* 0\.\.1$"):
+            channel_energy_rhs(f, n_channel, chans, gamma=1.2578e-3)
 
 
 def test_channel_rhs_single_channel_is_pure_decay():
