@@ -225,8 +225,13 @@ def rrc_pulse(
     spectrum is identically zero outside the channel. The pulse peak
     sits at the center of the time window. Raises BandOutOfRange when
     the channel leaves the window `band_mask` represents, GridTooCoarse
-    when no bin falls inside the channel.
+    when no bin falls inside the channel, and FieldError naming energy
+    or phase when energy is negative or either is not finite.
     """
+    if not 0 <= energy < np.inf:
+        raise FieldError(f"energy = {energy} must be finite and nonnegative")
+    if not np.isfinite(phase):
+        raise FieldError(f"phase = {phase} must be finite")
     lo, hi = channel
     center, width = 0.5 * (lo + hi), hi - lo
     _check_pow2(n)

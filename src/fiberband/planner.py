@@ -31,7 +31,13 @@ class BudgetExceeded(ValueError):
     pass
 
 
-BRUTE_FORCE_BUDGET = 150  # largest span the exhaustive search accepts
+# Largest span the exhaustive search accepts. It bounds the span, not the
+# time. On one core of a 2-vCPU Xeon the table reaches k = 86, its first
+# 12-mark row, in 48-62 s and k = 100 in 296-335 s, row 100 alone taking
+# 65-76 s; each row that finds no longer set takes about 1.3x as long as
+# the one before. Extrapolated, not run: k = 107, which `densest_sidon(13)`
+# needs, about half an hour; k = 128 for 14 marks, longer still.
+BRUTE_FORCE_BUDGET = 150
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,13 @@ inside the channel grid and is effectively infinite outside it: the
 brick-wall filter is the union of the channels, so the band the filter
 passes is the band whose energy the trace books channel by channel.
 One first-order step of size dz applies, in order: the time-domain Kerr
-phase exp(j*gamma*dz*|q|^2); the spectral attenuation exp(-alpha0*dz/2)
-together with the brick-wall mask (zeroing out-of-band bins and booking
-the energy they carried as "discarded"); and the dispersion phase
-exp(j*(beta2/2)*w^2*dz). Distributed filtering masks every step, lumped
-filtering only at multiples of the filter spacing, and unfiltered mode
-never masks; plain attenuation always applies.
+phase exp(j*gamma*dz*|q|^2); at a filter site, the brick-wall mask
+(booking the energy of the out-of-band bins as "discarded", then
+zeroing them); and one linear factor, the attenuation exp(-alpha0*dz/2)
+times the dispersion phase exp(j*(beta2/2)*w^2*dz). Distributed
+filtering masks every step, lumped filtering only at multiples of the
+filter spacing, and unfiltered mode never masks; the linear factor
+always applies, so discards are booked before attenuation.
 
 The Kerr factor is formed as cos(phi) + j*sin(phi) of the real phase
 phi = |q|^2 * (gamma*dz). The complex exp of j*phi has a real part of
@@ -32,11 +33,13 @@ them in place; the gather is the one array a step allocates, because
 numpy's indexing fast path copies them faster than `np.take` into a
 preallocated buffer does.
 
-The inverse FFT's 1/n is folded into the dispersion phase, which is
-built already divided by n, and the inverse runs unscaled
-(norm="forward"). This is exact: `SampledField` holds only power-of-two
-n, and scaling by 2^-k commutes with every rounding of the complex
-multiply and the FFT butterflies, barring subnormals.
+The inverse FFT's 1/n rides in the linear factor too, which `propagate`
+builds once per call as the dispersion phase divided by n, times the
+attenuation, and the inverse runs unscaled (norm="forward"). The 1/n is
+exact: `SampledField` holds only power-of-two n, and scaling by 2^-k
+commutes with every rounding of the complex multiply and the FFT
+butterflies, barring subnormals. In a lossless run the attenuation is
+1.0, so the factor is the dispersion phase divided by n to the bit.
 
 `propagate` drives `_step_kernel`, the only code that steps or filters
 a field; a single filtered step is `propagate` with z_total = dz =
@@ -151,11 +154,13 @@ class EnergyTrace:
 
 def step_count(span: float, dz: float) -> int | None:
     """The number of steps of size dz that make up span, or None if dz
-    does not divide span to within 1e-9 of span.
+    is not positive or does not divide span to within 1e-9 of span.
 
     This is the one divisibility rule for step partitions: `propagate`,
     `ExperimentConfig.validate` and the three-tone integrator apply it.
     """
+    if not dz > 0:
+        return None
     ratio = span / dz
     if not math.isfinite(ratio):
         return None
@@ -163,7 +168,7 @@ def step_count(span: float, dz: float) -> int | None:
     return steps if abs(steps * dz - span) <= 1e-9 * span else None
 
 
-def _step_kernel(q, gdz, decay, disp_phase, oob, phi, kerr, spec):
+def _step_kernel(q, gdz, linear, oob, phi, kerr, spec):
     """One split step on a raw sample array, in place; returns (q, discarded).
 
     gdz is gamma*dz. The Kerr factor is cos(phi) + j*sin(phi) with the
@@ -174,12 +179,12 @@ def _step_kernel(q, gdz, decay, disp_phase, oob, phi, kerr, spec):
     kerr overwrites kerr, and its FFT is written into spec. q stays the
     first operand of the product, because numpy's complex multiply is not
     bitwise commutative. oob indexes the out-of-band bins of a filter
-    site (None elsewhere): their energy is booked before this step's
-    decay, then they are zeroed. disp_phase carries the inverse FFT's
-    1/n, so the inverse runs unscaled; for a power-of-two n that gives
-    the default ifft to the bit, barring subnormals. Every spectral
-    factor is applied in place, and the inverse FFT overwrites q, which
-    is returned.
+    site (None elsewhere): their energy is booked, then they are zeroed,
+    both before the linear factor attenuates the spectrum. linear is the
+    step's one spectral factor: the dispersion phase times the
+    attenuation, divided by n for the inverse FFT, which therefore runs
+    unscaled; for a power-of-two n that gives the default ifft to the bit,
+    barring subnormals. The inverse FFT overwrites q, which is returned.
     """
     np.abs(q, out=phi)
     phi *= phi
@@ -192,9 +197,7 @@ def _step_kernel(q, gdz, decay, disp_phase, oob, phi, kerr, spec):
         out = spec[oob]
         discarded = float(np.vdot(out, out).real)
         spec[oob] = 0
-    if decay != 1.0:
-        spec *= decay
-    spec *= disp_phase
+    spec *= linear
     return np.fft.ifft(spec, norm="forward", out=q), discarded
 
 
@@ -241,8 +244,9 @@ def propagate(
     scale = dt / n  # |FFT(q)|^2 summed equals n * sum|q|^2; scale restores joules
 
     omegas = np.fft.ifftshift(bin_omegas(n, dt))
-    disp_phase = np.exp(0.5j * params.beta2 * dz * omegas**2) / n  # the ifft's 1/n
     decay = float(np.exp(-0.5 * params.alpha0 * dz))
+    # dispersion, the ifft's 1/n and attenuation; x / n * 1.0 is x / n to the bit
+    linear = np.exp(0.5j * params.beta2 * dz * omegas**2) / n * decay
     gdz = params.gamma * dz
     oob = np.flatnonzero(~channel_masks.any(axis=0))  # the bins the filter stops
 
@@ -262,8 +266,7 @@ def propagate(
     record(0, q, 0.0)
     for s in range(1, steps + 1):
         filtered = filt_stride and s % filt_stride == 0
-        q, d = _step_kernel(q, gdz, decay, disp_phase, oob if filtered else None,
-                            phi, kerr, spec)
+        q, d = _step_kernel(q, gdz, linear, oob if filtered else None, phi, kerr, spec)
         discarded_total += d * scale
         if s % rec_stride == 0 or s == steps:
             record(s, q, discarded_total)

@@ -261,3 +261,14 @@ def test_rrc_pulse_guards():
         rrc_pulse((np.pi / dt - 2 * domega, np.pi / dt + 2 * domega), 0.1, 1.0, 0.0, dt, n, t0)
     zero = rrc_pulse((-2 * domega, 2 * domega), 0.1, 0.0, 0.0, dt, n, t0)
     assert zero.energy() == 0.0
+
+
+@pytest.mark.parametrize(
+    "energy, phase, name",
+    [(-1e-12, 0.0, "energy"), (float("inf"), 0.0, "energy"), (float("nan"), 0.0, "energy"),
+     (1.0, float("inf"), "phase"), (1.0, float("nan"), "phase")],
+)
+def test_rrc_pulse_names_a_bad_energy_or_phase(energy, phase, name):
+    n, dt, t0, domega = 256, 0.1, -12.8, 2 * np.pi / 25.6
+    with pytest.raises(FieldError, match=f"^{name} = "):
+        rrc_pulse((-2 * domega, 2 * domega), 0.1, energy, phase, dt, n, t0)

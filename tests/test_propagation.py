@@ -178,6 +178,11 @@ def test_step_count_of_a_ratio_past_the_largest_float_is_none():
     assert step_count(1e300, 1e-10) is None  # 1e310 steps overflow to inf
 
 
+@pytest.mark.parametrize("dz", [-0.5, 0.0])
+def test_step_count_of_a_step_that_is_not_positive_is_none(dz):
+    assert step_count(1.0, dz) is None
+
+
 def test_propagate_stride_guards():
     f, chans = two_channel_launch()
     params = FiberParams()
@@ -243,10 +248,10 @@ def test_distributed_keeps_field_in_band():
     assert tr.total[-1] == pytest.approx(np.sum(tr.per_channel[-1]), rel=1e-12)
 
 
-def reference_step(q, gdz, decay, disp_phase, oob, phi, kerr, spec):
+def reference_step(q, gdz, linear, oob, phi, kerr, spec):
     """The split step written with the complex exp, a boolean mask, copies
     and the default-normalised ifft, returning fresh arrays. `propagate`
-    passes the dispersion phase already divided by n, so it is multiplied
+    passes the linear factor already divided by n, so it is multiplied
     back (exactly, n being a power of two); the scratch buffers phi, kerr
     and spec are not used.
     """
@@ -259,9 +264,7 @@ def reference_step(q, gdz, decay, disp_phase, oob, phi, kerr, spec):
         out = spec[~mask]
         discarded = float(np.vdot(out, out).real)
         spec = np.where(mask, spec, 0.0)
-    if decay != 1.0:
-        spec = spec * decay
-    spec = spec * (disp_phase * q.size)
+    spec = spec * (linear * q.size)
     return np.fft.ifft(spec), discarded
 
 
@@ -273,7 +276,8 @@ def reference_step(q, gdz, decay, disp_phase, oob, phi, kerr, spec):
 )
 def test_step_kernel_matches_reference_formula(monkeypatch, mode, n):
     f, chans = two_channel_launch(n)
-    # Kerr phases up to about 13 rad per step, and alpha0 > 0 so decay != 1
+    # Kerr phases up to about 13 rad per step, and alpha0 > 0 so the
+    # linear factor attenuates
     g = SampledField(f.samples * 3e2, DT, f.t0)
     params = FiberParams(alpha0=4.6e-5, beta2=-21.667e-27, gamma=1.2578e-3)
     runs = []
@@ -295,7 +299,7 @@ def test_step_kernel_works_in_place(oob):
     disp_phase = np.exp(0.5j * np.linspace(-3.0, 3.0, N) ** 2) / N
     q = q0.copy()
     phi, kerr, spec = np.empty(N), np.empty(N, dtype=complex), np.empty(N, dtype=complex)
-    out, discarded = propagation._step_kernel(q, gdz, decay, disp_phase, oob, phi, kerr, spec)
+    out, discarded = propagation._step_kernel(q, gdz, disp_phase * decay, oob, phi, kerr, spec)
     assert out is q
     want = np.fft.fft(q0 * np.exp(1j * gdz * np.abs(q0) ** 2))
     booked = 0.0
@@ -303,7 +307,7 @@ def test_step_kernel_works_in_place(oob):
         booked = float(np.vdot(want[oob], want[oob]).real)
         want[oob] = 0
     assert discarded == booked
-    assert np.array_equal(spec, want * decay * disp_phase)
+    assert np.array_equal(spec, want * (disp_phase * decay))
     assert np.array_equal(q, np.fft.ifft(spec, norm="forward"))
 
 
