@@ -33,12 +33,11 @@ import numpy as np
 from .bands import BandError, BandSet, OverlappingIntervals, make_bandset
 from .fields import BandOutOfRange, SampledField, band_mask, bin_omegas, rrc_pulse
 from .planner import NotIncreasing, plan_channels
-from .propagation import FiberParams, FilterMode, step_count
+from .propagation import FILTERS, FiberParams, FilterMode, step_count
 
 GHZ = 2.0 * math.pi * 1e9  # rad/s per GHz of ordinary frequency
 
 PLACEMENTS = ("sequence", "uniform")
-FILTERS = ("distributed", "lumped", "none")
 _SPAN_W = 23.0  # channel widths a uniform grid spans when span_w is unset
 
 

@@ -44,9 +44,9 @@ BRUTE_FORCE_BUDGET = 150
 class SidonSequence:
     """Strictly increasing positive values: the slots of a channel grid.
 
-    Only the order and the sign are checked. Distinct pairwise sums are
-    not: `is_sidon` decides that, and a config's `sequence` placement
-    accepts any such grid."""
+    Only the order and the sign are checked, not that the pairwise sums
+    are distinct: a config's `sequence` placement accepts any such grid,
+    and `is_energy_decoupled` decides whether its channels decouple."""
 
     values: tuple
 
@@ -63,20 +63,6 @@ class SidonSequence:
 
     def __len__(self):
         return len(self.values)
-
-
-def is_sidon(m) -> bool:
-    """All pairwise sums m_i + m_j, i <= j, are distinct (integers)."""
-    vals = SidonSequence(tuple(m)).values
-    if any(int(v) != v for v in vals):
-        raise ValueError("integer Sidon check needs positive integers")
-    sums = set()
-    for i, a in enumerate(vals):
-        for b in vals[i:]:
-            if a + b in sums:
-                return False
-            sums.add(a + b)
-    return True
 
 
 def bose_sequence(n: int) -> SidonSequence:

@@ -61,9 +61,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import BandSet
-from .fields import SampledField, Spectrum, band_energy, band_mask, bin_omegas, transform
+from .fields import SampledField, band_energy, band_mask, bin_omegas
 
 LN10 = float(np.log(10.0))
+FILTERS = ("distributed", "lumped", "none")  # FilterMode kinds; config checks run.filter too
 
 
 class InvalidStepPartition(ValueError):
@@ -113,7 +114,7 @@ class FilterMode:
     spacing: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("distributed", "lumped", "none"):
+        if self.kind not in FILTERS:
             raise ValueError(f"unknown filter kind {self.kind!r}")
         if self.kind == "lumped" and not (self.spacing and self.spacing > 0):
             raise ValueError("lumped filtering needs a positive spacing")
@@ -274,41 +275,3 @@ def propagate(
     cols = np.array(rows).T  # z, total, the channels, discarded
     return SampledField(q, dt, t0), EnergyTrace(cols[0], cols[1], cols[2:-1].T, cols[-1])
 
-
-def channel_energy_rhs(
-    f: SampledField,
-    n_channel: int,
-    channels: BandSet,
-    gamma: float,
-    alpha0: float = 0.0,
-) -> float:
-    """Instantaneous dE_n/dz in J/m from the spectral mixing integral.
-
-    Evaluates
-
-        -alpha0*E_n - (gamma/4pi^3) * Im{ sum (Q conv Q) conj(Q_n conv Q) }
-
-    with exact linear convolutions (zero-padded FFTs of length 2n). The
-    field is expected to be band-limited to the channel grid `channels`,
-    whose interval n_channel (counted from 0), with the bins of its
-    `band_mask` row, is channel n; out-of-band content contributes mixing
-    paths the channel bookkeeping cannot attribute. Useful as an
-    independent check on the slope of a propagated per-channel trace.
-    An n_channel outside 0..len(channels.intervals) - 1 raises ValueError.
-    """
-    count = len(channels.intervals)
-    if not 0 <= n_channel < count:
-        raise ValueError(f"n_channel = {n_channel} is outside the channels 0..{count - 1}")
-    s = transform(f)
-    q_full = s.coefficients
-    q_chan = np.where(band_mask(s.n, s.dt, channels)[n_channel], q_full, 0.0)
-    dw = s.domega
-
-    m = 2 * s.n
-    full_f = np.fft.fft(q_full, m)
-    conv_full = np.fft.ifft(full_f * full_f) * dw
-    conv_chan = np.fft.ifft(np.fft.fft(q_chan, m) * full_f) * dw
-
-    integral = np.sum(conv_full * np.conj(conv_chan)) * dw
-    energy_n = Spectrum(q_chan, s.dt, s.t0).energy()
-    return -alpha0 * energy_n - gamma / (4.0 * np.pi**3) * float(np.imag(integral))

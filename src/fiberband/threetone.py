@@ -17,6 +17,8 @@ The per-tone power laws are
 whose sum vanishes identically. The amplitude equations below are the
 unique SPM/XPM/mixing form consistent with those laws; each tone also
 carries the linear phase j*(beta2/2)*w_n^2 from the dispersion operator.
+The laws themselves are written out once more among the test suite's
+oracles (`tests/oracles.py`), which check the integrated trajectory.
 """
 
 from __future__ import annotations
@@ -54,13 +56,6 @@ def _rhs(q: np.ndarray, domega: float, beta2: float, gamma: float) -> np.ndarray
     d2 = 1j * gamma * ((p2 + 2 * (p1 + p3)) * q2 + 2 * q1 * np.conj(q2) * q3)
     d3 = disp * q3 + 1j * gamma * ((p3 + 2 * (p1 + p2)) * q3 + q2 * q2 * np.conj(q1))
     return np.array([d1, d2, d3])
-
-
-def power_rhs(state: ToneState, gamma: float) -> tuple[float, float, float]:
-    """dP_n/dz from the mixing term alone; sums to zero identically."""
-    q1, q2, q3 = state.q1, state.q2, state.q3
-    flow = gamma * np.imag(np.conj(q1) * q2 * q2 * np.conj(q3))
-    return (-2.0 * flow, 4.0 * flow, -2.0 * flow)
 
 
 def integrate_tones(

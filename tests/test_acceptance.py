@@ -25,7 +25,6 @@ from fiberband.fields import (
 from fiberband.planner import (
     bose_sequence,
     erdos_bound,
-    is_sidon,
     max_sidon_table,
     next_prime_power,
     plan_channels,
@@ -34,10 +33,11 @@ from fiberband.planner import (
 from fiberband.propagation import (
     FiberParams,
     FilterMode,
-    channel_energy_rhs,
     propagate,
 )
-from fiberband.threetone import ToneState, integrate_tones, power_rhs
+from fiberband.threetone import ToneState, integrate_tones
+
+from oracles import channel_energy_rhs, is_sidon, power_rhs
 
 KM = 1e3
 RUN_KM = 160.0

@@ -4,7 +4,7 @@ The three-tone coupled-mode integrator and the split-step propagator
 share no code beyond the parameter container: one runs Runge-Kutta on
 three complex ODEs, the other runs FFT cycles on a sampled field.
 Launching three CW tones on exact grid bins makes them comparable.
-Likewise channel_energy_rhs (a frequency-domain mixing integral) is
+Likewise `oracles.channel_energy_rhs` (a frequency-domain mixing integral) is
 checked against finite differences of a propagated energy trace.
 """
 
@@ -16,13 +16,10 @@ import pytest
 from fiberband.bands import make_bandset
 from fiberband.cli import resolve_config
 from fiberband.fields import SampledField
-from fiberband.propagation import (
-    FiberParams,
-    FilterMode,
-    channel_energy_rhs,
-    propagate,
-)
+from fiberband.propagation import FiberParams, FilterMode, propagate
 from fiberband.threetone import ToneState, integrate_tones
+
+from oracles import channel_energy_rhs
 
 PARAMS = FiberParams.from_engineering(0.0, -21.667, 1.2578)
 

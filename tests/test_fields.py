@@ -64,6 +64,8 @@ def test_round_trip_and_parseval():
     g = inverse(transform(f))
     assert np.max(np.abs(g.samples - q)) < 1e-12 * np.max(np.abs(q))
     assert g.t0 == f.t0 and g.dt == f.dt
+    # no energy in either domain: no disagreement, rather than 0 / 0
+    assert parseval_residual(SampledField(np.zeros(512, dtype=complex), 0.7, -100.0)) == 0.0
 
 
 # dt values for which 2*pi/(n*(2*pi/(n*dt))) is not dt to the bit, so a

@@ -30,13 +30,14 @@ from fiberband.planner import (
     densest_sidon,
     erdos_bound,
     is_energy_decoupled,
-    is_sidon,
     max_sidon_table,
     next_prime_power,
     plan_channels,
     sidon_for_channels,
     spectral_filling_efficiency,
 )
+
+from oracles import is_sidon
 
 BOSE_11 = (1, 6, 22, 62, 68, 69, 71, 88, 99, 103, 113)
 
@@ -110,6 +111,8 @@ def test_next_prime_power_and_truncation():
     six = sidon_for_channels(6)  # Bose(7) truncated; prefixes stay Sidon
     assert is_sidon(six) and len(six) == 6
     assert sidon_for_channels(1).values == (1,)
+    with pytest.raises(ValueError, match="at least one channel"):
+        sidon_for_channels(0)
 
 
 def test_brute_force_small_table():
@@ -132,6 +135,8 @@ def test_densest_sidon():
     assert densest_sidon(4).values == (1, 2, 5, 7)
     assert densest_sidon(5).values == (1, 2, 5, 10, 12)
     assert densest_sidon(1).values == (1,)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        densest_sidon(0)
     # 18 marks need 153 distinct differences, so a top slot past the
     # budget: this fails before any row is searched
     with pytest.raises(BudgetExceeded, match="top slot is at least 154"):

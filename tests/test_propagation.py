@@ -20,10 +20,11 @@ from fiberband.propagation import (
     FiberParams,
     FilterMode,
     InvalidStepPartition,
-    channel_energy_rhs,
     propagate,
     step_count,
 )
+
+from oracles import channel_energy_rhs
 
 N, DT = 512, 15.625e-12
 T0 = -0.5 * N * DT

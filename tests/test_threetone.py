@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fiberband.propagation import FiberParams
-from fiberband.threetone import ToneState, _rhs, integrate_tones, power_rhs
+from fiberband.threetone import ToneState, _rhs, integrate_tones
+
+from oracles import power_rhs
 
 PARAMS = FiberParams(beta2=-21.667e-27, gamma=1.2578e-3)
 DOM = 2 * np.pi * 10e9
