@@ -35,7 +35,7 @@ from .planner import (
     spectral_filling_efficiency,
 )
 from .propagation import FiberParams, propagate, step_count
-from .threetone import ToneState, integrate_tones
+from .threetone import TonesNotFinite, ToneState, integrate_tones
 
 
 # Largest --n that `plan --mode bose` accepts. Building GF(N) and
@@ -215,6 +215,10 @@ def _tone_flags(args) -> tuple[list[float], list[float]]:
     check("phases_rad", all(map(math.isfinite, phases)), "finite")
     for dest in ("spacing_ghz", "beta2_ps2_per_km", "gamma_per_w_km"):
         check(dest, math.isfinite(getattr(args, dest)), "finite")
+    domega = args.spacing_ghz * GHZ  # the dispersion phase needs its square
+    check("spacing_ghz", math.isfinite(domega * domega),
+          f"below {math.sqrt(sys.float_info.max) / GHZ:.4g} GHz, where its angular "
+          "frequency squared leaves the floats")
     check("z_km", 0 <= args.z_km < math.inf, "finite and nonnegative")
     check("dz_m", 0 < args.dz_m < math.inf, "finite and positive")
     check("dz_m", step_count(args.z_km * 1e3, args.dz_m) is not None,
@@ -229,7 +233,19 @@ def cmd_three_tone(args) -> int:
     params = FiberParams.from_engineering(
         0.0, args.beta2_ps2_per_km, args.gamma_per_w_km
     )
-    traj = integrate_tones(state, args.z_km * 1e3, args.dz_m, params)
+    try:
+        traj = integrate_tones(state, args.z_km * 1e3, args.dz_m, params)
+    except TonesNotFinite as exc:
+        # name the faster of the two phase rotations the step could not follow
+        dispersion = 0.5 * abs(params.beta2) * state.domega * state.domega
+        kerr = abs(params.gamma) * sum(powers)
+        flag, what, rate = (
+            ("--spacing-ghz", "dispersion phase (with --beta2-ps2-per-km)", dispersion)
+            if dispersion >= kerr else ("--powers-w", "Kerr phase (with --gamma-per-w-km)", kerr))
+        raise ValueError(
+            f"{flag}: the tone powers stop being finite at z = {exc.z / 1e3!r} km, as the "
+            f"{what} turns {rate * args.dz_m:.3g} rad in one --dz-m step"
+        ) from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "three_tone.csv"
@@ -238,9 +254,9 @@ def cmd_three_tone(args) -> int:
         writer.writerow(["z_km", "P1_W", "P2_W", "P3_W"])
         for st in traj:
             writer.writerow([repr(float(x)) for x in (st.z / 1e3, *st.powers())])
-    total0 = sum(traj[0].powers())
+    totals = np.array([sum(st.powers()) for st in traj])
     # dark tones stay dark, so an all-zero launch has no drift
-    drift = max(abs(sum(st.powers()) - total0) for st in traj) / total0 if total0 else 0.0
+    drift = np.max(np.abs(totals - totals[0])) / totals[0] if totals[0] else 0.0
     print(f"wrote {path}")
     print(f"total-power drift: {drift:.3e} relative")
     return 0

@@ -131,7 +131,7 @@ class ExperimentConfig:
             grid_name = "channel_count" if self.span_w is None else "span_w"
             reach = 1 if self.channel_count == 1 else self.span_w or _SPAN_W
         dt = self.dt_ps * 1e-12
-        edge = -bin_omegas(self.n, dt)[0]  # the Nyquist edge, n // 2 bins above 0
+        edge = -bin_omegas(self.n, dt)[self.n // 2]  # the Nyquist edge, at index n // 2
         nyquist, spacing = edge / GHZ, edge / (self.n // 2)  # a power of two: exact
 
         def above_nyquist(top_ghz: float):

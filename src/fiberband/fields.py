@@ -6,9 +6,12 @@ A field q(t) is sampled on a uniform grid t_i = t0 + i*dt, i = 0..n-1,
 with n a power of two. Amplitudes are in sqrt(W), so sum(|q|^2)*dt is an
 energy in J.
 
-The forward transform approximates Q(w) = integral q(t) exp(-jwt) dt as
-dt times a shifted DFT, on bins w_m = (m - n/2)*dw with dw = 2*pi/(n*dt).
-The inverse carries the 1/(2*pi), so the continuous Parseval identity
+Spectra are in numpy's FFT order, the package's only bin order: index
+k holds the bin w_k = k*dw for k < n/2 and (k - n)*dw above, with
+dw = 2*pi/(n*dt), so bin k of `np.fft.fft` is index k everywhere. The
+forward transform approximates Q(w) = integral q(t) exp(-jwt) dt as dt
+times the DFT on those bins. The inverse carries the 1/(2*pi), so the
+continuous Parseval identity
 
     sum |q|^2 dt  =  (1/2*pi) sum |Q|^2 dw
 
@@ -22,7 +25,7 @@ constructed to land exactly on bin centers.
 This module alone knows the spectral bookkeeping: `bin_omegas` builds
 the bin grid, `band_mask` a mask row per channel and the one window
 check, and `band_energy` the energy of masked bins. The propagator uses
-them in raw FFT order; brick-wall filtering is a propagator step.
+them as they are; brick-wall filtering is a propagator step.
 """
 
 from __future__ import annotations
@@ -60,8 +63,9 @@ def _bin_spacing(n: int, dt: float) -> float:
 
 
 def bin_omegas(n: int, dt: float) -> np.ndarray:
-    """Bin center frequencies (m - n//2)*domega, m = 0..n-1, in increasing order."""
-    return (np.arange(n) - n // 2) * _bin_spacing(n, dt)
+    """Bin center frequencies in FFT order: k*domega for the integer
+    frequency k of index 0..n-1, that is 0, 1, .., then -(n//2), .., -1."""
+    return ((np.arange(n) + n // 2) % n - n // 2) * _bin_spacing(n, dt)
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,7 @@ class SampledField:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Field spectrum on bins increasing from -pi/dt, spacing domega.
+    """Field spectrum on the bins of `bin_omegas`, in FFT order.
 
     Stores the dt of the sampled field, so a round trip through
     `inverse` gives back that dt exactly; 2*pi/(n*domega) is not always
@@ -134,25 +138,26 @@ class Spectrum:
 
 
 def transform(f: SampledField) -> Spectrum:
-    """Forward transform, dt-scaled DFT reordered to increasing frequency."""
+    """Forward transform, the dt-scaled DFT phased to the time origin."""
     omegas = bin_omegas(f.n, f.dt)
-    coeff = f.dt * np.exp(-1j * omegas * f.t0) * np.fft.fftshift(np.fft.fft(f.samples))
+    coeff = f.dt * np.exp(-1j * omegas * f.t0) * np.fft.fft(f.samples)
     return Spectrum(coeff, f.dt, f.t0)
 
 
 def inverse(s: Spectrum) -> SampledField:
     """Inverse transform; exact round trip with `transform`."""
     dt = s.dt
-    q = np.fft.ifft(np.fft.ifftshift(s.coefficients * np.exp(1j * s.omegas() * s.t0))) / dt
+    q = np.fft.ifft(s.coefficients * np.exp(1j * s.omegas() * s.t0)) / dt
     return SampledField(q, dt, s.t0)
 
 
 def band_mask(n: int, dt: float, band: BandSet) -> np.ndarray:
-    """Bool rows, one per interval of `band`: row i masks the bins of
-    `bin_omegas(n, dt)` whose centers lie in closed interval i. A bin in
-    two rows raises OverlappingIntervals naming both intervals. The grid
-    represents [-(n//2)*domega, (n//2)*domega); a band reaching outside
-    it raises BandOutOfRange.
+    """Bool rows, one per interval of `band`, in the FFT order of
+    `bin_omegas(n, dt)`: row i masks the bins whose centers lie in
+    closed interval i. A bin in two rows raises OverlappingIntervals
+    naming both intervals. The grid represents
+    [-(n//2)*domega, (n//2)*domega); a band reaching outside it raises
+    BandOutOfRange.
     """
     domega = _bin_spacing(n, dt)
     half_span = (n // 2) * domega
@@ -174,7 +179,7 @@ def band_mask(n: int, dt: float, band: BandSet) -> np.ndarray:
 def band_energy(power: np.ndarray, mask: np.ndarray, dt: float) -> float:
     """Energy in J of the bins `mask` selects from power = |fft(q)|^2.
 
-    Both are in raw FFT order, as the rows of `ifftshift(band_mask(...), axes=1)` are.
+    Both are in FFT order, as `band_mask`'s rows are.
     """
     return float(np.sum(power[mask])) * (dt / power.size)
 

@@ -43,10 +43,11 @@ butterflies, barring subnormals. In a lossless run the attenuation is
 
 `propagate` drives `_step_kernel`, the only code that steps or filters
 a field; a single filtered step is `propagate` with z_total = dz =
-record_every and a distributed filter mode. Both work in raw FFT order
-on the grid of `fields.bin_omegas` and the channel rows of one
-`fields.band_mask` call: the filter is the union of the rows the trace
-books, and every band energy recorded here is `fields.band_energy`.
+record_every and a distributed filter mode. Both work on the grid of
+`fields.bin_omegas` and the channel rows of one `fields.band_mask` call,
+which are in the FFT order of `numpy.fft`, as given: the filter is the
+union of the rows the trace books, and every band energy recorded here
+is `fields.band_energy`.
 The trace's total is the full-spectrum energy at every record, in every
 filter mode: the sum over all bins, in band or not.
 
@@ -241,10 +242,10 @@ def propagate(
         filt_stride = stride(mode.spacing, "filter spacing")
     n, dt, t0 = f0.n, f0.dt, f0.t0
 
-    channel_masks = np.fft.ifftshift(band_mask(n, dt, channels), axes=1)
+    channel_masks = band_mask(n, dt, channels)
     scale = dt / n  # |FFT(q)|^2 summed equals n * sum|q|^2; scale restores joules
 
-    omegas = np.fft.ifftshift(bin_omegas(n, dt))
+    omegas = bin_omegas(n, dt)
     decay = float(np.exp(-0.5 * params.alpha0 * dz))
     # dispersion, the ifft's 1/n and attenuation; x / n * 1.0 is x / n to the bit
     linear = np.exp(0.5j * params.beta2 * dz * omegas**2) / n * decay

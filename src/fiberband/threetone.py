@@ -31,6 +31,15 @@ import numpy as np
 from .propagation import step_count
 
 
+class TonesNotFinite(ValueError):
+    """A trajectory whose tone powers left the floats; z (m) is the first
+    state where they did."""
+
+    def __init__(self, z: float):
+        super().__init__(f"the tone powers stop being finite at z = {z!r} m")
+        self.z = z
+
+
 @dataclass(frozen=True)
 class ToneState:
     """Complex tone amplitudes (sqrt(W)), spacing domega (rad/s), z (m)."""
@@ -63,9 +72,12 @@ def integrate_tones(
 ) -> list[ToneState]:
     """Fixed-step fourth-order Runge-Kutta trajectory, sampled every dz.
 
-    dz should stay well below the fastest phase-rotation period
-    (set by gamma*P and beta2*domega^2); the drift of total power is a
-    built-in quality check and stays near rounding level when it does.
+    State k sits at state0.z + k*dz. dz should stay well below the
+    fastest phase-rotation period (set by gamma*P and beta2*domega^2);
+    the drift of total power is a built-in quality check and stays near
+    rounding level when it does. The exact flow conserves total power,
+    so a step far too long for those rates can only overflow: the first
+    state whose powers are not finite raises TonesNotFinite.
     """
     if not (0 < dz < math.inf and 0 <= z_total < math.inf):
         raise ValueError(f"need finite dz > 0 and z_total >= 0, got {dz} and {z_total}")
@@ -75,13 +87,15 @@ def integrate_tones(
     beta2, gamma = params.beta2, params.gamma
     q = state0.amplitudes()
     out = [state0]
-    z = state0.z
-    for _ in range(steps):
-        k1 = _rhs(q, state0.domega, beta2, gamma)
-        k2 = _rhs(q + 0.5 * dz * k1, state0.domega, beta2, gamma)
-        k3 = _rhs(q + 0.5 * dz * k2, state0.domega, beta2, gamma)
-        k4 = _rhs(q + dz * k3, state0.domega, beta2, gamma)
-        q = q + (dz / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        z += dz
-        out.append(ToneState(complex(q[0]), complex(q[1]), complex(q[2]), state0.domega, z))
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        for k in range(1, steps + 1):
+            k1 = _rhs(q, state0.domega, beta2, gamma)
+            k2 = _rhs(q + 0.5 * dz * k1, state0.domega, beta2, gamma)
+            k3 = _rhs(q + 0.5 * dz * k2, state0.domega, beta2, gamma)
+            k4 = _rhs(q + dz * k3, state0.domega, beta2, gamma)
+            q = q + (dz / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            z = state0.z + k * dz
+            if not np.isfinite(np.sum(np.abs(q) ** 2)):
+                raise TonesNotFinite(z)
+            out.append(ToneState(complex(q[0]), complex(q[1]), complex(q[2]), state0.domega, z))
     return out

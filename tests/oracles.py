@@ -40,7 +40,9 @@ def channel_energy_rhs(
 
         -alpha0*E_n - (gamma/4pi^3) * Im{ sum (Q conv Q) conj(Q_n conv Q) }
 
-    with exact linear convolutions (zero-padded FFTs of length 2n). The
+    with exact linear convolutions: each FFT-order spectrum is zero-padded
+    to length 2n in the middle, where the bins wrap, so every bin keeps its
+    signed frequency and no sum frequency aliases. The
     field is expected to be band-limited to the channel grid `channels`,
     whose interval n_channel (counted from 0), with the bins of its
     `band_mask` row, is channel n; out-of-band content contributes mixing
@@ -56,10 +58,12 @@ def channel_energy_rhs(
     q_chan = np.where(band_mask(s.n, s.dt, channels)[n_channel], q_full, 0.0)
     dw = s.domega
 
-    m = 2 * s.n
-    full_f = np.fft.fft(q_full, m)
+    def padded_fft(q):
+        return np.fft.fft(np.insert(q, s.n // 2, np.zeros(s.n)))
+
+    full_f = padded_fft(q_full)
     conv_full = np.fft.ifft(full_f * full_f) * dw
-    conv_chan = np.fft.ifft(np.fft.fft(q_chan, m) * full_f) * dw
+    conv_chan = np.fft.ifft(padded_fft(q_chan) * full_f) * dw
 
     integral = np.sum(conv_full * np.conj(conv_chan)) * dw
     energy_n = Spectrum(q_chan, s.dt, s.t0).energy()
@@ -92,12 +96,12 @@ def rk4ip(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The projected launch spectrum and its spectrum after `steps` RK4IP steps.
 
-    Both are in raw FFT order. keep is the filter in raw order (the union
-    of the channels' `band_mask` rows): the launch and each of the four
+    Both are in FFT order, as is keep, the filter (the union of the
+    channels' `band_mask` rows): the launch and each of the four
     nonlinear evaluations of a step are masked with it, so the field never
     leaves the grid. Attenuation is not modelled: fiber.alpha0 is ignored.
     """
-    omegas = np.fft.ifftshift(bin_omegas(launch.n, launch.dt))
+    omegas = bin_omegas(launch.n, launch.dt)
     half_step = np.exp(0.25j * fiber.beta2 * h * omegas**2)  # dispersion over h / 2
 
     def nonlinear(spec):

@@ -261,7 +261,7 @@ def test_criterion_08_channel_rhs_crosscheck():
     worst = 0.0
     for f in fields:
         power = np.abs(np.fft.fft(f.samples)) ** 2
-        for i, row in enumerate(np.fft.ifftshift(band_mask(f.n, f.dt, chans), axes=1)):
+        for i, row in enumerate(band_mask(f.n, f.dt, chans)):
             energy = band_energy(power, row, f.dt)
             rhs = channel_energy_rhs(f, i, chans, params.gamma, params.alpha0)
             worst = max(worst, abs(rhs) / (energy / (RUN_KM * KM)))

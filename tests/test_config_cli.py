@@ -716,6 +716,9 @@ def test_cli_three_tone_rejects_bad_list(capsys):
         ("--dz-m", "1e12"),
         ("--dz-m", "0.3"),
         ("--spacing-ghz", "nan"),
+        ("--spacing-ghz", "1e100"),  # finite, but the powers overflow on the first step
+        ("--spacing-ghz", "1e300"),  # finite in GHz, not in rad/s
+        ("--powers-w", "1e300,1,1"),  # finite, but the Kerr phase overflows
         ("--powers-w", "nan,1,1"),
         ("--powers-w", "1,x,1"),
         ("--powers-w", "-1,1,1"),
@@ -727,6 +730,14 @@ def test_cli_three_tone_rejects_bad_list(capsys):
 def test_cli_three_tone_rejects_bad_flags(tmp_path, capsys, flag, value):
     assert main(["three-tone", f"{flag}={value}", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    assert not (tmp_path / "three_tone.csv").exists()
+
+
+def test_cli_three_tone_names_where_the_powers_leave_the_floats(tmp_path, capsys):
+    assert main(["three-tone", "--spacing-ghz", "1e100", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: --spacing-ghz: the tone powers stop being finite at z = 0.001 km, as the "
+        "dispersion phase (with --beta2-ps2-per-km) turns ")
     assert not (tmp_path / "three_tone.csv").exists()
 
 

@@ -17,6 +17,7 @@ from fiberband.fields import (
     FieldError,
     GridTooCoarse,
     SampledField,
+    _bin_spacing,
     band_energy,
     band_mask,
     bin_omegas,
@@ -124,16 +125,46 @@ def test_field_rejects_non_finite_input(samples, dt, t0):
         SampledField(np.array(samples), dt, t0)
 
 
+@pytest.mark.parametrize("n", [2, 8, 64, 2048, 16384])
+@pytest.mark.parametrize("dt", [1.0, 0.05, 15.625e-12, 20e-12, 7.3e-9])
+def test_bins_are_in_numpy_fft_order(n, dt):
+    k = np.arange(n)
+    signed = np.where(k < n // 2, k, k - n)  # 0, 1, .., n/2 - 1, -n/2, .., -1
+    assert np.array_equal(bin_omegas(n, dt), signed * _bin_spacing(n, dt))
+
+
+@pytest.mark.parametrize("k", [0, 5, 31, -31, -7, -1])
+def test_a_tone_on_bin_k_sits_at_index_k_of_every_spectrum(k):
+    n, dt, t0 = 64, 0.5, -16.0
+    index = k % n
+    domega = _bin_spacing(n, dt)
+    f = SampledField(np.exp(1j * k * domega * (t0 + dt * np.arange(n))), dt, t0)
+    s = transform(f)
+    for spectrum in (np.fft.fft(f.samples), s.coefficients):
+        peak = np.max(np.abs(spectrum))
+        assert list(np.flatnonzero(np.abs(spectrum) > 1e-9 * peak)) == [index]
+    assert s.omegas()[index] == k * domega
+    # a channel around the tone holds its bin and no other
+    (row,) = band_mask(n, dt, make_bandset([((k - 0.4) * domega, (k + 0.4) * domega)]))
+    assert list(np.flatnonzero(row)) == [index]
+
+
+def test_a_channel_across_zero_hz_wraps_to_both_ends():
+    domega = _bin_spacing(16, 1.0)
+    (row,) = band_mask(16, 1.0, make_bandset([(-2 * domega, 2 * domega)]))
+    assert list(np.flatnonzero(row)) == [0, 1, 2, 14, 15]
+
+
 def test_band_mask_closed_interval_with_edge_snap():
-    # dt = 1: 8 bins at (m-4)*pi/4, -pi .. 3pi/4
+    # dt = 1: 8 bins at k*pi/4 in FFT order, 0 .. 3pi/4 then -pi .. -pi/4
     (m,) = band_mask(8, 1.0, make_bandset([(0.0, np.pi / 4)]))
-    assert list(np.nonzero(m)[0]) == [4, 5]
+    assert list(np.nonzero(m)[0]) == [0, 1]
     # an edge a hair inside the bin still owns it
     (m2,) = band_mask(8, 1.0, make_bandset([(1e-12, np.pi / 4 - 1e-12)]))
     assert np.array_equal(m2, m)
     # but half a bin away it does not
     (m3,) = band_mask(8, 1.0, make_bandset([(np.pi / 8, np.pi / 4)]))
-    assert list(np.nonzero(m3)[0]) == [5]
+    assert list(np.nonzero(m3)[0]) == [1]
 
 
 def test_band_mask_range_check():
@@ -143,10 +174,10 @@ def test_band_mask_range_check():
 
 
 def test_band_mask_has_a_row_per_interval_and_books_a_bin_once():
-    # dt = 1: 8 bins at (m-4)*pi/4, -pi .. 3pi/4
+    # dt = 1: 8 bins at k*pi/4 in FFT order, 0 .. 3pi/4 then -pi .. -pi/4
     rows = band_mask(8, 1.0, make_bandset([(0.0, np.pi / 4), (-np.pi, -np.pi / 2)]))
     assert rows.shape == (2, 8)
-    assert [list(np.nonzero(r)[0]) for r in rows] == [[0, 1, 2], [4, 5]]
+    assert [list(np.nonzero(r)[0]) for r in rows] == [[4, 5, 6], [0, 1]]
     # disjoint, but both edges fall within EDGE_TOL of the bin at pi/4
     a, b = (0.0, np.pi / 4), (np.pi / 4 * (1 + 1e-12), np.pi / 2)
     with pytest.raises(OverlappingIntervals) as exc:
@@ -172,8 +203,8 @@ def test_band_energy_splits_the_field_energy(log2n, dt, k, seed):
     edges = (bins + rng.uniform(0.0, 0.99, size=2 * k)) * s.domega
     mask = band_mask(n, dt, make_bandset(edges.reshape(k, 2))).any(axis=0)
     power = np.abs(np.fft.fft(f.samples)) ** 2
-    inside = band_energy(power, np.fft.ifftshift(mask), dt)
-    outside = band_energy(power, np.fft.ifftshift(~mask), dt)
+    inside = band_energy(power, mask, dt)
+    outside = band_energy(power, ~mask, dt)
     assert inside + outside == pytest.approx(f.energy(), rel=1e-12)
     reference = np.sum(np.abs(s.coefficients[mask]) ** 2) * s.domega / (2 * np.pi)
     assert inside == pytest.approx(reference, rel=1e-12)
@@ -187,9 +218,9 @@ def test_window_rule_is_shared_by_mask_pulse_and_config(width_ghz, inside):
     n, dt_ps = 2048, 20.0
     dt, w = dt_ps * 1e-12, width_ghz * GHZ
     if inside:
-        assert w == pytest.approx(bin_omegas(n, dt)[-1], rel=1e-15)
+        assert w == pytest.approx(bin_omegas(n, dt)[n // 2 - 1], rel=1e-15)
     else:
-        assert w == -bin_omegas(n, dt)[0]
+        assert w == -bin_omegas(n, dt)[n // 2]
     checks = [  # each on the channel [0, w]
         (lambda: band_mask(n, dt, make_bandset([(0.0, w)])), BandOutOfRange),
         (lambda: rrc_pulse((0.0, w), 0.15, 1.0, 0.0, dt, n, -16e-9), BandOutOfRange),
@@ -227,7 +258,7 @@ def test_rrc_pulse_energy_band_and_peak():
     f = rrc_pulse(channel, 0.15, energy=2.5, phase=0.8, dt=dt, n=n, t0=t0)
     assert f.energy() == pytest.approx(2.5, rel=1e-12)
     chan = make_bandset([channel])
-    (mask,) = np.fft.ifftshift(band_mask(n, dt, chan), axes=1)
+    (mask,) = band_mask(n, dt, chan)
     power = np.abs(np.fft.fft(f.samples)) ** 2
     assert band_energy(power, mask, dt) == pytest.approx(2.5, rel=1e-12)
     assert int(np.argmax(np.abs(f.samples))) == n // 2

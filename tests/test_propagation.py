@@ -34,7 +34,7 @@ W = 32 * DOMEGA  # channel width, 32 bins
 
 def energy_in(f, band):
     power = np.abs(np.fft.fft(f.samples)) ** 2
-    return band_energy(power, np.fft.ifftshift(band_mask(f.n, f.dt, band).any(axis=0)), f.dt)
+    return band_energy(power, band_mask(f.n, f.dt, band).any(axis=0), f.dt)
 
 
 def two_channel_launch(n=N):
@@ -347,6 +347,26 @@ def test_channel_rhs_rejects_an_index_outside_the_grid():
     for n_channel in (-1, len(chans.intervals)):
         with pytest.raises(ValueError, match=rf"n_channel = {n_channel} .* 0\.\.1$"):
             channel_energy_rhs(f, n_channel, chans, gamma=1.2578e-3)
+
+
+def test_channel_rhs_is_unchanged_by_a_shift_across_zero_hz():
+    # the mixing integral sees frequency differences only: moving the field
+    # and its grid down 64 bins, so the grid straddles 0 Hz and the rows
+    # wrap around the FFT-order array, leaves every channel's rhs
+    chans = make_bandset([(0.0, W), (1.5 * W, 2.5 * W), (3 * W, 4 * W)])
+    q = sum(rrc_pulse(c, 0.15, 5e-14, ph, DT, N, T0).samples
+            for c, ph in zip(chans.intervals, (0.4, -1.0, 2.0)))
+    f = SampledField(q, DT, T0)
+    down = 64 * DOMEGA
+    moved = SampledField(q * np.exp(-1j * down * (T0 + DT * np.arange(N))), DT, T0)
+    moved_chans = make_bandset([(lo - down, hi - down) for lo, hi in chans.intervals])
+    assert moved_chans.lo < 0 < moved_chans.hi
+    rhs, moved_rhs = (
+        np.array([channel_energy_rhs(g, i, c, gamma=1.2578e-3) for i in range(3)])
+        for g, c in ((f, chans), (moved, moved_chans))
+    )
+    assert np.max(np.abs(rhs)) > 0
+    assert np.max(np.abs(moved_rhs - rhs)) < 1e-9 * np.max(np.abs(rhs))
 
 
 def test_channel_rhs_single_channel_is_pure_decay():

@@ -103,9 +103,9 @@ def rk4ip_deviation(name: str, z_km: float, h_km: float, shrink: bool = False) -
     assert fiber.alpha0 == 0.0  # the claim is conservation: a lossless link
     n, dt = launch.n, launch.dt
     if shrink:
-        half = 0.5 * np.fft.ifftshift(bin_omegas(n, dt))[1]  # half the bin spacing
+        half = 0.5 * bin_omegas(n, dt)[1]  # half the bin spacing
         grid = make_bandset([(lo + half, hi - half) for lo, hi in grid.intervals])
-    rows = np.fft.ifftshift(band_mask(n, dt, grid), axes=1)
+    rows = band_mask(n, dt, grid)
 
     def energies(spec):
         power = np.abs(spec) ** 2

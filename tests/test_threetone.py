@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fiberband.propagation import FiberParams
-from fiberband.threetone import ToneState, _rhs, integrate_tones
+from fiberband.threetone import TonesNotFinite, ToneState, _rhs, integrate_tones
 
 from oracles import power_rhs
 
@@ -40,7 +40,23 @@ def test_total_power_drift_is_tiny():
     drift = max(abs(sum(s.powers()) / total0 - 1.0) for s in traj)
     assert drift < 1e-12
     assert len(traj) == 1001
-    assert traj[-1].z == pytest.approx(100e3)
+
+
+# 0.1 m summed ten times is 0.9999999999999999, not 1.0
+@pytest.mark.parametrize("z_total, dz", [(100e3, 100.0), (1.0, 0.1), (10.0, 0.01)])
+def test_states_sit_at_whole_steps(z_total, dz):
+    traj = integrate_tones(state(), z_total, dz, PARAMS)
+    assert [s.z for s in traj] == [k * dz for k in range(len(traj))]
+    assert traj[-1].z == z_total
+
+
+def test_powers_leaving_the_floats_raise_at_the_first_such_state():
+    # a step far too long for a 1e100 GHz spacing: the dispersion phase
+    # overflows the first step, with no RuntimeWarning on the way
+    s0 = ToneState(0.03 + 0j, 0.04j, 0.02 + 0j, domega=2 * np.pi * 1e109, z=5.0)
+    with pytest.raises(TonesNotFinite) as exc:
+        integrate_tones(s0, 10.0, 1.0, PARAMS)
+    assert exc.value.z == 6.0
 
 
 def test_two_tone_powers_are_constant():
