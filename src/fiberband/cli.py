@@ -246,6 +246,8 @@ def cmd_three_tone(args) -> int:
             f"{flag}: the tone powers stop being finite at z = {exc.z / 1e3!r} km, as the "
             f"{what} turns {rate * args.dz_m:.3g} rad in one --dz-m step"
         ) from None
+    except ValueError as exc:  # the flags are checked, so only the dispersion factor is left
+        raise ValueError(f"--spacing-ghz: with --beta2-ps2-per-km, {exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "three_tone.csv"

@@ -32,10 +32,14 @@ class BudgetExceeded(ValueError):
 
 
 # Largest span the exhaustive search accepts. It bounds the span, not the
-# time. On one core of a 2-vCPU Xeon the table reaches k = 86, its first
-# 12-mark row, in 48-62 s and k = 100 in 296-335 s, row 100 alone taking
-# 65-76 s; each row that finds no longer set takes about 1.3x as long as
-# the one before. Extrapolated, not run: k = 107, which `densest_sidon(13)`
+# time. On one core of a 2-vCPU Xeon the table reaches k = 40 in
+# 0.013-0.025 s, k = 60 in 0.54-0.58 s and k = 73, which
+# `densest_sidon(11)` needs, in 9-11 s (0.018-0.032 s, 0.71-0.85 s and
+# 13-14 s with the gap-sum floor read one bit at a time). Longer rows were
+# timed only with that bit-at-a-time floor: k = 86, the first 12-mark row,
+# in 48-62 s and k = 100 in 296-335 s, row 100 alone taking 65-76 s; each
+# row that finds no longer set takes about 1.3x as long as the one before.
+# Extrapolated from those, not run: k = 107, which `densest_sidon(13)`
 # needs, about half an hour; k = 128 for 14 marks, longer still.
 BRUTE_FORCE_BUDGET = 150
 
@@ -96,15 +100,38 @@ def sidon_for_channels(n: int) -> SidonSequence:
     return SidonSequence(full.values[:n])
 
 
+def _clear_bit_sums() -> tuple:
+    """Row b: prefix sums of the clear-bit positions of byte b, from 0.
+
+    Row b has one more entry than b has clear bits, and its last entry
+    is their sum. Built by doubling: the bytes below 2^(w+1) are those
+    below 2^w with bit w clear (a new, highest position w) and then with
+    it set."""
+    rows = [(0,)]
+    for w in range(8):
+        rows = [sums + (sums[-1] + w,) for sums in rows] + rows
+    return tuple(rows)
+
+
+_CLEAR_BIT_SUMS = _clear_bit_sums()
+
+
 def _gap_floor(used: int, r: int) -> int:
-    """Sum of the r smallest positive integers whose bit is clear in `used`."""
+    """Sum of the r smallest positive integers whose bit is clear in `used`.
+
+    Read a byte at a time: byte j's clear positions are those of its
+    table row offset by 8j, and past the top of `used` every byte is 0."""
     used |= 1  # a gap is positive
-    floor = 0
-    for _ in range(r):
-        low = ~used & (used + 1)  # lowest clear bit
-        floor += low.bit_length() - 1
-        used |= low
-    return floor
+    base = floor = 0
+    while True:
+        sums = _CLEAR_BIT_SUMS[used & 255]
+        clear = len(sums) - 1
+        if r <= clear:
+            return floor + sums[r] + base * r
+        floor += sums[clear] + base * clear
+        r -= clear
+        base += 8
+        used >>= 8
 
 
 def _search_length(k: int, target: int, minspan: list) -> tuple | None:

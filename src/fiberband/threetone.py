@@ -57,10 +57,10 @@ class ToneState:
         return np.array([self.q1, self.q2, self.q3], dtype=complex)
 
 
-def _rhs(q: np.ndarray, domega: float, beta2: float, gamma: float) -> np.ndarray:
+def _rhs(q: np.ndarray, disp: complex, gamma: float) -> np.ndarray:
+    """dq/dz; disp = 0.5j*beta2*domega**2 is the outer tones' dispersion factor."""
     q1, q2, q3 = q
     p1, p2, p3 = abs(q1) ** 2, abs(q2) ** 2, abs(q3) ** 2
-    disp = 0.5j * beta2 * domega**2
     d1 = disp * q1 + 1j * gamma * ((p1 + 2 * (p2 + p3)) * q1 + q2 * q2 * np.conj(q3))
     d2 = 1j * gamma * ((p2 + 2 * (p1 + p3)) * q2 + 2 * q1 * np.conj(q2) * q3)
     d3 = disp * q3 + 1j * gamma * ((p3 + 2 * (p1 + p2)) * q3 + q2 * q2 * np.conj(q1))
@@ -77,25 +77,34 @@ def integrate_tones(
     the drift of total power is a built-in quality check and stays near
     rounding level when it does. The exact flow conserves total power,
     so a step far too long for those rates can only overflow: the first
-    state whose powers are not finite raises TonesNotFinite.
+    state whose powers are not finite raises TonesNotFinite. A spacing
+    whose dispersion factor 0.5j*beta2*domega**2 is not finite raises
+    ValueError before the first step.
     """
     if not (0 < dz < math.inf and 0 <= z_total < math.inf):
         raise ValueError(f"need finite dz > 0 and z_total >= 0, got {dz} and {z_total}")
     steps = step_count(z_total, dz)
     if steps is None:
         raise ValueError(f"dz = {dz} does not divide z_total = {z_total}")
-    beta2, gamma = params.beta2, params.gamma
+    beta2, gamma, domega = params.beta2, params.gamma, state0.domega
     q = state0.amplitudes()
     out = [state0]
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below report it
+        try:
+            disp = 0.5j * beta2 * domega**2
+        except OverflowError:  # a float spacing whose square leaves the floats
+            disp = math.inf
+        if not (math.isfinite(domega) and np.isfinite(disp)):
+            raise ValueError(f"domega = {domega!r} rad/s: the dispersion factor "
+                             f"0.5j*beta2*domega**2 is not finite at beta2 = {beta2!r} s^2/m")
         for k in range(1, steps + 1):
-            k1 = _rhs(q, state0.domega, beta2, gamma)
-            k2 = _rhs(q + 0.5 * dz * k1, state0.domega, beta2, gamma)
-            k3 = _rhs(q + 0.5 * dz * k2, state0.domega, beta2, gamma)
-            k4 = _rhs(q + dz * k3, state0.domega, beta2, gamma)
+            k1 = _rhs(q, disp, gamma)
+            k2 = _rhs(q + 0.5 * dz * k1, disp, gamma)
+            k3 = _rhs(q + 0.5 * dz * k2, disp, gamma)
+            k4 = _rhs(q + dz * k3, disp, gamma)
             q = q + (dz / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             z = state0.z + k * dz
             if not np.isfinite(np.sum(np.abs(q) ** 2)):
                 raise TonesNotFinite(z)
-            out.append(ToneState(complex(q[0]), complex(q[1]), complex(q[2]), state0.domega, z))
+            out.append(ToneState(complex(q[0]), complex(q[1]), complex(q[2]), domega, z))
     return out

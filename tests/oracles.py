@@ -9,6 +9,8 @@ program also produces, by a route that shares no stepping code with it:
   integrator's trajectory;
 - `is_sidon`: distinct pairwise sums by integer enumeration, against
   the planner's constructions and grid certificates;
+- `gap_floor`: the search's gap-sum floor one clear bit at a time,
+  against the planner's byte-table floor;
 - `rk4ip`: a projected RK4IP stepper (interaction-picture fourth-order
   Runge-Kutta; Hult, J. Lightwave Technol. 25(12), 2007), against the
   split step's per-channel drift under distributed filtering.
@@ -89,6 +91,17 @@ def is_sidon(m) -> bool:
                 return False
             sums.add(a + b)
     return True
+
+
+def gap_floor(used: int, r: int) -> int:
+    """Sum of the r smallest positive integers whose bit is clear in `used`."""
+    used |= 1  # a gap is positive
+    floor = 0
+    for _ in range(r):
+        low = ~used & (used + 1)  # lowest clear bit
+        floor += low.bit_length() - 1
+        used |= low
+    return floor
 
 
 def rk4ip(

@@ -741,6 +741,15 @@ def test_cli_three_tone_names_where_the_powers_leave_the_floats(tmp_path, capsys
     assert not (tmp_path / "three_tone.csv").exists()
 
 
+def test_cli_three_tone_names_a_dispersion_factor_past_the_floats(tmp_path, capsys):
+    # each flag is finite, and so is the spacing squared, but not its product with beta2
+    argv = ["three-tone", "--spacing-ghz", "1e100", "--beta2-ps2-per-km", "1e300"]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: --spacing-ghz: with --beta2-ps2-per-km, domega = ")
+    assert not (tmp_path / "three_tone.csv").exists()
+
+
 def test_cli_three_tone_dark_launch(tmp_path, capsys):
     assert main(["three-tone", "--powers-w", "0,0,0", "--out", str(tmp_path)]) == 0
     assert "drift: 0.000e+00" in capsys.readouterr().out

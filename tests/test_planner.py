@@ -37,7 +37,7 @@ from fiberband.planner import (
     spectral_filling_efficiency,
 )
 
-from oracles import is_sidon
+from oracles import gap_floor, is_sidon
 
 BOSE_11 = (1, 6, 22, 62, 68, 69, 71, 88, 99, 103, 113)
 
@@ -248,6 +248,39 @@ def test_gap_floor_admits_every_known_ruler():
     # already booked once the leaf is placed, so the floor would reject it
     assert 12 - 10 < planner._gap_floor(_diffs((1, 2, 5, 10, 12)), 1)
     assert planner._search_length(12, 5, _table_minspan(5)) == (1, 2, 5, 10, 12)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**200 - 1), st.integers(0, 24), st.integers(0, 25))
+@example(0, 24, 0)  # every gap lies past the top byte
+@example(2**200 - 1, 24, 0)  # no clear bit below bit 200
+@example(0, 7, 1)  # byte 0 full: the gaps are 8..14, all in byte 1
+@example(0xFE, 8, 2)  # bytes 0 and 1 full, eight gaps fill byte 2 exactly
+@example(1 << 30, 9, 3)  # three full bytes, a set bit among the gaps in byte 3
+def test_gap_floor_matches_the_bit_loop(used, r, full_bytes):
+    # full_bytes low bytes all set: the r-th gap then lies at least that
+    # many bytes up, so the lookup has to cross them
+    used |= (1 << 8 * full_bytes) - 1
+    assert planner._gap_floor(used, r) == gap_floor(used, r)
+
+
+def test_gap_floor_prunes_the_same_nodes(monkeypatch):
+    # one floor per interior node with two or more gaps to go: a floor
+    # that prunes differently changes this count even where rows agree
+    calls = 0
+    floor = planner._gap_floor
+
+    def counted(used, r):
+        nonlocal calls
+        calls += 1
+        return floor(used, r)
+
+    monkeypatch.setattr(planner, "_gap_floor", counted)
+    rows = tuple(islice(planner._table_rows(), 40))
+    assert calls == 7627  # 61870 to k = 52
+    assert [n for n, _ in rows] == FROZEN["rows"][:40]
+    monkeypatch.undo()
+    assert rows == max_sidon_table(40)
 
 
 def test_table_to_52_is_fast():

@@ -1,5 +1,7 @@
 """Three-tone coupled-mode reference model."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -59,6 +61,32 @@ def test_powers_leaving_the_floats_raise_at_the_first_such_state():
     assert exc.value.z == 6.0
 
 
+@pytest.mark.parametrize("domega", [1e160, float("nan"), float("inf"), -float("inf")])
+def test_spacing_without_a_finite_dispersion_factor_is_rejected(domega):
+    # 1e160 squared leaves the floats (a Python float raises OverflowError
+    # there); nan and inf are no spacing at all. Both fail before a step.
+    s0 = ToneState(0.03 + 0j, 0.04j, 0.02 + 0j, domega=domega)
+    with pytest.raises(ValueError, match=r"^domega = .* rad/s: the dispersion factor .* is not finite"):
+        integrate_tones(s0, 1.0, 0.5, PARAMS)
+
+
+# sha256 over the float.hex of every state's amplitudes, z and domega,
+# taken before the dispersion factor was hoisted out of the RK4 stages
+STRONG_RUN_SHA256 = "1b834526a7c4798531a27a5f10d6a0f4ead6250d249d50da2d8fe5c8523575c7"
+
+
+def test_valid_run_is_bit_identical_to_the_frozen_trajectory():
+    strong = ToneState(0.5 + 0j, 0.5 * np.exp(0.5j), 0.4 * np.exp(-1.1j), domega=DOM)
+    traj = integrate_tones(strong, 20e3, 50.0, PARAMS)
+    assert len(traj) == 401
+    text = ",".join(
+        x.hex()
+        for s in traj
+        for x in (s.q1.real, s.q1.imag, s.q2.real, s.q2.imag, s.q3.real, s.q3.imag, s.z, s.domega)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == STRONG_RUN_SHA256
+
+
 def test_two_tone_powers_are_constant():
     # with the middle tone empty no mixing product lands on the basis,
     # so each remaining tone only rotates in phase
@@ -92,7 +120,7 @@ def test_rhs_matches_finite_differences():
 def test_tone_rhs_power_consistency():
     # d|q_n|^2/dz = 2 Re{conj(q_n) dq_n/dz} must reproduce power_rhs
     s = state()
-    d = _rhs(s.amplitudes(), s.domega, PARAMS.beta2, PARAMS.gamma)
+    d = _rhs(s.amplitudes(), 0.5j * PARAMS.beta2 * s.domega**2, PARAMS.gamma)
     via_amp = [2 * np.real(np.conj(q) * dq) for q, dq in zip(s.amplitudes(), d)]
     assert via_amp == pytest.approx(list(power_rhs(s, PARAMS.gamma)), abs=1e-18)
 
