@@ -137,11 +137,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_plan(args) -> int:
     n, width = args.n, args.width_ghz
-    if n < 1:
-        raise ValueError(f"--n: channel count must be at least 1, got {n}")
     if args.mode == "bose" and n > BOSE_BUDGET:
         raise ValueError(f"--n: {n} channels exceed the bose budget of {BOSE_BUDGET}")
-    if not 0 < width < math.inf:
+    if not 0 < width < math.inf:  # before a densest search, which can take seconds
         raise ValueError(f"--width-ghz: must be finite and positive, got {width}")
     try:
         seq = densest_sidon(n) if args.mode == "densest" else sidon_for_channels(n)
@@ -158,7 +156,7 @@ def cmd_plan(args) -> int:
         eta = spectral_filling_efficiency(plan, slot_budget=args.k)
     except ValueError as exc:
         raise ValueError(f"--k: {exc}") from None
-    print(f"sequence      : {tuple(seq)}")
+    print(f"sequence      : {seq}")
     print(f"channel width : {width:g} GHz")
     centers = ", ".join(f"{c:g}" for c in plan.centers())
     print(f"centers (GHz) : {centers}")
@@ -215,10 +213,6 @@ def _tone_flags(args) -> tuple[list[float], list[float]]:
     check("phases_rad", all(map(math.isfinite, phases)), "finite")
     for dest in ("spacing_ghz", "beta2_ps2_per_km", "gamma_per_w_km"):
         check(dest, math.isfinite(getattr(args, dest)), "finite")
-    domega = args.spacing_ghz * GHZ  # the dispersion phase needs its square
-    check("spacing_ghz", math.isfinite(domega * domega),
-          f"below {math.sqrt(sys.float_info.max) / GHZ:.4g} GHz, where its angular "
-          "frequency squared leaves the floats")
     check("z_km", 0 <= args.z_km < math.inf, "finite and nonnegative")
     check("dz_m", 0 < args.dz_m < math.inf, "finite and positive")
     check("dz_m", step_count(args.z_km * 1e3, args.dz_m) is not None,
@@ -273,7 +267,7 @@ def cmd_bounds(args) -> int:
     bose_seqs = []
     q = 2
     while q <= k_max:
-        bose_seqs.append(list(bose_sequence(q)))
+        bose_seqs.append(bose_sequence(q))
         q = next_prime_power(q + 1)
     print(f"{'k':>4} {'N(k)':>5} {'bound':>8} {'bose_fit':>8}")
     for k in range(1, k_max + 1):

@@ -44,33 +44,8 @@ class BudgetExceeded(ValueError):
 BRUTE_FORCE_BUDGET = 150
 
 
-@dataclass(frozen=True)
-class SidonSequence:
-    """Strictly increasing positive values: the slots of a channel grid.
-
-    Only the order and the sign are checked, not that the pairwise sums
-    are distinct: a config's `sequence` placement accepts any such grid,
-    and `is_energy_decoupled` decides whether its channels decouple."""
-
-    values: tuple
-
-    def __post_init__(self):
-        vals = tuple(self.values)
-        if not vals or any(b <= a for a, b in zip(vals, vals[1:])):
-            raise NotIncreasing(f"{vals} is not strictly increasing and nonempty")
-        if vals[0] <= 0:
-            raise NotIncreasing(f"{vals} contains nonpositive values")
-        object.__setattr__(self, "values", vals)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-
-def bose_sequence(n: int) -> SidonSequence:
-    """Length-n Sidon sequence from the exponent set of GF(n^2).
+def bose_sequence(n: int) -> tuple:
+    """Length-n Sidon sequence, as a tuple, from the exponent set of GF(n^2).
 
     n must be a prime power. The sequence is {m : x^m - x in GF(n)},
     sorted, where x generates GF(n^2)* (see FieldGF); it always starts
@@ -79,7 +54,7 @@ def bose_sequence(n: int) -> SidonSequence:
     times one of the first n.
     """
     field = FieldGF.for_size(n)
-    return SidonSequence(tuple(field.exponent_set()))
+    return tuple(field.exponent_set())
 
 
 def next_prime_power(n: int) -> int:
@@ -92,12 +67,15 @@ def next_prime_power(n: int) -> int:
             q += 1
 
 
-def sidon_for_channels(n: int) -> SidonSequence:
-    """Length-n Sidon sequence for any n >= 1: next prime power, truncated."""
+def _check_channel_count(n: int) -> None:
     if n < 1:
-        raise ValueError("need at least one channel")
-    full = bose_sequence(next_prime_power(n))
-    return SidonSequence(full.values[:n])
+        raise ValueError(f"channel count must be at least 1, got {n}")
+
+
+def sidon_for_channels(n: int) -> tuple:
+    """Length-n Sidon tuple for any n >= 1: next prime power, truncated."""
+    _check_channel_count(n)
+    return bose_sequence(next_prime_power(n))[:n]
 
 
 def _clear_bit_sums() -> tuple:
@@ -241,23 +219,22 @@ def max_sidon_table(k_max: int) -> tuple:
     return tuple(islice(_table_rows(), k_max))
 
 
-def densest_sidon(n: int) -> SidonSequence:
-    """Shortest-span Sidon sequence of length n, by exhaustive search.
+def densest_sidon(n: int) -> tuple:
+    """Shortest-span Sidon sequence of length n, as a tuple, by exhaustive search.
 
     This is the table's witness at the first k where N(k) = n: the
     lexicographically first length-n set among those of least span.
-    A length the counting floor already puts beyond the budget raises
-    BudgetExceeded before any search.
+    Before any search, a length below 1 raises ValueError and one the
+    counting floor already puts beyond the budget BudgetExceeded.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_channel_count(n)
     top = n * (n - 1) // 2 + 1  # n marks need n(n-1)/2 distinct differences
     if top > BRUTE_FORCE_BUDGET:
         raise BudgetExceeded(f"no length-{n} sequence within span {BRUTE_FORCE_BUDGET}: "
                              f"its top slot is at least {top}")
     for best, witness in islice(_table_rows(), BRUTE_FORCE_BUDGET):
         if best == n:
-            return SidonSequence(witness)
+            return witness
     raise BudgetExceeded(f"no length-{n} sequence within span {BRUTE_FORCE_BUDGET}")
 
 
@@ -336,15 +313,25 @@ def is_energy_decoupled(channels) -> tuple[bool, tuple | None]:
 
 @dataclass(frozen=True)
 class ChannelPlan:
-    """Channel grid [(2m-2)W, (2m-1)W] per sequence element m."""
+    """Channel grid [(2m-2)W, (2m-1)W] per slot m of the tuple `seq`.
 
-    seq: SidonSequence
+    The one place slots become a grid, so it checks them: positive and
+    strictly increasing (else NotIncreasing), but not Sidon, as a config
+    may place any grid; `is_energy_decoupled` decides if it decouples."""
+
+    seq: tuple
     width: float
 
     def __post_init__(self):
+        seq = tuple(self.seq)
+        if not seq or any(b <= a for a, b in zip(seq, seq[1:])):
+            raise NotIncreasing(f"{seq} is not strictly increasing and nonempty")
+        if seq[0] <= 0:
+            raise NotIncreasing(f"{seq} contains nonpositive values")
+        object.__setattr__(self, "seq", seq)
         if not self.width > 0:
             raise ValueError("channel width must be positive")
-        if not math.isfinite((2 * self.seq.values[-1] - 1) * self.width):
+        if not math.isfinite((2 * seq[-1] - 1) * self.width):
             raise ValueError(f"channel width {self.width:g} puts the top edge out of range")
 
     @property
@@ -360,9 +347,7 @@ class ChannelPlan:
 
 
 def plan_channels(seq, width: float) -> ChannelPlan:
-    """Place channels on the grid induced by a sequence; see ChannelPlan."""
-    if not isinstance(seq, SidonSequence):
-        seq = SidonSequence(tuple(seq))
+    """Place channels on the grid induced by a slot sequence; see ChannelPlan."""
     return ChannelPlan(seq, width)
 
 
@@ -375,7 +360,7 @@ def spectral_filling_efficiency(plan: ChannelPlan, slot_budget: int | None = Non
     covers the whole grid of admissible slots 1..k, i.e. (2k - 1)*W: the
     efficiency of a plan that was free to use any element of {1..k}.
     """
-    top = max(plan.seq.values)
+    top = plan.seq[-1]
     if slot_budget is not None:
         if slot_budget < top:
             raise ValueError("slot budget below the plan's top slot")

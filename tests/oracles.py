@@ -24,7 +24,7 @@ import numpy as np
 
 from fiberband.bands import BandSet
 from fiberband.fields import SampledField, Spectrum, band_mask, bin_omegas, transform
-from fiberband.planner import SidonSequence
+from fiberband.planner import NotIncreasing
 from fiberband.propagation import FiberParams
 from fiberband.threetone import ToneState
 
@@ -80,8 +80,13 @@ def power_rhs(state: ToneState, gamma: float) -> tuple[float, float, float]:
 
 
 def is_sidon(m) -> bool:
-    """All pairwise sums m_i + m_j, i <= j, are distinct (integers)."""
-    vals = SidonSequence(tuple(m)).values
+    """All pairwise sums m_i + m_j, i <= j, are distinct (integers).
+
+    `m` must be nonempty, positive and strictly increasing, or
+    NotIncreasing is raised, as for a channel plan's slots."""
+    vals = tuple(m)
+    if not vals or vals[0] <= 0 or any(b <= a for a, b in zip(vals, vals[1:])):
+        raise NotIncreasing(f"{vals} is not positive, strictly increasing and nonempty")
     if any(int(v) != v for v in vals):
         raise ValueError("integer Sidon check needs positive integers")
     sums = set()

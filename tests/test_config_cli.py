@@ -718,6 +718,7 @@ def test_cli_three_tone_rejects_bad_list(capsys):
         ("--spacing-ghz", "nan"),
         ("--spacing-ghz", "1e100"),  # finite, but the powers overflow on the first step
         ("--spacing-ghz", "1e300"),  # finite in GHz, not in rad/s
+        ("--spacing-ghz", "1e190"),  # finite in rad/s, but its square overflows
         ("--powers-w", "1e300,1,1"),  # finite, but the Kerr phase overflows
         ("--powers-w", "nan,1,1"),
         ("--powers-w", "1,x,1"),
@@ -770,3 +771,59 @@ def test_cli_bounds_rejects_a_table_size_below_one(capsys, k_max):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --k-max: table size must be at least 1, got {k_max}\n"
+
+
+# the full stdout of plan, bounds and check, pinned byte for byte: a change to a
+# sequence, a verdict or a number format shows here; GRID is a uniform grid file
+GRID = "<uniform grid>"
+PINNED_OUTPUT = {
+    "plan-densest-6": (["plan", "--n", "6"], (
+        "sequence      : (1, 2, 5, 11, 13, 18)\n"
+        "channel width : 1 GHz\n"
+        "centers (GHz) : 0.5, 2.5, 8.5, 20.5, 24.5, 34.5\n"
+        "edges (GHz)   : [0, 1], [2, 3], [8, 9], [20, 21], [24, 25], [34, 35]\n"
+        "decoupled     : True\n"
+        "eta           : 0.171429\n"
+        "eta * N       : 1.028571\n"
+    )),
+    "plan-bose-11": (["plan", "--mode", "bose", "--n", "11", "--width-ghz", "2.5", "--k", "130"], (
+        "sequence      : (1, 6, 22, 62, 68, 69, 71, 88, 99, 103, 113)\n"
+        "channel width : 2.5 GHz\n"
+        "centers (GHz) : 1.25, 26.25, 106.25, 306.25, 336.25, 341.25, 351.25, 436.25, "
+        "491.25, 511.25, 561.25\n"
+        "edges (GHz)   : [0, 2.5], [25, 27.5], [105, 107.5], [305, 307.5], [335, 337.5], "
+        "[340, 342.5], [350, 352.5], [435, 437.5], [490, 492.5], [510, 512.5], [560, 562.5]\n"
+        "decoupled     : True\n"
+        "eta           : 0.042471\n"
+        "eta * N       : 0.467181\n"
+    )),
+    "bounds-12": (["bounds", "--k-max", "12"], (
+        "   k  N(k)    bound bose_fit\n"
+        "   1     1    2.000        1\n"
+        "   2     2    3.236        2\n"
+        "   3     2    3.769        2\n"
+        "   4     3    4.190        3\n"
+        "   5     3    4.500        3\n"
+        "   6     3    4.829        3\n"
+        "   7     4    5.057        3\n"
+        "   8     4    5.331        4\n"
+        "   9     4    5.520        4\n"
+        "  10     4    5.755        4\n"
+        "  11     4    5.921        4\n"
+        "  12     5    6.130        4\n"
+    )),
+    "check-uniform": (["check", "--intervals", GRID], (
+        "energy-decoupled: no witness=(1, 3) vs (2, 2)\n"
+    )),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_OUTPUT))
+def test_cli_output_is_pinned(tmp_path, capsys, name):
+    argv, expected = PINNED_OUTPUT[name]
+    grid = tmp_path / "uniform.txt"
+    grid.write_text("0 2\n4 6\n8 10\n")
+    assert main([str(grid) if arg == GRID else arg for arg in argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == ""

@@ -25,7 +25,6 @@ from fiberband.planner import (
     BRUTE_FORCE_BUDGET,
     BudgetExceeded,
     NotIncreasing,
-    SidonSequence,
     bose_sequence,
     densest_sidon,
     erdos_bound,
@@ -62,7 +61,7 @@ def test_is_sidon_by_hand():
     assert is_sidon((3,))
     with pytest.raises(NotIncreasing):
         is_sidon((2, 1))
-    with pytest.raises(NotIncreasing):  # the SidonSequence rule: nonempty
+    with pytest.raises(NotIncreasing):  # nonempty, as a plan's slots must be
         is_sidon(())
     with pytest.raises(ValueError):
         is_sidon((0.5, 1.5))
@@ -79,18 +78,19 @@ def test_integer_sidon_iff_unit_gap_r_sidon(vals):
 
 
 def test_sequence_validation():
-    with pytest.raises(NotIncreasing):
-        SidonSequence((1, 1, 2))
-    with pytest.raises(NotIncreasing):
-        SidonSequence(())
-    with pytest.raises(NotIncreasing):
-        SidonSequence((0, 1))
-    assert len(SidonSequence((1, 4))) == 2
+    # plan_channels is where slots become a grid, so it checks them, before the width
+    for slots, rule in [((1, 1, 2), "is not strictly increasing and nonempty"),
+                        ((), "is not strictly increasing and nonempty"),
+                        ((0, 1), "contains nonpositive values")]:
+        with pytest.raises(NotIncreasing, match=f"^{re.escape(f'{slots} {rule}')}$"):
+            plan_channels(slots, 0.0)
+    plan = plan_channels([1, 4], 1.0)
+    assert plan.seq == (1, 4) and plan.n == 2
 
 
 def test_bose_reference_sequence():
-    assert bose_sequence(11).values == BOSE_11
-    assert bose_sequence(2).values == (1, 2)
+    assert bose_sequence(11) == BOSE_11
+    assert bose_sequence(2) == (1, 2)
 
 
 def test_bose_small_prime_powers():
@@ -98,7 +98,7 @@ def test_bose_small_prime_powers():
         seq = bose_sequence(q)
         assert is_sidon(seq)
         assert len(seq) == q
-        assert max(seq.values) <= q * q - 1
+        assert max(seq) <= q * q - 1
 
 
 def test_next_prime_power_and_truncation():
@@ -110,9 +110,14 @@ def test_next_prime_power_and_truncation():
     assert is_sidon(five) and len(five) == 5
     six = sidon_for_channels(6)  # Bose(7) truncated; prefixes stay Sidon
     assert is_sidon(six) and len(six) == 6
-    assert sidon_for_channels(1).values == (1,)
-    with pytest.raises(ValueError, match="at least one channel"):
-        sidon_for_channels(0)
+    assert sidon_for_channels(1) == (1,)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("build", [sidon_for_channels, densest_sidon])
+def test_channel_count_below_one_is_rejected(build, n):
+    with pytest.raises(ValueError, match=f"^channel count must be at least 1, got {n}$"):
+        build(n)
 
 
 def test_brute_force_small_table():
@@ -132,11 +137,9 @@ def test_brute_force_small_table():
 
 
 def test_densest_sidon():
-    assert densest_sidon(4).values == (1, 2, 5, 7)
-    assert densest_sidon(5).values == (1, 2, 5, 10, 12)
-    assert densest_sidon(1).values == (1,)
-    with pytest.raises(ValueError, match="n must be >= 1"):
-        densest_sidon(0)
+    assert densest_sidon(4) == (1, 2, 5, 7)
+    assert densest_sidon(5) == (1, 2, 5, 10, 12)
+    assert densest_sidon(1) == (1,)
     # 18 marks need 153 distinct differences, so a top slot past the
     # budget: this fails before any row is searched
     with pytest.raises(BudgetExceeded, match="top slot is at least 154"):
@@ -145,7 +148,7 @@ def test_densest_sidon():
     table = max_sidon_table(30)
     for n in (6, 7):
         k = GOLOMB_LENGTHS[n - 1] + 1
-        assert densest_sidon(n).values == table[k - 1][1]
+        assert densest_sidon(n) == table[k - 1][1]
 
 
 def test_frozen_table_rows_and_witnesses():
@@ -234,7 +237,7 @@ def test_gap_floor_admits_every_known_ruler():
     rulers = [witness for _, witness in max_sidon_table(60)]
     q = 2
     while q <= 32:
-        rulers.append(bose_sequence(q).values)  # rooted at 1, as the search is
+        rulers.append(bose_sequence(q))  # rooted at 1, as the search is
         q = next_prime_power(q + 1)
     checked = 0
     for ruler in rulers:
@@ -397,7 +400,7 @@ def test_decoupling_near_the_float_limit():
     st.lists(st.integers(1, 3000), min_size=1, max_size=40, unique=True),
     st.sampled_from([0.125, 1.0, 2.5, 37.5]),
 )
-@example(list(sidon_for_channels(40).values), 1.0)  # Sidon at the full size
+@example(list(sidon_for_channels(40)), 1.0)  # Sidon at the full size
 @example([1, 2, 3], 2.5)  # 1 + 3 = 2 + 2
 def test_decoupled_iff_sidon(vals, width):
     # on the slot lattice two sum intervals overlap iff the slot sums are
@@ -477,7 +480,7 @@ def test_decoupling_ignores_a_sum_band_rounded_to_a_point():
 def test_decoupling_witness_on_a_broken_bose_grid():
     # move the last of 30 Bose slots to s28 + s29 - s1, so the pair sums
     # (1, 30) and (28, 29) meet at the end of the enumeration
-    slots = list(sidon_for_channels(30).values)
+    slots = list(sidon_for_channels(30))
     slots[-1] = slots[-2] + slots[-3] - slots[0]
     intervals = plan_channels(slots, 1.0).intervals()
     witness = _first_collision(intervals)
@@ -520,7 +523,7 @@ def test_decoupling_witness_matches_enumeration_up_to_20_channels(intervals):
 def test_decoupling_witness_on_a_broken_41_channel_bose_grid():
     # the plan workload's size: the last of 41 Bose slots moved to
     # s39 + s40 - s1, so the pair sums (1, 41) and (39, 40) meet
-    slots = list(sidon_for_channels(41).values)
+    slots = list(sidon_for_channels(41))
     slots[-1] = slots[-2] + slots[-3] - slots[0]
     intervals = plan_channels(slots, 1.0).intervals()
     witness = _first_collision(intervals)
