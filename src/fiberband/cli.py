@@ -241,7 +241,10 @@ def cmd_three_tone(args) -> int:
             f"{what} turns {rate * args.dz_m:.3g} rad in one --dz-m step"
         ) from None
     except ValueError as exc:  # the flags are checked, so only the dispersion factor is left
-        raise ValueError(f"--spacing-ghz: with --beta2-ps2-per-km, {exc}") from None
+        # beta2 shares the fault only where the spacing squared alone is finite
+        squared = state.domega * state.domega
+        with_beta2 = "with --beta2-ps2-per-km, " if math.isfinite(squared) else ""
+        raise ValueError(f"--spacing-ghz: {with_beta2}{exc}") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "three_tone.csv"

@@ -114,7 +114,7 @@ class ExperimentConfig:
         if self.dt_ps <= 0:
             fail("dt_ps", "must be positive")
         if self.channel_count < 1:
-            fail("channel_count", "need at least one channel")
+            fail("channel_count", f"must be at least 1, got {self.channel_count}")
         if self.width_ghz <= 0:
             fail("width_ghz", "must be positive")
         if self.placement not in PLACEMENTS:

@@ -33,14 +33,15 @@ class BudgetExceeded(ValueError):
 
 # Largest span the exhaustive search accepts. It bounds the span, not the
 # time. On one core of a 2-vCPU Xeon the table reaches k = 40 in
-# 0.013-0.025 s, k = 60 in 0.54-0.58 s and k = 73, which
-# `densest_sidon(11)` needs, in 9-11 s (0.018-0.032 s, 0.71-0.85 s and
-# 13-14 s with the gap-sum floor read one bit at a time). Longer rows were
-# timed only with that bit-at-a-time floor: k = 86, the first 12-mark row,
-# in 48-62 s and k = 100 in 296-335 s, row 100 alone taking 65-76 s; each
-# row that finds no longer set takes about 1.3x as long as the one before.
-# Extrapolated from those, not run: k = 107, which `densest_sidon(13)`
-# needs, about half an hour; k = 128 for 14 marks, longer still.
+# 0.009-0.018 s, k = 60 in 0.20-0.38 s and k = 73, which
+# `densest_sidon(11)` needs, in 3.8-5.0 s (each the min of five runs).
+# Longer rows were timed only on older code, which tested every candidate
+# mark on its own and read the gap-sum floor one bit at a time: k = 86,
+# the first 12-mark row, in 48-62 s and k = 100 in 296-335 s, row 100
+# alone taking 65-76 s; each row that finds no longer set takes about 1.3x
+# as long as the one before. Extrapolated from those, not run: k = 107,
+# which `densest_sidon(13)` needs, about half an hour; k = 128 for 14
+# marks, longer still.
 BRUTE_FORCE_BUDGET = 150
 
 
@@ -124,14 +125,22 @@ def _search_length(k: int, target: int, minspan: list) -> tuple | None:
     and only the interior marks are searched. A set is Sidon iff its
     pairwise differences are distinct (a Golomb ruler). `diffs` is a
     bitmask of the differences used so far, including each mark's
-    difference to the far mark k, and `back` has bit d set iff a mark
-    sits d below the last mark `last` (bit 0 is `last` itself). A
-    candidate c's differences to the marks below it are then exactly the
-    bits of new = back << (c - last), so c is admissible iff that
-    shifted register misses `diffs` and its difference k - c to the far
-    mark misses `diffs | new`: two integer tests per candidate, after
-    the shift-register search for optimal Golomb rulers (Dollas, Rankin
-    & McCracken 1998).
+    difference to the far mark k; `back` has bit d set iff a mark sits d
+    below the last mark `last` (bit 0 is `last` itself); `high` has bit
+    m + k set iff m is a placed mark. A mark at c = last + s differs from
+    the marks below it by the bits of back << s, as in the shift-register
+    search for optimal Golomb rulers (Dollas, Rankin & McCracken 1998),
+    and from the far mark by k - c. It is admissible iff it clears two
+    registers, each updated in O(1) when a child c is placed:
+    - comp, bit s iff back << s meets `diffs`, becomes
+      diffs' | comp >> s | high >> 2c: the last term is x - m = k - c,
+      a later mark x at distance k - c from a placed mark m;
+    - block, bit x iff k - x is in `diffs` or equals x - m for a placed
+      m, gains high >> c (k - x = c - m) and the midpoint (c + k) / 2.
+    Both gain high >> c once comp is shifted to absolute positions, so
+    the node keeps their union `bad` = comp << last | block, and its
+    children are exactly the clear bits of `bad` in last+1..top, lowest
+    first: no candidate is tested.
 
     `minspan[m]`, when present, is the exact minimal span of an
     m-element Sidon set; a candidate c with m elements still owed
@@ -149,8 +158,8 @@ def _search_length(k: int, target: int, minspan: list) -> tuple | None:
     the sum F of the r smallest of them (`_gap_floor`). F depends on
     the node alone, so it is computed once and every candidate above
     k - F is cut before the loop. A leaf child (r = 1) is exempt: its
-    one gap k - c is the far-mark difference that the second bit test
-    already decides exactly, and counted from the child's own `diffs`,
+    one gap k - c is the far-mark difference that `bad` already
+    decides exactly, and counted from the child's own `diffs`,
     where k - c is booked, the floor would even exclude it.
     """
 
@@ -163,29 +172,39 @@ def _search_length(k: int, target: int, minspan: list) -> tuple | None:
         return None
     # candidate ceiling per interior node depth, hoisted out of the search
     ceiling = [k - span_floor(target - d) for d in range(target - 1)]
+    leaf_depth, floor_depth = target - 1, target - 2
+    # per mark c: the bit of its far difference k - c, and the bit of the
+    # midpoint x of c and k when that is whole (x - c would equal k - x)
+    far = [1 << (k - c) for c in range(k + 1)]
+    mid = [1 << ((c + k) // 2) if (c + k) % 2 == 0 else 0 for c in range(k + 1)]
 
-    def dfs(depth: int, last: int, back: int, diffs: int) -> tuple | None:
-        if depth == target - 1:
-            return last, back
+    def dfs(depth: int, last: int, back: int, diffs: int, bad: int, high: int) -> int | None:
+        if depth == leaf_depth:
+            return high
         top = ceiling[depth]
-        if depth < target - 2:  # the child is no leaf: r >= 2 gaps follow it
-            top = min(top, k - _gap_floor(diffs, target - depth - 1))
-        new = back
-        for c in range(last + 1, top + 1):
-            new <<= 1  # back << (c - last)
-            if not new & diffs:
-                far = 1 << (k - c)
-                if not far & (diffs | new):
-                    hit = dfs(depth + 1, c, new | 1, diffs | new | far)
-                    if hit:
-                        return hit
+        if depth < floor_depth:  # the child is no leaf: r >= 2 gaps follow it
+            floor_top = k - _gap_floor(diffs, leaf_depth - depth)
+            if floor_top < top:
+                top = floor_top
+        if top <= last:
+            return None
+        free = ~bad & ((2 << top) - (2 << last))  # clear bits in last+1..top
+        while free:
+            low = free & -free
+            free ^= low
+            c = low.bit_length() - 1
+            new = back << (c - last)
+            child_diffs = diffs | new | far[c]
+            hit = dfs(depth + 1, c, new | 1, child_diffs,
+                      bad | child_diffs << c | high >> c | mid[c], high | 1 << (k + c))
+            if hit:
+                return hit
         return None
 
-    hit = dfs(1, 1, 1, 1 << (k - 1))
-    if hit is None:
+    high = dfs(1, 1, 1, far[1], mid[1], 1 << (k + 1))
+    if high is None:
         return None
-    last, back = hit
-    return tuple(last - d for d in range(last, -1, -1) if back >> d & 1) + (k,)
+    return tuple(m for m in range(1, k) if high >> (k + m) & 1) + (k,)
 
 
 def _table_rows():

@@ -11,6 +11,9 @@ program also produces, by a route that shares no stepping code with it:
   the planner's constructions and grid certificates;
 - `gap_floor`: the search's gap-sum floor one clear bit at a time,
   against the planner's byte-table floor;
+- `search_length`: the pinned Sidon search testing every candidate mark
+  with two shift-register tests, against the planner's search, which
+  reads a node's children off one register;
 - `rk4ip`: a projected RK4IP stepper (interaction-picture fourth-order
   Runge-Kutta; Hult, J. Lightwave Technol. 25(12), 2007), against the
   split step's per-channel drift under distributed filtering.
@@ -107,6 +110,50 @@ def gap_floor(used: int, r: int) -> int:
         floor += low.bit_length() - 1
         used |= low
     return floor
+
+
+def search_length(k: int, target: int, minspan: list) -> tuple | None:
+    """Lexicographically first Sidon subset of {1..k} of size `target`.
+
+    Same precondition, pinned end marks 1 and k, `minspan` ceiling and
+    gap-sum floor (`gap_floor`) as the planner's `_search_length`, but
+    every candidate c of a node is tested on its own: `back` has bit d
+    set iff a mark sits d below the last mark, so c's differences to the
+    marks below it are new = back << (c - last), and c is admissible iff
+    new misses `diffs` and its far difference k - c misses `diffs | new`
+    (Dollas, Rankin & McCracken 1998)."""
+
+    def span_floor(m: int) -> int:
+        if m < len(minspan):
+            return minspan[m]
+        return m * (m - 1) // 2
+
+    if k - 1 < span_floor(target):
+        return None
+    ceiling = [k - span_floor(target - d) for d in range(target - 1)]
+
+    def dfs(depth: int, last: int, back: int, diffs: int) -> tuple | None:
+        if depth == target - 1:
+            return last, back
+        top = ceiling[depth]
+        if depth < target - 2:  # the child is no leaf: r >= 2 gaps follow it
+            top = min(top, k - gap_floor(diffs, target - depth - 1))
+        new = back
+        for c in range(last + 1, top + 1):
+            new <<= 1  # back << (c - last)
+            if not new & diffs:
+                far = 1 << (k - c)
+                if not far & (diffs | new):
+                    hit = dfs(depth + 1, c, new | 1, diffs | new | far)
+                    if hit:
+                        return hit
+        return None
+
+    hit = dfs(1, 1, 1, 1 << (k - 1))
+    if hit is None:
+        return None
+    last, back = hit
+    return tuple(last - d for d in range(last, -1, -1) if back >> d & 1) + (k,)
 
 
 def rk4ip(

@@ -140,6 +140,14 @@ def test_validate_reports_the_offending_key(changes, field):
         dataclasses.replace(sidon_cfg(), **changes)
 
 
+@pytest.mark.parametrize("count", [0, -2])
+def test_validate_names_a_channel_count_below_one(count):
+    # the planner's rule, with the value the config gave
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(placement="uniform", channel_count=count)
+    assert str(exc.value) == f"channels.count: must be at least 1, got {count}"
+
+
 def test_grid_errors_speak_in_ghz():
     with pytest.raises(ConfigError) as exc:
         sidon_cfg(width_ghz=2.0)
@@ -748,6 +756,15 @@ def test_cli_three_tone_names_a_dispersion_factor_past_the_floats(tmp_path, caps
     assert main([*argv, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith(
         "error: --spacing-ghz: with --beta2-ps2-per-km, domega = ")
+    assert not (tmp_path / "three_tone.csv").exists()
+
+
+def test_cli_three_tone_names_only_a_spacing_whose_square_leaves_the_floats(tmp_path, capsys):
+    # (2 pi 1e199 rad/s)^2 is past the largest float at any beta2
+    assert main(["three-tone", "--spacing-ghz", "1e190", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --spacing-ghz: domega = 6.283185307179587e+199 rad/s: ")
+    assert "--beta2-ps2-per-km" not in err
     assert not (tmp_path / "three_tone.csv").exists()
 
 

@@ -36,7 +36,7 @@ from fiberband.planner import (
     spectral_filling_efficiency,
 )
 
-from oracles import gap_floor, is_sidon
+from oracles import gap_floor, is_sidon, search_length
 
 BOSE_11 = (1, 6, 22, 62, 68, 69, 71, 88, 99, 103, 113)
 
@@ -267,23 +267,53 @@ def test_gap_floor_matches_the_bit_loop(used, r, full_bytes):
     assert planner._gap_floor(used, r) == gap_floor(used, r)
 
 
-def test_gap_floor_prunes_the_same_nodes(monkeypatch):
-    # one floor per interior node with two or more gaps to go: a floor
-    # that prunes differently changes this count even where rows agree
+@pytest.fixture(scope="module")
+def table_to_52():
+    """Rows to k = 52 from one pass that counts floor calls and records
+    every search: (rows, floor calls after rows 40 and 52, and each
+    search's k, target, minspan and result)."""
+    floor, search = planner._gap_floor, planner._search_length
     calls = 0
-    floor = planner._gap_floor
+    searches = []
 
     def counted(used, r):
         nonlocal calls
         calls += 1
         return floor(used, r)
 
-    monkeypatch.setattr(planner, "_gap_floor", counted)
-    rows = tuple(islice(planner._table_rows(), 40))
-    assert calls == 7627  # 61870 to k = 52
-    assert [n for n, _ in rows] == FROZEN["rows"][:40]
-    monkeypatch.undo()
-    assert rows == max_sidon_table(40)
+    def recorded(k, target, minspan):
+        found = search(k, target, minspan)
+        searches.append((k, target, list(minspan), found))
+        return found
+
+    rows, floor_calls = [], {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(planner, "_gap_floor", counted)
+        patch.setattr(planner, "_search_length", recorded)
+        for row in islice(planner._table_rows(), 52):
+            rows.append(row)
+            if len(rows) in (40, 52):
+                floor_calls[len(rows)] = calls
+    return rows, floor_calls, searches
+
+
+def test_gap_floor_prunes_the_same_nodes(table_to_52):
+    # one floor per interior node with two or more gaps to go: a floor
+    # that prunes differently, or a search that visits other nodes,
+    # changes these counts even where rows agree
+    rows, floor_calls, _ = table_to_52
+    assert floor_calls == {40: 7627, 52: 61870}
+    assert [n for n, _ in rows] == FROZEN["rows"][:52]
+    assert tuple(rows[:40]) == max_sidon_table(40)
+
+
+def test_search_matches_the_candidate_loop(table_to_52):
+    # every row the table searched, None included, against the search
+    # that tests each candidate mark on its own
+    _, _, searches = table_to_52
+    assert [k for k, *_ in searches] == list(range(1, 53))
+    for k, target, minspan, found in searches:
+        assert found == search_length(k, target, minspan), k
 
 
 def test_table_to_52_is_fast():
