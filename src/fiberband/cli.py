@@ -1,4 +1,4 @@
-"""Command-line front end: simulate, plan, check, three-tone, bounds.
+"""Command-line front end: simulate, plan, check, bounds.
 
 Outputs are plain CSV/JSON files designed to be diffable: identical
 configs produce bit-identical files. Plot rendering is out of scope;
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bands import BandError
-from .config import GHZ, ConfigError, ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, parse_config
 from .fields import parseval_residual
 from .planner import (
     bose_sequence,
@@ -34,8 +34,7 @@ from .planner import (
     sidon_for_channels,
     spectral_filling_efficiency,
 )
-from .propagation import FiberParams, propagate, step_count
-from .threetone import TonesNotFinite, ToneState, integrate_tones
+from .propagation import propagate, step_count
 
 
 # Largest --n that `plan --mode bose` accepts. Building GF(N) and
@@ -194,73 +193,6 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _tone_flags(args) -> tuple[list[float], list[float]]:
-    """Powers and phases of the tones; a bad flag raises ValueError naming it."""
-    def check(dest: str, ok: bool, rule: str) -> None:
-        if not ok:
-            flag = "--" + dest.replace("_", "-")
-            raise ValueError(f"{flag}: must be {rule}, got {getattr(args, dest)}")
-
-    tones = {}
-    for dest in ("powers_w", "phases_rad"):
-        try:
-            tones[dest] = [float(x) for x in getattr(args, dest).split(",")]
-        except ValueError:
-            tones[dest] = []
-        check(dest, len(tones[dest]) == 3, f"three {dest.split('_')[0]} separated by commas")
-    powers, phases = tones["powers_w"], tones["phases_rad"]
-    check("powers_w", all(0 <= p < math.inf for p in powers), "finite and nonnegative")
-    check("phases_rad", all(map(math.isfinite, phases)), "finite")
-    for dest in ("spacing_ghz", "beta2_ps2_per_km", "gamma_per_w_km"):
-        check(dest, math.isfinite(getattr(args, dest)), "finite")
-    check("z_km", 0 <= args.z_km < math.inf, "finite and nonnegative")
-    check("dz_m", 0 < args.dz_m < math.inf, "finite and positive")
-    check("dz_m", step_count(args.z_km * 1e3, args.dz_m) is not None,
-          f"a divisor of --z-km = {args.z_km!r} km ({args.z_km * 1e3!r} m)")
-    return powers, phases
-
-
-def cmd_three_tone(args) -> int:
-    powers, phases = _tone_flags(args)
-    amps = [math.sqrt(p) * complex(math.cos(ph), math.sin(ph)) for p, ph in zip(powers, phases)]
-    state = ToneState(*amps, args.spacing_ghz * GHZ)
-    params = FiberParams.from_engineering(
-        0.0, args.beta2_ps2_per_km, args.gamma_per_w_km
-    )
-    try:
-        traj = integrate_tones(state, args.z_km * 1e3, args.dz_m, params)
-    except TonesNotFinite as exc:
-        # name the faster of the two phase rotations the step could not follow
-        dispersion = 0.5 * abs(params.beta2) * state.domega * state.domega
-        kerr = abs(params.gamma) * sum(powers)
-        flag, what, rate = (
-            ("--spacing-ghz", "dispersion phase (with --beta2-ps2-per-km)", dispersion)
-            if dispersion >= kerr else ("--powers-w", "Kerr phase (with --gamma-per-w-km)", kerr))
-        raise ValueError(
-            f"{flag}: the tone powers stop being finite at z = {exc.z / 1e3!r} km, as the "
-            f"{what} turns {rate * args.dz_m:.3g} rad in one --dz-m step"
-        ) from None
-    except ValueError as exc:  # the flags are checked, so only the dispersion factor is left
-        # beta2 shares the fault only where the spacing squared alone is finite
-        squared = state.domega * state.domega
-        with_beta2 = "with --beta2-ps2-per-km, " if math.isfinite(squared) else ""
-        raise ValueError(f"--spacing-ghz: {with_beta2}{exc}") from None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "three_tone.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["z_km", "P1_W", "P2_W", "P3_W"])
-        for st in traj:
-            writer.writerow([repr(float(x)) for x in (st.z / 1e3, *st.powers())])
-    totals = np.array([sum(st.powers()) for st in traj])
-    # dark tones stay dark, so an all-zero launch has no drift
-    drift = np.max(np.abs(totals - totals[0])) / totals[0] if totals[0] else 0.0
-    print(f"wrote {path}")
-    print(f"total-power drift: {drift:.3e} relative")
-    return 0
-
-
 def cmd_bounds(args) -> int:
     k_max = args.k_max
     try:
@@ -313,17 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     chk = sub.add_parser("check", help="energy-decoupling verdict for intervals")
     chk.add_argument("--intervals", required=True, help="file of 'lo hi' lines")
     chk.set_defaults(func=cmd_check)
-
-    tt = sub.add_parser("three-tone", help="three-tone coupled-mode reference run")
-    tt.add_argument("--powers-w", default="1.0,1.0,1.0")
-    tt.add_argument("--phases-rad", default="0.0,0.0,0.0")
-    tt.add_argument("--spacing-ghz", type=float, default=5.0)
-    tt.add_argument("--z-km", type=float, default=1.0)
-    tt.add_argument("--dz-m", type=float, default=1.0)
-    tt.add_argument("--beta2-ps2-per-km", type=float, default=-21.667)
-    tt.add_argument("--gamma-per-w-km", type=float, default=1.2578)
-    tt.add_argument("--out", default=".")
-    tt.set_defaults(func=cmd_three_tone)
 
     bnd = sub.add_parser("bounds", help="exhaustive N(k) vs counting bound table")
     bnd.add_argument("--k-max", type=int, default=30)

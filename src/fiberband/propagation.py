@@ -159,7 +159,7 @@ def step_count(span: float, dz: float) -> int | None:
     is not positive or does not divide span to within 1e-9 of span.
 
     This is the one divisibility rule for step partitions: `propagate`,
-    `ExperimentConfig.validate` and the three-tone integrator apply it.
+    `ExperimentConfig.validate` and the tests' coupled-mode oracle apply it.
     """
     if not dz > 0:
         return None

@@ -694,83 +694,14 @@ def test_cli_check_rejects_a_grid_whose_sums_overflow(tmp_path, capsys):
     assert capsys.readouterr().out == "energy-decoupled: no witness=(1, 1) vs (1, 2)\n"
 
 
-def test_cli_three_tone(tmp_path, capsys):
-    rc = main([
-        "three-tone", "--powers-w", "0.001,0.0016,0.0004",
-        "--phases-rad", "0.0,0.5,-1.1", "--z-km", "0.1", "--dz-m", "10",
-        "--out", str(tmp_path),
-    ])
-    assert rc == 0
-    assert "drift" in capsys.readouterr().out
-    rows = (tmp_path / "three_tone.csv").read_text().splitlines()
-    assert rows[0] == "z_km,P1_W,P2_W,P3_W"
-    assert len(rows) == 1 + 11  # 10 steps plus the launch state
-    launch = [float(tok) for tok in rows[1].split(",")]
-    assert launch[1:] == pytest.approx([0.001, 0.0016, 0.0004], rel=1e-12)
-
-
-def test_cli_three_tone_rejects_bad_list(capsys):
-    assert main(["three-tone", "--powers-w", "1.0,2.0"]) == 1
-    assert "three powers" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "flag, value",
-    [
-        ("--z-km", "inf"),
-        ("--z-km", "-1"),
-        ("--dz-m", "inf"),
-        ("--dz-m", "0"),
-        ("--dz-m", "1e12"),
-        ("--dz-m", "0.3"),
-        ("--spacing-ghz", "nan"),
-        ("--spacing-ghz", "1e100"),  # finite, but the powers overflow on the first step
-        ("--spacing-ghz", "1e300"),  # finite in GHz, not in rad/s
-        ("--spacing-ghz", "1e190"),  # finite in rad/s, but its square overflows
-        ("--powers-w", "1e300,1,1"),  # finite, but the Kerr phase overflows
-        ("--powers-w", "nan,1,1"),
-        ("--powers-w", "1,x,1"),
-        ("--powers-w", "-1,1,1"),
-        ("--phases-rad", "inf,0,0"),
-        ("--beta2-ps2-per-km", "nan"),
-        ("--gamma-per-w-km", "nan"),
-    ],
-)
-def test_cli_three_tone_rejects_bad_flags(tmp_path, capsys, flag, value):
-    assert main(["three-tone", f"{flag}={value}", "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
-    assert not (tmp_path / "three_tone.csv").exists()
-
-
-def test_cli_three_tone_names_where_the_powers_leave_the_floats(tmp_path, capsys):
-    assert main(["three-tone", "--spacing-ghz", "1e100", "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith(
-        "error: --spacing-ghz: the tone powers stop being finite at z = 0.001 km, as the "
-        "dispersion phase (with --beta2-ps2-per-km) turns ")
-    assert not (tmp_path / "three_tone.csv").exists()
-
-
-def test_cli_three_tone_names_a_dispersion_factor_past_the_floats(tmp_path, capsys):
-    # each flag is finite, and so is the spacing squared, but not its product with beta2
-    argv = ["three-tone", "--spacing-ghz", "1e100", "--beta2-ps2-per-km", "1e300"]
-    assert main([*argv, "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err.startswith(
-        "error: --spacing-ghz: with --beta2-ps2-per-km, domega = ")
-    assert not (tmp_path / "three_tone.csv").exists()
-
-
-def test_cli_three_tone_names_only_a_spacing_whose_square_leaves_the_floats(tmp_path, capsys):
-    # (2 pi 1e199 rad/s)^2 is past the largest float at any beta2
-    assert main(["three-tone", "--spacing-ghz", "1e190", "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: --spacing-ghz: domega = 6.283185307179587e+199 rad/s: ")
-    assert "--beta2-ps2-per-km" not in err
-    assert not (tmp_path / "three_tone.csv").exists()
-
-
-def test_cli_three_tone_dark_launch(tmp_path, capsys):
-    assert main(["three-tone", "--powers-w", "0,0,0", "--out", str(tmp_path)]) == 0
-    assert "drift: 0.000e+00" in capsys.readouterr().out
+def test_cli_has_four_subcommands(capsys):
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert list(subparsers.choices) == ["simulate", "plan", "check", "bounds"]
+    with pytest.raises(SystemExit) as exc:
+        main(["three-tone"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'three-tone'" in capsys.readouterr().err
 
 
 def test_cli_bounds_table(capsys):

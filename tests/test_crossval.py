@@ -17,9 +17,8 @@ from fiberband.bands import make_bandset
 from fiberband.cli import resolve_config
 from fiberband.fields import SampledField
 from fiberband.propagation import FiberParams, FilterMode, propagate
-from fiberband.threetone import ToneState, integrate_tones
 
-from oracles import channel_energy_rhs
+from oracles import ToneState, channel_energy_rhs, integrate_tones
 
 PARAMS = FiberParams.from_engineering(0.0, -21.667, 1.2578)
 

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fiberband.propagation import FiberParams
-from fiberband.threetone import TonesNotFinite, ToneState, _rhs, integrate_tones
 
-from oracles import power_rhs
+from oracles import TonesNotFinite, ToneState, _rhs, integrate_tones, power_rhs
 
 PARAMS = FiberParams(beta2=-21.667e-27, gamma=1.2578e-3)
 DOM = 2 * np.pi * 10e9
