@@ -9,9 +9,13 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,6 +256,50 @@ def test_replace_can_unpin_the_phases():
     assert energies == cfg.pulse_parameters()[0]
     # with the energies pinned, the seed draws only the phases
     assert phases == tuple(np.random.default_rng(3).uniform(-math.pi, math.pi, 5))
+
+
+# Draws frozen at seeds 7 and 11: energies, then phases, from one
+# generator seeded by run.seed. A change to when or how the generator
+# is built must leave every value and its order as it is.
+
+
+def test_unpinned_energies_draw_the_frozen_values():
+    cfg = sidon_cfg(energies_pj=None, seed=7)
+    energies, phases = cfg.pulse_parameters()
+    assert energies == (9.563884265767672e-13, 1.3509600114058843e-12,
+                        1.1747442508555305e-12, 3.765504254863582e-13,
+                        4.852411131212769e-13)
+    assert phases == cfg.phases_rad
+
+
+def test_unpinned_energies_and_phases_draw_the_frozen_values():
+    energies, phases = sidon_cfg(energies_pj=None, phases_rad=None, seed=11).pulse_parameters()
+    assert energies == (2.3642679401533944e-13, 7.739529005381666e-13,
+                        9.221726185538683e-13, 9.159906213931959e-14,
+                        2.644928226373111e-13)
+    assert phases == (2.690529207836934, -2.6991271241746224, -2.326198881469457,
+                      2.8169307505134302, 0.7658171994444922)
+
+
+_SHORT_SIDON5_RUN = """
+import dataclasses, sys
+from pathlib import Path
+from fiberband.cli import resolve_config, run_simulation
+cfg = dataclasses.replace(resolve_config("sidon5"), z_total_km=0.5, record_every_km=0.5,
+                          {unpin})
+run_simulation(cfg, Path(sys.argv[1]), "short", "csv")
+print("numpy.random" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("unpin, imported", [("", False), ("phases_rad=None", True)])
+def test_a_pinned_launch_never_imports_numpy_random(tmp_path, unpin, imported):
+    # a fresh interpreter, since this one has long imported numpy.random
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _SHORT_SIDON5_RUN.format(unpin=unpin),
+                           str(tmp_path)], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.split() == [str(imported)]
 
 
 # ---------------------------------------------------------------- placement
