@@ -8,12 +8,12 @@ pair lands on another pair, while `uniform5` spreads the same five
 channels evenly over the same 23-width bandwidth. The table shows what
 that one choice costs.
 
-Writes trace CSVs and summary JSONs under --out (default results/).
+Writes trace CSVs and summary JSONs under --out (default results/), the
+same files `fiberband simulate --config <name>` writes for each config.
 """
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from fiberband.cli import resolve_config, run_simulation
@@ -22,16 +22,12 @@ from fiberband.cli import resolve_config, run_simulation
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="results", help="output directory")
-    ap.add_argument("--dz-km", type=float, default=None, help="override step")
     args = ap.parse_args(argv)
 
     out = Path(args.out)
     rows = []
     for name in ("sidon5", "uniform5"):
-        cfg = resolve_config(name)
-        if args.dz_km is not None:
-            cfg = replace(cfg, dz_km=args.dz_km)
-        summary = run_simulation(cfg, out, name, "csv")
+        summary = run_simulation(resolve_config(name), out, name, "csv")
         rows.append((name, summary))
 
     print(f"\n{'grid':<10} {'loss %':>8} {'worst channel dev %':>20} {'discarded J':>13}")

@@ -43,15 +43,23 @@ class BandSet:
         return self.intervals[-1][1]
 
 
+def _bound(x) -> float:
+    try:
+        return float(x)
+    except OverflowError:  # an int past the largest float
+        return math.inf if x > 0 else -math.inf
+
+
 def make_bandset(intervals) -> BandSet:
     """Validate and sort intervals into a BandSet.
 
     Raises EmptyBandSet on an empty list, OverlappingIntervals if any
     two intervals intersect (shared endpoints count as intersecting;
     `fields.band_mask` also rejects a bin in two intervals), and
-    BandError if a bound is not finite or some lo >= hi.
+    BandError if a bound is not finite (an int past the largest float
+    is not) or some lo >= hi.
     """
-    ivs = [(float(lo), float(hi)) for lo, hi in intervals]
+    ivs = [(_bound(lo), _bound(hi)) for lo, hi in intervals]
     if not ivs:
         raise EmptyBandSet("band set needs at least one interval")
     for lo, hi in ivs:

@@ -1,7 +1,8 @@
 """Command-line front end: simulate, plan, check, bounds.
 
-Outputs are plain CSV/JSON files designed to be diffable: identical
-configs produce bit-identical files. Plot rendering is out of scope;
+Outputs are plain CSV/JSON files designed to be diffable: `simulate`
+takes every setting of a run from its config file, so identical configs
+produce bit-identical files. Plot rendering is out of scope;
 the trace files carry everything a plotting tool needs.
 """
 
@@ -13,7 +14,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import replace
 from functools import cache
 from importlib import resources
 from pathlib import Path
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bands import BandError
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ExperimentConfig, parse_config
 from .fields import parseval_residual
 from .planner import (
     bose_sequence,
@@ -119,14 +119,7 @@ def run_simulation(cfg: ExperimentConfig, out_dir: Path, stem: str, fmt: str) ->
 
 def cmd_simulate(args) -> int:
     cfg = resolve_config(args.config)
-    if args.seed is not None and cfg.energies_pj is not None and cfg.phases_rad is not None:
-        raise ConfigError(f"run.seed: --seed {args.seed} cannot change the launch, since "
-                          "pulses.energies_pj and pulses.phases_rad are both pinned")
-    overrides = dict(dz_km=args.dz_km, filter_spacing_km=args.filter_spacing_km,
-                     record_every_km=args.record_every_km, seed=args.seed)
-    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    stem = Path(args.config).stem
-    summary = run_simulation(cfg, Path(args.out), stem, args.format)
+    summary = run_simulation(cfg, Path(args.out), Path(args.config).stem, args.format)
     print(f"steps                  : {summary['steps']}")
     print(f"total loss             : {summary['total_loss_pct']:.4f} %")
     print(f"max channel deviation  : {summary['per_channel_max_dev_pct']:.4f} %")
@@ -227,10 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="propagate a configured launch field")
     sim.add_argument("--config", required=True, help="config path or bundled name")
     sim.add_argument("--out", default=".", help="output directory")
-    sim.add_argument("--dz-km", type=float, default=None)
-    sim.add_argument("--filter-spacing-km", type=float, default=None)
-    sim.add_argument("--record-every-km", type=float, default=None)
-    sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--format", choices=("csv", "json"), default="csv")
     sim.set_defaults(func=cmd_simulate)
 

@@ -39,7 +39,6 @@ from .propagation import FILTERS, FiberParams, FilterMode, step_count
 GHZ = 2.0 * math.pi * 1e9  # rad/s per GHz of ordinary frequency
 
 PLACEMENTS = ("sequence", "uniform")
-_SPAN_W = 23.0  # channel widths a uniform grid spans when span_w is unset
 
 
 class ConfigError(ValueError):
@@ -126,11 +125,12 @@ class ExperimentConfig:
             if len(self.sequence) != self.channel_count:
                 fail("sequence", f"needs {self.channel_count} elements")
             grid_name, reach = "sequence", 2 * self.sequence[-1] - 1
-        else:  # name the key the config set
-            if self.span_w is not None and self.span_w < self.channel_count:
+        else:
+            if self.span_w is None:
+                fail("span_w", "required for placement = uniform")
+            if self.span_w < self.channel_count:
                 fail("span_w", "span cannot hold the channels")
-            grid_name = "channel_count" if self.span_w is None else "span_w"
-            reach = 1 if self.channel_count == 1 else self.span_w or _SPAN_W
+            grid_name, reach = "span_w", 1 if self.channel_count == 1 else self.span_w
         dt = self.dt_ps * 1e-12
         edge = -bin_omegas(self.n, dt)[self.n // 2]  # the Nyquist edge, at index n // 2
         nyquist, spacing = edge / GHZ, edge / (self.n // 2)  # a power of two: exact
@@ -206,7 +206,7 @@ class ExperimentConfig:
         """The channel grid in rad/s, also the filter: interval k is channel k."""
         w = self.width_ghz * GHZ
         if self.placement == "uniform":
-            span = (self.span_w if self.span_w is not None else _SPAN_W) * w
+            span = self.span_w * w
             if self.channel_count == 1:
                 centers = [0.5 * w]
             else:

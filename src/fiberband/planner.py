@@ -303,9 +303,9 @@ def is_energy_decoupled(channels) -> tuple[bool, tuple | None]:
     its partners later, so it is the witness's first pair, and the
     second is the first interval after it that overlaps it.
     """
-    intervals = [(float(lo), float(hi)) for lo, hi in channels]
-    make_bandset(intervals)
-    lo, hi = np.array(intervals).T
+    intervals = list(channels)
+    make_bandset(intervals)  # so every bound is a finite float
+    lo, hi = np.array(intervals, dtype=float).T
     first, second = np.triu_indices(len(intervals))
     with np.errstate(over="ignore"):  # an overflowed edge raises below
         sum_lo, sum_hi = lo[first] + lo[second], hi[first] + hi[second]
@@ -350,7 +350,11 @@ class ChannelPlan:
         object.__setattr__(self, "seq", seq)
         if not self.width > 0:
             raise ValueError("channel width must be positive")
-        if not math.isfinite((2 * seq[-1] - 1) * self.width):
+        try:
+            top = (2 * seq[-1] - 1) * self.width
+        except OverflowError:  # an int slot past the largest float
+            top = math.inf
+        if not math.isfinite(top):
             raise ValueError(f"channel width {self.width:g} puts the top edge out of range")
 
     @property

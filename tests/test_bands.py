@@ -47,7 +47,9 @@ def test_make_bandset_rejects_bad_input():
 
 @pytest.mark.parametrize(
     "intervals",
-    [[(float("nan"), 6.0)], [(0.0, float("inf"))], [(0.0, 1.0), (-float("inf"), -1.0)]],
+    [[(float("nan"), 6.0)], [(0.0, float("inf"))], [(0.0, 1.0), (-float("inf"), -1.0)],
+     # ints past the largest float
+     [(0, 10**309)], [(-(10**309), 0)]],
 )
 def test_make_bandset_rejects_non_finite_bounds(intervals):
     with pytest.raises(BandError, match="non-finite"):

@@ -57,11 +57,11 @@ def test_emit_parse_round_trip_exact():
 def test_round_trip_with_optionals_absent():
     cfg = ExperimentConfig(
         alpha0_db_per_km=0.2, beta2_ps2_per_km=-20.0, gamma_per_w_km=1.3, rolloff=0.5, seed=7,
-        placement="uniform", sequence=None, span_w=None, energies_pj=None, phases_rad=None,
+        placement="uniform", sequence=None, span_w=23.0, energies_pj=None, phases_rad=None,
         filter="distributed", filter_spacing_km=None,
     )
     text = emit_config(cfg)
-    unset = ("sequence", "span_w", "energies_pj", "phases_rad", "filter_spacing_km")
+    unset = ("sequence", "energies_pj", "phases_rad", "filter_spacing_km")
     assert not any(key in text for key in unset)
     back = parse_config(text)
     assert back == cfg
@@ -115,9 +115,8 @@ def test_parse_rejects_garbage():
         (dict(sequence=(5, 1, 2, 10, 12)), "channels.sequence"),
         # top channel edge 46 GHz against the 32 GHz Nyquist edge
         (dict(width_ghz=2.0), "channels.width_ghz"),
-        # no span_w: 30 channels do not fit the default span of 23 widths
-        (dict(placement="uniform", channel_count=30, energies_pj=None, phases_rad=None),
-         "channels.count"),
+        # a uniform grid needs its span, as a sequence grid needs its slots
+        (dict(placement="uniform"), "channels.span_w"),
         # 0.01 GHz channels between the bins of a 0.03125 GHz grid
         (dict(width_ghz=0.01), "channels.width_ghz"),
         # steps of dz must partition the run, the records and the filter spacing
@@ -174,11 +173,10 @@ def test_grid_errors_speak_in_ghz():
         "channels.width_ghz: top channel edge 2.3e+299 GHz is not below the Nyquist "
         "edge 32 GHz of grid.dt_ps = 15.625"
     )
+    # five 2.5 GHz channels in five widths touch
     with pytest.raises(ConfigError) as exc:
-        ExperimentConfig(placement="uniform", channel_count=30)
-    assert str(exc.value) == (
-        "channels.count: channels [0, 1] and [0.758621, 1.75862] GHz overlap"
-    )
+        ExperimentConfig(placement="uniform", span_w=5.0, width_ghz=2.5)
+    assert str(exc.value) == "channels.span_w: channels [2.5, 5] and [5, 7.5] GHz overlap"
 
 
 def test_channels_that_share_a_bin_fail_naming_the_grid_key():
@@ -318,7 +316,7 @@ def test_sequence_placement_matches_slot_rule():
 
 
 def test_uniform_placement_centers():
-    cfg = ExperimentConfig(placement="uniform")  # span_w defaults to 23 widths
+    cfg = ExperimentConfig(placement="uniform", span_w=23.0)
     w = cfg.width_ghz * GHZ
     centers = [0.5 * (lo + hi) for lo, hi in cfg.channels().intervals]
     expect = [(0.5 + 5.5 * i) * w for i in range(5)]
@@ -327,8 +325,14 @@ def test_uniform_placement_centers():
         assert hi - lo == pytest.approx(w, rel=1e-12)
 
 
+def test_uniform_placement_requires_its_span():
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(placement="uniform")
+    assert str(exc.value) == "channels.span_w: required for placement = uniform"
+
+
 def test_uniform_single_channel():
-    cfg = ExperimentConfig(placement="uniform", channel_count=1)
+    cfg = ExperimentConfig(placement="uniform", channel_count=1, span_w=1.0)
     (channel,) = cfg.channels().intervals
     assert channel == pytest.approx((0.0, cfg.width_ghz * GHZ))
 
@@ -437,14 +441,12 @@ def test_cli_simulate_writes_trace_and_summary(tmp_path, capsys):
 
 
 def test_cli_simulate_is_deterministic_per_seed(tmp_path):
-    path = write_cfg(tmp_path, short_cfg(energies_pj=None, phases_rad=None))
     outs = []
-    for tag, seed in (("a", "5"), ("b", "5"), ("c", "6")):
-        out = tmp_path / tag
-        rc = main(["simulate", "--config", str(path), "--out", str(out),
-                   "--seed", seed])
-        assert rc == 0
-        outs.append((out / "short_trace.csv").read_bytes())
+    for tag, seed in (("a", 5), ("b", 5), ("c", 6)):
+        cfg = short_cfg(energies_pj=None, phases_rad=None, seed=seed)
+        path = write_cfg(tmp_path, cfg, f"{tag}.cfg")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+        outs.append((tmp_path / f"{tag}_trace.csv").read_bytes())
     assert outs[0] == outs[1]
     assert outs[0] != outs[2]
 
@@ -466,17 +468,6 @@ def test_cli_simulate_missing_config_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["sidon5", "uniform5"])
-def test_cli_simulate_rejects_a_seed_that_cannot_change_the_launch(tmp_path, capsys, name):
-    # both bundled configs pin energies and phases, so no seed draws anything
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", name, "--out", str(out), "--seed", "7"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: run.seed: --seed 7 ")
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("command, flag", [("simulate", "--config"), ("check", "--intervals")])
 def test_cli_reports_a_directory_as_an_error(tmp_path, capsys, command, flag):
     assert main([command, flag, str(tmp_path)]) == 1
@@ -486,47 +477,53 @@ def test_cli_reports_a_directory_as_an_error(tmp_path, capsys, command, flag):
     assert str(tmp_path) in captured.err
 
 
+def edited_config(tmp_path, text: str, line: str, new_line: str) -> Path:
+    """A config file: `text` with its one `line` replaced by `new_line`."""
+    assert text.count(line) == 1
+    path = tmp_path / "edited.cfg"
+    path.write_text(text.replace(line, new_line), encoding="utf-8")
+    return path
+
+
+def bundled_text(name: str) -> str:
+    return resources.files("fiberband").joinpath("configs", f"{name}.cfg").read_text()
+
+
 def test_cli_simulate_names_a_negative_seed(tmp_path, capsys):
-    path = write_cfg(tmp_path, short_cfg(energies_pj=None, phases_rad=None))
+    text = emit_config(short_cfg(energies_pj=None, phases_rad=None))
+    path = edited_config(tmp_path, text, "seed = 0", "seed = -3")
     out = tmp_path / "out"
-    assert main(["simulate", "--config", str(path), "--out", str(out), "--seed", "-3"]) == 1
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: run.seed: must be nonnegative, got -3\n"
     assert not out.exists()
 
 
 @pytest.mark.parametrize(
-    "option, value, key",
-    [("--dz-km", "nan", "run.dz_km"), ("--filter-spacing-km", "inf", "run.filter_spacing_km")],
-)
-def test_cli_simulate_names_a_non_finite_override(tmp_path, capsys, option, value, key):
-    argv = ["simulate", "--config", "sidon5", "--out", str(tmp_path), option, value]
-    assert main(argv) == 1
-    assert key in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize(
-    "option, value, message",
+    "line, new_line, message",
     [
-        ("--dz-km", "0.3", "run.dz_km: 0.3 km does not divide run.z_total_km = 160.0 km"),
-        ("--record-every-km", "5.05",
+        ("dz_km = 0.1", "dz_km = 0.3",
+         "run.dz_km: 0.3 km does not divide run.z_total_km = 160.0 km"),
+        ("record_every_km = 5.0", "record_every_km = 5.05",
          "run.dz_km: 0.1 km does not divide run.record_every_km = 5.05 km"),
-        ("--filter-spacing-km", "10.05",
+        ("filter_spacing_km = 10.0", "filter_spacing_km = 10.05",
          "run.dz_km: 0.1 km does not divide run.filter_spacing_km = 10.05 km"),
     ],
     ids=["z-total", "record-every", "filter-spacing"],
 )
-def test_cli_simulate_names_a_step_that_does_not_divide(tmp_path, capsys, option, value, message):
-    argv = ["simulate", "--config", "sidon5", "--out", str(tmp_path), option, value]
-    assert main(argv) == 1
+def test_cli_simulate_names_a_step_that_does_not_divide(tmp_path, capsys, line, new_line,
+                                                        message):
+    path = edited_config(tmp_path, bundled_text("sidon5"), line, new_line)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not any(tmp_path.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
     "name, line, bad_line, key",
     [
         ("uniform5", "span_w = 23.0", "span_w = 5.0", "channels.span_w"),
+        ("uniform5", "span_w = 23.0\n", "", "channels.span_w"),
         ("sidon5", "sequence = 1 2 5 10 12", "sequence = 5 1 2 10 12", "channels.sequence"),
         ("sidon5", "width_ghz = 1.0", "width_ghz = 2.0", "channels.width_ghz"),
         ("sidon5", "width_ghz = 1.0", "width_ghz = 0.01", "channels.width_ghz"),
@@ -545,17 +542,14 @@ def test_cli_simulate_names_a_step_that_does_not_divide(tmp_path, capsys, option
         ("sidon5", "dt_ps = 15.625", "dt_ps = 15.625%", "grid.dt_ps"),
         ("sidon5", "dt_ps = 15.625", "dt_ps = %(n)s", "grid.dt_ps"),
     ],
-    ids=["touching", "unsorted", "outside-window", "narrower-than-a-bin",
+    ids=["touching", "no-span", "unsorted", "outside-window", "narrower-than-a-bin",
          "slot-past-the-largest-float", "unknown-key",
          "unknown-section", "negative-seed", "negative-alpha0", "default-section",
          "misspelled-required-key", "sidon-placement", "percent-sign", "interpolation"],
 )
 def test_cli_simulate_names_a_bad_channel_grid(tmp_path, capsys, name, line, bad_line, key):
     # also a bad key, section or value outside the grid: each fails naming it
-    text = resources.files("fiberband").joinpath("configs", f"{name}.cfg").read_text()
-    assert line in text
-    path = tmp_path / f"{name}.cfg"
-    path.write_text(text.replace(line, bad_line), encoding="utf-8")
+    path = edited_config(tmp_path, bundled_text(name), line, bad_line)
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
     assert f"error: {key}: " in capsys.readouterr().err
@@ -742,14 +736,43 @@ def test_cli_check_rejects_a_grid_whose_sums_overflow(tmp_path, capsys):
     assert capsys.readouterr().out == "energy-decoupled: no witness=(1, 1) vs (1, 2)\n"
 
 
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    return next(action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
 def test_cli_has_four_subcommands(capsys):
-    subparsers = next(action for action in cli.build_parser()._actions
-                      if isinstance(action, argparse._SubParsersAction))
-    assert list(subparsers.choices) == ["simulate", "plan", "check", "bounds"]
+    assert list(subcommands()) == ["simulate", "plan", "check", "bounds"]
     with pytest.raises(SystemExit) as exc:
         main(["three-tone"])
     assert exc.value.code == 2
     assert "invalid choice: 'three-tone'" in capsys.readouterr().err
+
+
+def test_cli_simulate_takes_every_setting_from_its_config(capsys):
+    # a run is its config file: no option sets a config key a second way
+    options = [option for action in subcommands()["simulate"]._actions
+               if not isinstance(action, argparse._HelpAction)
+               for option in action.option_strings]
+    assert options == ["--config", "--out", "--format"]
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", "sidon5", "--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_parse(capsys):
+    # every example command in README's CLI section names only options that exist
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("```")[1]
+    examples = [line.split() for line in block.splitlines() if line.startswith("fiberband ")]
+    assert len(examples) == 6
+    for argv in examples:
+        try:
+            cli.build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {' '.join(argv)}\n"
+                        f"{capsys.readouterr().err}")
 
 
 def test_cli_bounds_table(capsys):

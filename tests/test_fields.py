@@ -225,7 +225,7 @@ def test_window_rule_is_shared_by_mask_pulse_and_config(width_ghz, inside):
         (lambda: band_mask(n, dt, make_bandset([(0.0, w)])), BandOutOfRange),
         (lambda: rrc_pulse((0.0, w), 0.15, 1.0, 0.0, dt, n, -16e-9), BandOutOfRange),
         (lambda: ExperimentConfig(n=n, dt_ps=dt_ps, placement="uniform", channel_count=1,
-                                  width_ghz=width_ghz), ConfigError),
+                                  span_w=1.0, width_ghz=width_ghz), ConfigError),
     ]
     for call, error in checks:
         if inside:

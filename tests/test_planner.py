@@ -395,10 +395,11 @@ def test_decoupling_edge_cases():
 
 @pytest.mark.parametrize(
     "intervals",
-    [[(0.0, 1.0), (2.0, float("inf"))], [(float("nan"), 1.0), (2.0, 3.0)]],
+    [[(0.0, 1.0), (2.0, float("inf"))], [(float("nan"), 1.0), (2.0, 3.0)],
+     [(0, 1), (2, 10**309)]],  # an int past the largest float
 )
 def test_decoupling_rejects_non_finite_bounds(intervals):
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(BandError, match="non-finite"):
         is_energy_decoupled(intervals)
 
 
@@ -594,3 +595,7 @@ def test_plan_geometry():
     assert sum(hi - lo for lo, hi in plan.intervals()) == 4.0
     with pytest.raises(ValueError):
         plan_channels((1, 3), width=0.0)
+    # a top slot past the largest float, like a width that puts the edge there
+    for seq, width in (((1, 10**309), 1.0), ((1, 3), 1e308)):
+        with pytest.raises(ValueError, match="puts the top edge out of range"):
+            plan_channels(seq, width)
