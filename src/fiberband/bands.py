@@ -44,6 +44,8 @@ class BandSet:
 
 
 def _bound(x) -> float:
+    """x as a float, an int past the largest float as +-inf: the package's one
+    rule for an int bound, which `float` alone would raise OverflowError on."""
     try:
         return float(x)
     except OverflowError:  # an int past the largest float

@@ -37,13 +37,6 @@ from .planner import (
 from .propagation import propagate, step_count
 
 
-# Largest --n that `plan --mode bose` accepts. Building GF(N) and
-# certifying the N(N+1)/2 sum intervals peaked at 33, 41 and 72 MB of
-# resident memory for N = 256, 512 and 1024, about x1.8 per doubling
-# at the top, where the sum-interval arrays dominate.
-BOSE_BUDGET = 1024
-
-
 def resolve_config(name: str) -> ExperimentConfig:
     """Load a config from a path, or fall back to a bundled one by name."""
     path = Path(name)
@@ -129,8 +122,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_plan(args) -> int:
     n, width = args.n, args.width_ghz
-    if args.mode == "bose" and n > BOSE_BUDGET:
-        raise ValueError(f"--n: {n} channels exceed the bose budget of {BOSE_BUDGET}")
     if not 0 < width < math.inf:  # before a densest search, which can take seconds
         raise ValueError(f"--width-ghz: must be finite and positive, got {width}")
     try:

@@ -7,10 +7,16 @@ are the dominant failure mode in fiber simulations. `parse_config` and
 Python parses back to the identical value.
 
 The file's schema is written once, on the `ExperimentConfig` fields:
-each field's metadata holds its key (`<section>.<option>`), the parser of
-its text and what a file that omits the key gets (REQUIRED, DEFAULTED
-or UNSET). `parse_config`, `emit_config` and `validate` loop over
-`dataclasses.fields` and spell no key of their own.
+each field's metadata holds its key (`<section>.<option>`) and the
+parser of its text, and its dataclass default is what a file that omits
+the key gets. A field without a default is a key every file must set;
+`parse_config` reports it as `<key>: missing`. `parse_config`,
+`emit_config` and `validate` loop over `dataclasses.fields` and spell no
+key of their own. The bundled runs live only in their `.cfg` files.
+
+The config is the one place engineering units become SI: `fiber()`,
+`channels()`, `filter_mode()`, `launch_field()` and `run_lengths()`
+hand the propagator m, s, rad/s, W and J.
 
 Pulse energies and phases may be omitted; they are then drawn from a
 seeded generator so a run remains reproducible from its config alone.
@@ -27,11 +33,11 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .bands import BandError, BandSet, OverlappingIntervals, make_bandset
+from .bands import BandError, BandSet, OverlappingIntervals, _bound, make_bandset
 from .fields import BandOutOfRange, SampledField, band_mask, bin_omegas, rrc_pulse
 from .planner import NotIncreasing, plan_channels
 from .propagation import FILTERS, FiberParams, FilterMode, step_count
@@ -45,12 +51,6 @@ class ConfigError(ValueError):
     pass
 
 
-# what a file that omits a key gets
-REQUIRED = "required"  # the error `<key>: missing`
-DEFAULTED = "defaulted"  # the field's default
-UNSET = "unset"  # None
-
-
 def _floats(text: str) -> tuple:
     return tuple(float(x) for x in text.split())
 
@@ -59,38 +59,38 @@ def _ints(text: str) -> tuple:
     return tuple(int(x) for x in text.split())
 
 
-def _entry(default, key: str, parse, omitted: str):
-    """A field with its schema: config key, parser of its text, omission rule."""
-    return field(default=default, metadata={"key": key, "parse": parse, "omitted": omitted})
+def _entry(key: str, parse, default=MISSING):
+    """A field with its schema: config key, parser of its text, and the
+    value a file that omits the key gets (none: the key is required)."""
+    return field(default=default, metadata={"key": key, "parse": parse})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """One run: fiber, grid, channels, pulses and steps, in the units its
     field names carry. `__post_init__` validates, so every instance is a
-    valid config; derive one from another with `dataclasses.replace`.
-    The defaults are the bundled sidon5 run with its launch drawn by seed 0."""
+    valid config; derive one from another with `dataclasses.replace`."""
 
-    alpha0_db_per_km: float = _entry(0.0, "fiber.alpha0_db_per_km", float, DEFAULTED)
-    beta2_ps2_per_km: float = _entry(-21.667, "fiber.beta2_ps2_per_km", float, DEFAULTED)
-    gamma_per_w_km: float = _entry(1.2578, "fiber.gamma_per_w_km", float, DEFAULTED)
-    n: int = _entry(2048, "grid.n", int, REQUIRED)
-    dt_ps: float = _entry(15.625, "grid.dt_ps", float, REQUIRED)
-    t0_ns: float = _entry(-16.0, "grid.t0_ns", float, REQUIRED)
-    channel_count: int = _entry(5, "channels.count", int, REQUIRED)
-    width_ghz: float = _entry(1.0, "channels.width_ghz", float, REQUIRED)
-    placement: str = _entry("sequence", "channels.placement", str, REQUIRED)
-    sequence: tuple | None = _entry((1, 2, 5, 10, 12), "channels.sequence", _ints, UNSET)
-    span_w: float | None = _entry(None, "channels.span_w", float, UNSET)
-    rolloff: float = _entry(0.15, "pulses.rolloff", float, DEFAULTED)
-    energies_pj: tuple | None = _entry(None, "pulses.energies_pj", _floats, UNSET)
-    phases_rad: tuple | None = _entry(None, "pulses.phases_rad", _floats, UNSET)
-    z_total_km: float = _entry(160.0, "run.z_total_km", float, REQUIRED)
-    dz_km: float = _entry(0.1, "run.dz_km", float, REQUIRED)
-    filter: str = _entry("lumped", "run.filter", str, REQUIRED)
-    filter_spacing_km: float | None = _entry(10.0, "run.filter_spacing_km", float, UNSET)
-    record_every_km: float = _entry(5.0, "run.record_every_km", float, REQUIRED)
-    seed: int = _entry(0, "run.seed", int, DEFAULTED)
+    alpha0_db_per_km: float = _entry("fiber.alpha0_db_per_km", float, 0.0)
+    beta2_ps2_per_km: float = _entry("fiber.beta2_ps2_per_km", float, -21.667)
+    gamma_per_w_km: float = _entry("fiber.gamma_per_w_km", float, 1.2578)
+    n: int = _entry("grid.n", int)
+    dt_ps: float = _entry("grid.dt_ps", float)
+    t0_ns: float = _entry("grid.t0_ns", float)
+    channel_count: int = _entry("channels.count", int)
+    width_ghz: float = _entry("channels.width_ghz", float)
+    placement: str = _entry("channels.placement", str)
+    sequence: tuple | None = _entry("channels.sequence", _ints, None)
+    span_w: float | None = _entry("channels.span_w", float, None)
+    rolloff: float = _entry("pulses.rolloff", float, 0.15)
+    energies_pj: tuple | None = _entry("pulses.energies_pj", _floats, None)
+    phases_rad: tuple | None = _entry("pulses.phases_rad", _floats, None)
+    z_total_km: float = _entry("run.z_total_km", float)
+    dz_km: float = _entry("run.dz_km", float)
+    filter: str = _entry("run.filter", str)
+    filter_spacing_km: float | None = _entry("run.filter_spacing_km", float, None)
+    record_every_km: float = _entry("run.record_every_km", float)
+    seed: int = _entry("run.seed", int, 0)
 
     def __post_init__(self):
         self.validate()
@@ -113,6 +113,11 @@ class ExperimentConfig:
             fail("n", f"{self.n} is not a power of two >= 2")
         if self.dt_ps <= 0:
             fail("dt_ps", "must be positive")
+        dt = self.dt_ps * 1e-12
+        # bins lie 2 pi / (n dt) apart, out to the Nyquist edge n // 2 bins up
+        if dt == 0 or math.isinf(self.n // 2 * (2.0 * math.pi / (self.n * dt))):
+            fail("dt_ps", f"{self.dt_ps!r} ps is too small for a finite frequency grid "
+                 f"({setting('n')})")
         if self.channel_count < 1:
             fail("channel_count", f"must be at least 1, got {self.channel_count}")
         if self.width_ghz <= 0:
@@ -131,7 +136,6 @@ class ExperimentConfig:
             if self.span_w < self.channel_count:
                 fail("span_w", "span cannot hold the channels")
             grid_name, reach = "span_w", 1 if self.channel_count == 1 else self.span_w
-        dt = self.dt_ps * 1e-12
         edge = -bin_omegas(self.n, dt)[self.n // 2]  # the Nyquist edge, at index n // 2
         nyquist, spacing = edge / GHZ, edge / (self.n // 2)  # a power of two: exact
 
@@ -139,10 +143,8 @@ class ExperimentConfig:
             fail("width_ghz", f"top channel edge {top_ghz:g} GHz is not below "
                  f"the Nyquist edge {nyquist:g} GHz of {setting('dt_ps')}")
 
-        try:  # reach is the top channel edge in widths; scaled as `channels` does
-            top_ghz, top = reach * self.width_ghz, reach * (self.width_ghz * GHZ)
-        except OverflowError:  # an int slot past the largest float
-            top_ghz = top = math.inf if reach > 0 else -math.inf
+        reach = _bound(reach)  # the top channel edge in widths; scaled as `channels` does
+        top_ghz, top = reach * self.width_ghz, reach * (self.width_ghz * GHZ)
         if top == math.inf:  # no grid can be built, and its edge is above Nyquist
             above_nyquist(top_ghz)
         try:
@@ -198,8 +200,11 @@ class ExperimentConfig:
     # derived physical objects
 
     def fiber(self) -> FiberParams:
-        return FiberParams.from_engineering(
-            self.alpha0_db_per_km, self.beta2_ps2_per_km, self.gamma_per_w_km
+        """The fiber in SI: dB/km, ps^2/km and 1/(W km) to 1/m, s^2/m and 1/(W m)."""
+        return FiberParams(
+            alpha0=self.alpha0_db_per_km * math.log(10.0) / 10.0 / 1e3,
+            beta2=self.beta2_ps2_per_km * 1e-27,
+            gamma=self.gamma_per_w_km * 1e-3,
         )
 
     def channels(self) -> BandSet:
@@ -300,9 +305,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 values[f.name] = f.metadata["parse"](cp.get(section, option).strip())
             except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
-        elif f.metadata["omitted"] == REQUIRED:
+        elif f.default is MISSING:
             raise ConfigError(f"{key}: missing")
-        elif f.metadata["omitted"] == UNSET:
-            values[f.name] = None
     return ExperimentConfig(**values)
 

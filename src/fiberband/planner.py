@@ -19,7 +19,7 @@ from itertools import count, islice
 
 import numpy as np
 
-from .bands import BandError, make_bandset
+from .bands import BandError, _bound, make_bandset
 from .gf import FieldGF, NotPrimePower, prime_power
 
 
@@ -43,6 +43,12 @@ class BudgetExceeded(ValueError):
 # which `densest_sidon(13)` needs, about half an hour; k = 128 for 14
 # marks, longer still.
 BRUTE_FORCE_BUDGET = 150
+
+# Largest channel count `sidon_for_channels` accepts. Building GF(N) and
+# certifying the N(N+1)/2 sum intervals peaked at 33, 41 and 72 MB of
+# resident memory for N = 256, 512 and 1024, about x1.8 per doubling
+# at the top, where the sum-interval arrays dominate.
+BOSE_BUDGET = 1024
 
 
 def bose_sequence(n: int) -> tuple:
@@ -74,8 +80,11 @@ def _check_channel_count(n: int) -> None:
 
 
 def sidon_for_channels(n: int) -> tuple:
-    """Length-n Sidon tuple for any n >= 1: next prime power, truncated."""
+    """Length-n Sidon tuple for 1 <= n <= BOSE_BUDGET: next prime power,
+    truncated. A larger n raises BudgetExceeded before GF(N) is built."""
     _check_channel_count(n)
+    if n > BOSE_BUDGET:
+        raise BudgetExceeded(f"{n} channels exceed the bose budget of {BOSE_BUDGET}")
     return bose_sequence(next_prime_power(n))[:n]
 
 
@@ -350,11 +359,10 @@ class ChannelPlan:
         object.__setattr__(self, "seq", seq)
         if not self.width > 0:
             raise ValueError("channel width must be positive")
-        try:
-            top = (2 * seq[-1] - 1) * self.width
-        except OverflowError:  # an int slot past the largest float
-            top = math.inf
-        if not math.isfinite(top):
+        reach = _bound(2 * seq[-1] - 1)  # the top edge in widths
+        if reach == math.inf:
+            raise ValueError("top slot m has 2m - 1 past the largest float")
+        if not math.isfinite(reach * self.width):
             raise ValueError(f"channel width {self.width:g} puts the top edge out of range")
 
     @property

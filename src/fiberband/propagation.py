@@ -51,7 +51,8 @@ is `fields.band_energy`.
 The trace's total is the full-spectrum energy at every record, in every
 filter mode: the sum over all bins, in band or not.
 
-All quantities are SI: m, s, rad/s, W, J.
+All quantities are SI: m, s, rad/s, W, J; `config` converts a run's
+engineering units.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ import numpy as np
 from .bands import BandSet
 from .fields import SampledField, band_energy, band_mask, bin_omegas
 
-LN10 = float(np.log(10.0))
 FILTERS = ("distributed", "lumped", "none")  # FilterMode kinds; config checks run.filter too
 
 
@@ -86,20 +86,6 @@ class FiberParams:
                 raise ValueError(f"{name} = {getattr(self, name)} is not finite")
         if self.alpha0 < 0:
             raise ValueError("alpha0 must be nonnegative")
-
-    @classmethod
-    def from_engineering(
-        cls,
-        alpha0_db_per_km: float = 0.0,
-        beta2_ps2_per_km: float = 0.0,
-        gamma_per_w_km: float = 0.0,
-    ) -> "FiberParams":
-        """Convert the usual fiber datasheet units to SI."""
-        return cls(
-            alpha0=alpha0_db_per_km * LN10 / 10.0 / 1e3,
-            beta2=beta2_ps2_per_km * 1e-27,
-            gamma=gamma_per_w_km * 1e-3,
-        )
 
 
 @dataclass(frozen=True)

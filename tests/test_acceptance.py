@@ -30,18 +30,14 @@ from fiberband.planner import (
     plan_channels,
     spectral_filling_efficiency,
 )
-from fiberband.propagation import (
-    FiberParams,
-    FilterMode,
-    propagate,
-)
+from fiberband.propagation import FilterMode, propagate
 
 from oracles import ToneState, channel_energy_rhs, integrate_tones, is_sidon, power_rhs
 
 KM = 1e3
 RUN_KM = 160.0
 
-TONE_PARAMS = FiberParams.from_engineering(0.0, -21.667, 1.2578)
+TONE_PARAMS = resolve_config("sidon5").fiber()
 TONE_STATE = ToneState(0.03 + 0j, 0.04 * np.exp(0.5j), 0.02 * np.exp(-1.1j),
                        2 * np.pi * 10e9)
 

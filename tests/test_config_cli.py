@@ -22,7 +22,7 @@ import pytest
 
 from fiberband import cli
 from fiberband.bands import OverlappingIntervals, make_bandset
-from fiberband.cli import BOSE_BUDGET, cmd_check, main, resolve_config
+from fiberband.cli import cmd_check, main, resolve_config
 from fiberband.config import (
     GHZ,
     ConfigError,
@@ -31,19 +31,27 @@ from fiberband.config import (
     parse_config,
 )
 from fiberband.fields import SampledField
+from fiberband.planner import BOSE_BUDGET
 from fiberband.propagation import FiberParams, FilterMode, propagate
 
 
+# the bundled sidon5 run with its launch left to seed 0, as keyword arguments
+SIDON5 = dataclasses.asdict(
+    dataclasses.replace(resolve_config("sidon5"), energies_pj=None, phases_rad=None, seed=0)
+)
+
+
+def config(**kw) -> ExperimentConfig:
+    """SIDON5 with the fields named in kw changed."""
+    return ExperimentConfig(**{**SIDON5, **kw})
+
+
 def sidon_cfg(**kw) -> ExperimentConfig:
-    base = dict(
-        channel_count=5,
-        placement="sequence",
-        sequence=(1, 2, 5, 10, 12),
-        energies_pj=(0.1, 0.25, 1.0 / 3.0, 0.7, 1.2),
-        phases_rad=(0.3, -1.1, 2.0, 0.0, -0.4),
-    )
-    base.update(kw)
-    return ExperimentConfig(**base)
+    return config(**{
+        "energies_pj": (0.1, 0.25, 1.0 / 3.0, 0.7, 1.2),
+        "phases_rad": (0.3, -1.1, 2.0, 0.0, -0.4),
+        **kw,
+    })
 
 
 # ---------------------------------------------------------------- round trip
@@ -55,7 +63,7 @@ def test_emit_parse_round_trip_exact():
 
 
 def test_round_trip_with_optionals_absent():
-    cfg = ExperimentConfig(
+    cfg = config(
         alpha0_db_per_km=0.2, beta2_ps2_per_km=-20.0, gamma_per_w_km=1.3, rolloff=0.5, seed=7,
         placement="uniform", sequence=None, span_w=23.0, energies_pj=None, phases_rad=None,
         filter="distributed", filter_spacing_km=None,
@@ -65,22 +73,44 @@ def test_round_trip_with_optionals_absent():
     assert not any(key in text for key in unset)
     back = parse_config(text)
     assert back == cfg
-    # an omitted unset key gives None, even where the field's default is not None
+    # an omitted optional key gives the field's default, None for these
     assert all(getattr(back, key) is None for key in unset)
-    # an omitted defaulted key gives the field's default
     fiber, rest = text.split("[grid]")
     assert fiber.startswith("[fiber]")
     rest = re.sub(r"(?m)^(rolloff|seed) = .*\n", "", rest)
     assert "rolloff" not in rest and "seed" not in rest
-    defaults = ExperimentConfig()
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    omitted = ("alpha0_db_per_km", "beta2_ps2_per_km", "gamma_per_w_km", "rolloff", "seed")
     assert parse_config("[grid]" + rest) == dataclasses.replace(
-        cfg,
-        alpha0_db_per_km=defaults.alpha0_db_per_km,
-        beta2_ps2_per_km=defaults.beta2_ps2_per_km,
-        gamma_per_w_km=defaults.gamma_per_w_km,
-        rolloff=defaults.rolloff,
-        seed=defaults.seed,
+        cfg, **{name: defaults[name] for name in omitted}
     )
+
+
+def outcome(build):
+    """The config `build` returns, or the message of the ConfigError it raises."""
+    try:
+        return build()
+    except ConfigError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", ["sidon5", "uniform5"])
+@pytest.mark.parametrize("f", dataclasses.fields(ExperimentConfig),
+                         ids=lambda f: f.metadata["key"])
+def test_a_key_is_required_exactly_when_its_field_has_no_default(name, f):
+    # a bundled file without the key's line fails with `<key>: missing` if the
+    # field has no default, and is otherwise the bundled run with the default
+    key = f.metadata["key"]
+    text, deleted = re.subn(rf"(?m)^{key.split('.')[1]} = .*\n", "", bundled_text(name))
+    assert deleted <= 1
+    if f.default is dataclasses.MISSING:
+        assert deleted == 1
+        assert outcome(lambda: parse_config(text)) == f"{key}: missing"
+    else:
+        bundled = resolve_config(name)
+        assert outcome(lambda: parse_config(text)) == outcome(
+            lambda: dataclasses.replace(bundled, **{f.name: f.default})
+        )
 
 
 def test_parse_rejects_garbage():
@@ -147,7 +177,7 @@ def test_validate_reports_the_offending_key(changes, field):
 def test_validate_names_a_channel_count_below_one(count):
     # the planner's rule, with the value the config gave
     with pytest.raises(ConfigError) as exc:
-        ExperimentConfig(placement="uniform", channel_count=count)
+        config(placement="uniform", channel_count=count)
     assert str(exc.value) == f"channels.count: must be at least 1, got {count}"
 
 
@@ -175,7 +205,7 @@ def test_grid_errors_speak_in_ghz():
     )
     # five 2.5 GHz channels in five widths touch
     with pytest.raises(ConfigError) as exc:
-        ExperimentConfig(placement="uniform", span_w=5.0, width_ghz=2.5)
+        config(placement="uniform", span_w=5.0, width_ghz=2.5)
     assert str(exc.value) == "channels.span_w: channels [2.5, 5] and [5, 7.5] GHz overlap"
 
 
@@ -186,7 +216,7 @@ def test_channels_that_share_a_bin_fail_naming_the_grid_key():
     uniform = dict(placement="uniform", sequence=None, channel_count=5,
                    energies_pj=None, phases_rad=None)
     with pytest.raises(ConfigError) as exc:
-        ExperimentConfig(span_w=5.0 + 1e-12, **uniform)
+        config(span_w=5.0 + 1e-12, **uniform)
     assert str(exc.value) == (
         "channels.span_w: channels [0, 1] and [1, 2] GHz share the frequency bin at 1 GHz "
         "(grid.n = 2048, grid.dt_ps = 15.625)"
@@ -205,8 +235,8 @@ def test_a_two_sample_grid_names_the_channel_without_a_bin():
     # bins at -32 and 0 GHz: the second 1 MHz channel holds neither
     with pytest.raises(ConfigError, match=r"^channels\.width_ghz: channel 2 .* "
                        r"bin spacing of 32 GHz \(grid\.n = 2,"):
-        ExperimentConfig(n=2, placement="uniform", sequence=None, channel_count=3,
-                         span_w=3.0, width_ghz=0.001, energies_pj=None, phases_rad=None)
+        config(n=2, placement="uniform", sequence=None, channel_count=3, span_w=3.0,
+               width_ghz=0.001, energies_pj=None, phases_rad=None)
 
 
 def test_channels_wider_than_a_bin_launch():
@@ -316,7 +346,7 @@ def test_sequence_placement_matches_slot_rule():
 
 
 def test_uniform_placement_centers():
-    cfg = ExperimentConfig(placement="uniform", span_w=23.0)
+    cfg = config(placement="uniform", span_w=23.0)
     w = cfg.width_ghz * GHZ
     centers = [0.5 * (lo + hi) for lo, hi in cfg.channels().intervals]
     expect = [(0.5 + 5.5 * i) * w for i in range(5)]
@@ -327,12 +357,12 @@ def test_uniform_placement_centers():
 
 def test_uniform_placement_requires_its_span():
     with pytest.raises(ConfigError) as exc:
-        ExperimentConfig(placement="uniform")
+        config(placement="uniform")
     assert str(exc.value) == "channels.span_w: required for placement = uniform"
 
 
 def test_uniform_single_channel():
-    cfg = ExperimentConfig(placement="uniform", channel_count=1, span_w=1.0)
+    cfg = config(placement="uniform", channel_count=1, span_w=1.0)
     (channel,) = cfg.channels().intervals
     assert channel == pytest.approx((0.0, cfg.width_ghz * GHZ))
 
@@ -375,9 +405,9 @@ def test_bundled_configs_resolve_and_validate():
     sidon5 = resolve_config("sidon5")
     assert sidon5.placement == "sequence"
     assert resolve_config("uniform5.cfg").placement == "uniform"
-    # the defaults are sidon5 with its launch left to seed 0
-    unpinned = dataclasses.replace(sidon5, energies_pj=None, phases_rad=None, seed=0)
-    assert ExperimentConfig() == unpinned
+    # the .cfg files are the only copy of the bundled runs: no field list spells one
+    with pytest.raises(TypeError):
+        ExperimentConfig()
 
 
 def test_resolve_prefers_filesystem_path(tmp_path):
@@ -553,6 +583,19 @@ def test_cli_simulate_names_a_bad_channel_grid(tmp_path, capsys, name, line, bad
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
     assert f"error: {key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dt_ps", ["5e-324", "1e-300"])
+def test_cli_simulate_names_a_sample_spacing_too_small_for_a_grid(tmp_path, capsys, dt_ps):
+    # 5e-324 ps rounds to 0 s; 1e-300 ps puts the bins an infinite spacing apart
+    path = edited_config(tmp_path, bundled_text("sidon5"), "dt_ps = 15.625", f"dt_ps = {dt_ps}")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: grid.dt_ps: {dt_ps} ps is too small for a finite "
+                            "frequency grid (grid.n = 2048)\n")
     assert not out.exists()
 
 
@@ -773,6 +816,21 @@ def test_readme_cli_examples_parse(capsys):
         except SystemExit:
             pytest.fail(f"README example does not parse: {' '.join(argv)}\n"
                         f"{capsys.readouterr().err}")
+
+
+def test_readme_names_every_optional_key():
+    # README's sentence on the keys a file may omit names every field with a
+    # default, and no other, with the value each gets unless it is None
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    (sentence,) = [" ".join(paragraph.split())
+                   for paragraph in readme.read_text(encoding="utf-8").split("\n\n")
+                   if paragraph.startswith("A file may omit ")]
+    optional = [f for f in dataclasses.fields(ExperimentConfig)
+                if f.default is not dataclasses.MISSING]
+    assert set(re.findall(r"`(\w+\.\w+)`", sentence)) == {f.metadata["key"] for f in optional}
+    for f in optional:
+        if f.default is not None:
+            assert f"`{f.metadata['key']}` ({f.default!r}" in sentence
 
 
 def test_cli_bounds_table(capsys):

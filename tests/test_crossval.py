@@ -16,11 +16,11 @@ import pytest
 from fiberband.bands import make_bandset
 from fiberband.cli import resolve_config
 from fiberband.fields import SampledField
-from fiberband.propagation import FiberParams, FilterMode, propagate
+from fiberband.propagation import FilterMode, propagate
 
 from oracles import ToneState, channel_energy_rhs, integrate_tones
 
-PARAMS = FiberParams.from_engineering(0.0, -21.667, 1.2578)
+PARAMS = resolve_config("sidon5").fiber()
 
 
 def test_three_tone_model_matches_full_propagator():

@@ -6,12 +6,15 @@ is an algebraic identity of the DFT and is tested as such. Brick-wall
 filtering is a propagator step and is tested in test_propagation.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fiberband.bands import BandSet, OverlappingIntervals, make_bandset
-from fiberband.config import GHZ, ConfigError, ExperimentConfig
+from fiberband.cli import resolve_config
+from fiberband.config import GHZ, ConfigError
 from fiberband.fields import (
     BandOutOfRange,
     FieldError,
@@ -224,8 +227,9 @@ def test_window_rule_is_shared_by_mask_pulse_and_config(width_ghz, inside):
     checks = [  # each on the channel [0, w]
         (lambda: band_mask(n, dt, make_bandset([(0.0, w)])), BandOutOfRange),
         (lambda: rrc_pulse((0.0, w), 0.15, 1.0, 0.0, dt, n, -16e-9), BandOutOfRange),
-        (lambda: ExperimentConfig(n=n, dt_ps=dt_ps, placement="uniform", channel_count=1,
-                                  span_w=1.0, width_ghz=width_ghz), ConfigError),
+        (lambda: replace(resolve_config("sidon5"), n=n, dt_ps=dt_ps, placement="uniform",
+                         channel_count=1, span_w=1.0, width_ghz=width_ghz, energies_pj=None,
+                         phases_rad=None), ConfigError),
     ]
     for call, error in checks:
         if inside:

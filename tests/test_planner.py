@@ -595,7 +595,11 @@ def test_plan_geometry():
     assert sum(hi - lo for lo, hi in plan.intervals()) == 4.0
     with pytest.raises(ValueError):
         plan_channels((1, 3), width=0.0)
-    # a top slot past the largest float, like a width that puts the edge there
-    for seq, width in (((1, 10**309), 1.0), ((1, 3), 1e308)):
-        with pytest.raises(ValueError, match="puts the top edge out of range"):
-            plan_channels(seq, width)
+    # a width that puts the top edge past the largest float is blamed; a top
+    # slot m whose 2m - 1 is already past it is blamed whatever the width
+    with pytest.raises(ValueError) as exc:
+        plan_channels((1, 3), 1e308)
+    assert str(exc.value) == "channel width 1e+308 puts the top edge out of range"
+    with pytest.raises(ValueError) as exc:
+        plan_channels((1, 10**309), 1.0)
+    assert str(exc.value) == "top slot m has 2m - 1 past the largest float"

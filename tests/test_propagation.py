@@ -48,7 +48,8 @@ def two_channel_launch(n=N):
 
 
 def test_engineering_conversions():
-    p = FiberParams.from_engineering(0.2, -21.667, 1.2578)
+    # the config converts a fiber's datasheet units; propagation takes SI only
+    p = dataclasses.replace(resolve_config("sidon5"), alpha0_db_per_km=0.2).fiber()
     assert p.alpha0 == pytest.approx(4.605170185988091e-05, rel=1e-12)
     assert p.beta2 == pytest.approx(-21.667e-27, rel=1e-12)
     assert p.gamma == pytest.approx(1.2578e-3, rel=1e-12)
@@ -106,7 +107,7 @@ def test_linear_propagation_is_exact_dispersion():
 
 def test_attenuation_scales_field_pointwise():
     f, chans = two_channel_launch()
-    params = FiberParams.from_engineering(alpha0_db_per_km=0.2)
+    params = FiberParams(alpha0=4.6e-5)  # about 0.2 dB/km
     z = 4e3
     out, _ = propagate(f, z, 100.0, params, FilterMode("none"), chans, z)
     expected = f.samples * np.exp(-0.5 * params.alpha0 * z)
