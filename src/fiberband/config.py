@@ -18,6 +18,10 @@ The config is the one place engineering units become SI: `fiber()`,
 `channels()`, `filter_mode()`, `launch_field()` and `run_lengths()`
 hand the propagator m, s, rad/s, W and J.
 
+A grid is a sequence grid when `channels.sequence` is set and a uniform
+grid when `channels.span_w` is; a config sets exactly one of the two.
+`launch_field` centres every run's time window on t = 0.
+
 Pulse energies and phases may be omitted; they are then drawn from a
 seeded generator so a run remains reproducible from its config alone.
 A config that pins both draws nothing and builds no generator.
@@ -38,13 +42,11 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .bands import BandError, BandSet, OverlappingIntervals, _bound, make_bandset
-from .fields import BandOutOfRange, SampledField, band_mask, bin_omegas, rrc_pulse
+from .fields import BandOutOfRange, SampledField, band_mask, rrc_pulse
 from .planner import NotIncreasing, plan_channels
 from .propagation import FILTERS, FiberParams, FilterMode, step_count
 
 GHZ = 2.0 * math.pi * 1e9  # rad/s per GHz of ordinary frequency
-
-PLACEMENTS = ("sequence", "uniform")
 
 
 class ConfigError(ValueError):
@@ -76,10 +78,8 @@ class ExperimentConfig:
     gamma_per_w_km: float = _entry("fiber.gamma_per_w_km", float, 1.2578)
     n: int = _entry("grid.n", int)
     dt_ps: float = _entry("grid.dt_ps", float)
-    t0_ns: float = _entry("grid.t0_ns", float)
     channel_count: int = _entry("channels.count", int)
     width_ghz: float = _entry("channels.width_ghz", float)
-    placement: str = _entry("channels.placement", str)
     sequence: tuple | None = _entry("channels.sequence", _ints, None)
     span_w: float | None = _entry("channels.span_w", float, None)
     rolloff: float = _entry("pulses.rolloff", float, 0.15)
@@ -115,29 +115,31 @@ class ExperimentConfig:
             fail("dt_ps", "must be positive")
         dt = self.dt_ps * 1e-12
         # bins lie 2 pi / (n dt) apart, out to the Nyquist edge n // 2 bins up
-        if dt == 0 or math.isinf(self.n // 2 * (2.0 * math.pi / (self.n * dt))):
+        edge = self.n // 2 * (2.0 * math.pi / (self.n * dt)) if dt else math.inf
+        if math.isinf(edge):
             fail("dt_ps", f"{self.dt_ps!r} ps is too small for a finite frequency grid "
                  f"({setting('n')})")
+        nyquist, spacing = edge / GHZ, edge / (self.n // 2)  # a power of two: exact
         if self.channel_count < 1:
             fail("channel_count", f"must be at least 1, got {self.channel_count}")
+        if self.channel_count > self.n // 2:  # from 0 Hz up, one bin per channel
+            fail("channel_count", f"{self.channel_count} channels exceed the {self.n // 2} "
+                 f"frequency bins below the Nyquist edge ({setting('n')})")
         if self.width_ghz <= 0:
             fail("width_ghz", "must be positive")
-        if self.placement not in PLACEMENTS:
-            fail("placement", f"{self.placement!r} not in {PLACEMENTS}")
-        if self.placement == "sequence":
-            if not self.sequence:
-                fail("sequence", "required for placement = sequence")
+        grids = [name for name in ("sequence", "span_w") if getattr(self, name) is not None]
+        if len(grids) != 1:
+            raise ConfigError(f"{_KEYS['sequence']}, {_KEYS['span_w']}: "
+                              f"{'both' if grids else 'neither'} set; a grid sets exactly one")
+        (grid_name,) = grids
+        if grid_name == "sequence":
             if len(self.sequence) != self.channel_count:
                 fail("sequence", f"needs {self.channel_count} elements")
-            grid_name, reach = "sequence", 2 * self.sequence[-1] - 1
+            reach = 2 * self.sequence[-1] - 1
         else:
-            if self.span_w is None:
-                fail("span_w", "required for placement = uniform")
             if self.span_w < self.channel_count:
                 fail("span_w", "span cannot hold the channels")
-            grid_name, reach = "span_w", 1 if self.channel_count == 1 else self.span_w
-        edge = -bin_omegas(self.n, dt)[self.n // 2]  # the Nyquist edge, at index n // 2
-        nyquist, spacing = edge / GHZ, edge / (self.n // 2)  # a power of two: exact
+            reach = 1 if self.channel_count == 1 else self.span_w
 
         def above_nyquist(top_ghz: float):
             fail("width_ghz", f"top channel edge {top_ghz:g} GHz is not below "
@@ -210,7 +212,7 @@ class ExperimentConfig:
     def channels(self) -> BandSet:
         """The channel grid in rad/s, also the filter: interval k is channel k."""
         w = self.width_ghz * GHZ
-        if self.placement == "uniform":
+        if self.span_w is not None:
             span = self.span_w * w
             if self.channel_count == 1:
                 centers = [0.5 * w]
@@ -245,7 +247,7 @@ class ExperimentConfig:
 
     def launch_field(self) -> SampledField:
         dt = self.dt_ps * 1e-12
-        t0 = self.t0_ns * 1e-9
+        t0 = -(self.n // 2) * dt  # the window centred on t = 0
         energies, phases = self.pulse_parameters()
         total = np.zeros(self.n, dtype=complex)
         for channel, energy, phase in zip(self.channels().intervals, energies, phases):

@@ -17,29 +17,9 @@ filtering masks every step, lumped filtering only at multiples of the
 filter spacing, and unfiltered mode never masks; the linear factor
 always applies, so discards are booked before attenuation.
 
-The Kerr factor is formed as cos(phi) + j*sin(phi) of the real phase
-phi = |q|^2 * (gamma*dz). The complex exp of j*phi has a real part of
-exactly 0, so it returns those two values to the bit, and the cheaper
-form keeps every trace bit-identical. `propagate` allocates, once per
-call, a real buffer for |q| and the phase, a complex buffer whose real
-and imaginary parts cos and sin write straight into, a spectrum buffer
-the forward FFT writes into, and the working field, a copy of the
-launch that the inverse FFT overwrites every step (`out=` in
-`numpy.fft` needs numpy >= 2.0). The product keeps q as its first
-operand: numpy's complex multiply is not bitwise commutative, and the
-swapped order changes the last bit of some samples. A filter site
-gathers the out-of-band bins by index, books their energy and zeroes
-them in place; the gather is the one array a step allocates, because
-numpy's indexing fast path copies them faster than `np.take` into a
-preallocated buffer does.
-
-The inverse FFT's 1/n rides in the linear factor too, which `propagate`
-builds once per call as the dispersion phase divided by n, times the
-attenuation, and the inverse runs unscaled (norm="forward"). The 1/n is
-exact: `SampledField` holds only power-of-two n, and scaling by 2^-k
-commutes with every rounding of the complex multiply and the FFT
-butterflies, barring subnormals. In a lossless run the attenuation is
-1.0, so the factor is the dispersion phase divided by n to the bit.
+`_step_kernel`'s docstring gives the bit-level form of a step: how the
+Kerr factor, the product and the linear factor are computed so that
+every trace stays bit-identical, and which buffers a step writes.
 
 `propagate` drives `_step_kernel`, the only code that steps or filters
 a field; a single filtered step is `propagate` with z_total = dz =
@@ -172,7 +152,14 @@ def _step_kernel(q, gdz, linear, oob, phi, kerr, spec):
     step's one spectral factor: the dispersion phase times the
     attenuation, divided by n for the inverse FFT, which therefore runs
     unscaled; for a power-of-two n that gives the default ifft to the bit,
-    barring subnormals. The inverse FFT overwrites q, which is returned.
+    barring subnormals, because scaling by 2^-k commutes with every
+    rounding of the complex multiply and the FFT butterflies. In a
+    lossless run the attenuation is 1.0, so linear is the dispersion
+    phase divided by n to the bit. The inverse FFT overwrites q, which
+    is returned; `out=` in `numpy.fft` needs numpy >= 2.0. The gather of
+    the out-of-band bins is the one array a step allocates: numpy's
+    indexing fast path copies them faster than `np.take` into a
+    preallocated buffer does.
     """
     np.abs(q, out=phi)
     phi *= phi

@@ -65,7 +65,7 @@ def test_emit_parse_round_trip_exact():
 def test_round_trip_with_optionals_absent():
     cfg = config(
         alpha0_db_per_km=0.2, beta2_ps2_per_km=-20.0, gamma_per_w_km=1.3, rolloff=0.5, seed=7,
-        placement="uniform", sequence=None, span_w=23.0, energies_pj=None, phases_rad=None,
+        sequence=None, span_w=23.0, energies_pj=None, phases_rad=None,
         filter="distributed", filter_spacing_km=None,
     )
     text = emit_config(cfg)
@@ -130,10 +130,9 @@ def test_parse_rejects_garbage():
         (dict(dt_ps=0.0), "grid.dt_ps"),
         (dict(channel_count=0), "channels.count"),
         (dict(width_ghz=-1.0), "channels.width_ghz"),
-        (dict(placement="ring"), "channels.placement"),
         (dict(sequence=None), "channels.sequence"),
         (dict(sequence=(1, 2, 5)), "channels.sequence"),
-        (dict(placement="uniform", span_w=2.0), "channels.span_w"),
+        (dict(sequence=None, span_w=2.0), "channels.span_w"),
         (dict(rolloff=1.5), "pulses.rolloff"),
         (dict(energies_pj=(1.0, 1.0)), "pulses.energies_pj"),
         (dict(energies_pj=(0.1, 0.2, -0.3, 0.4, 0.5)), "pulses.energies_pj"),
@@ -141,12 +140,12 @@ def test_parse_rejects_garbage():
         (dict(filter="comb"), "run.filter"),
         (dict(filter="lumped", filter_spacing_km=None), "run.filter_spacing_km"),
         # five channels in five widths touch: edge bins in two channels
-        (dict(placement="uniform", span_w=5.0), "channels.span_w"),
+        (dict(sequence=None, span_w=5.0), "channels.span_w"),
         (dict(sequence=(5, 1, 2, 10, 12)), "channels.sequence"),
         # top channel edge 46 GHz against the 32 GHz Nyquist edge
         (dict(width_ghz=2.0), "channels.width_ghz"),
-        # a uniform grid needs its span, as a sequence grid needs its slots
-        (dict(placement="uniform"), "channels.span_w"),
+        # a grid sets its slots or its span, not both
+        (dict(span_w=23.0), "channels.span_w"),
         # 0.01 GHz channels between the bins of a 0.03125 GHz grid
         (dict(width_ghz=0.01), "channels.width_ghz"),
         # steps of dz must partition the run, the records and the filter spacing
@@ -160,7 +159,7 @@ def test_parse_rejects_garbage():
         (dict(width_ghz=1e298), "channels.width_ghz"),
         (dict(sequence=(1, 2, 5, 10, 10**300)), "channels.width_ghz"),
         (dict(sequence=(1, 2, 5, 10, 10**309)), "channels.width_ghz"),
-        (dict(placement="uniform", span_w=23.0, width_ghz=1e300), "channels.width_ghz"),
+        (dict(sequence=None, span_w=23.0, width_ghz=1e300), "channels.width_ghz"),
         # 1e310 steps of 0.1 um: the step count is past the largest float
         (dict(z_total_km=1e300, dz_km=1e-10), "run.dz_km"),
     ],
@@ -177,7 +176,7 @@ def test_validate_reports_the_offending_key(changes, field):
 def test_validate_names_a_channel_count_below_one(count):
     # the planner's rule, with the value the config gave
     with pytest.raises(ConfigError) as exc:
-        config(placement="uniform", channel_count=count)
+        config(sequence=None, span_w=23.0, channel_count=count)
     assert str(exc.value) == f"channels.count: must be at least 1, got {count}"
 
 
@@ -205,7 +204,7 @@ def test_grid_errors_speak_in_ghz():
     )
     # five 2.5 GHz channels in five widths touch
     with pytest.raises(ConfigError) as exc:
-        config(placement="uniform", span_w=5.0, width_ghz=2.5)
+        config(sequence=None, span_w=5.0, width_ghz=2.5)
     assert str(exc.value) == "channels.span_w: channels [2.5, 5] and [5, 7.5] GHz overlap"
 
 
@@ -213,7 +212,7 @@ def test_channels_that_share_a_bin_fail_naming_the_grid_key():
     # five 1 GHz channels over 5 + 1e-12 widths are disjoint intervals,
     # but each inner edge pair falls within EDGE_TOL of one 31.25 MHz bin,
     # which two channels would then both book
-    uniform = dict(placement="uniform", sequence=None, channel_count=5,
+    uniform = dict(sequence=None, channel_count=5,
                    energies_pj=None, phases_rad=None)
     with pytest.raises(ConfigError) as exc:
         config(span_w=5.0 + 1e-12, **uniform)
@@ -232,11 +231,11 @@ def test_channels_that_share_a_bin_fail_naming_the_grid_key():
 
 
 def test_a_two_sample_grid_names_the_channel_without_a_bin():
-    # bins at -32 and 0 GHz: the second 1 MHz channel holds neither
-    with pytest.raises(ConfigError, match=r"^channels\.width_ghz: channel 2 .* "
+    # bins at -32 and 0 GHz: a 1 MHz channel in slot 2, at [2, 3] MHz, holds neither
+    with pytest.raises(ConfigError, match=r"^channels\.width_ghz: channel 1 .* "
                        r"bin spacing of 32 GHz \(grid\.n = 2,"):
-        config(n=2, placement="uniform", sequence=None, channel_count=3, span_w=3.0,
-               width_ghz=0.001, energies_pj=None, phases_rad=None)
+        config(n=2, channel_count=1, sequence=(2,), width_ghz=0.001, energies_pj=None,
+               phases_rad=None)
 
 
 def test_channels_wider_than_a_bin_launch():
@@ -255,9 +254,8 @@ NAN, INF = float("nan"), float("inf")
         (dict(beta2_ps2_per_km=-INF), "fiber.beta2_ps2_per_km"),
         (dict(gamma_per_w_km=INF), "fiber.gamma_per_w_km"),
         (dict(dt_ps=NAN), "grid.dt_ps"),
-        (dict(t0_ns=-INF), "grid.t0_ns"),
         (dict(width_ghz=INF), "channels.width_ghz"),
-        (dict(placement="uniform", span_w=NAN), "channels.span_w"),
+        (dict(sequence=None, span_w=NAN), "channels.span_w"),
         (dict(rolloff=NAN), "pulses.rolloff"),
         (dict(energies_pj=(0.1, 0.2, INF, 0.4, 0.5)), "pulses.energies_pj"),
         (dict(phases_rad=(0.0, NAN, 0.0, 0.0, 0.0)), "pulses.phases_rad"),
@@ -330,7 +328,7 @@ def test_a_pinned_launch_never_imports_numpy_random(tmp_path, unpin, imported):
     assert proc.stdout.split() == [str(imported)]
 
 
-# ---------------------------------------------------------------- placement
+# ---------------------------------------------------------------- grid keys
 
 
 def test_sequence_placement_matches_slot_rule():
@@ -346,7 +344,7 @@ def test_sequence_placement_matches_slot_rule():
 
 
 def test_uniform_placement_centers():
-    cfg = config(placement="uniform", span_w=23.0)
+    cfg = config(sequence=None, span_w=23.0)
     w = cfg.width_ghz * GHZ
     centers = [0.5 * (lo + hi) for lo, hi in cfg.channels().intervals]
     expect = [(0.5 + 5.5 * i) * w for i in range(5)]
@@ -355,14 +353,60 @@ def test_uniform_placement_centers():
         assert hi - lo == pytest.approx(w, rel=1e-12)
 
 
-def test_uniform_placement_requires_its_span():
+def test_a_grid_without_a_grid_key_fails_naming_both():
     with pytest.raises(ConfigError) as exc:
-        config(placement="uniform")
-    assert str(exc.value) == "channels.span_w: required for placement = uniform"
+        config(sequence=None)
+    assert str(exc.value) == (
+        "channels.sequence, channels.span_w: neither set; a grid sets exactly one"
+    )
+
+
+@pytest.mark.parametrize("name, line, extra", [
+    ("uniform5", "span_w = 23.0", "sequence = 1 2 3"),
+    ("sidon5", "sequence = 1 2 5 10 12", "span_w = 99"),
+])
+def test_a_file_with_both_grid_keys_fails_naming_both(name, line, extra):
+    # the second key would otherwise be read by nothing
+    text = bundled_text(name)
+    assert text.count(line) == 1
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text.replace(line, f"{line}\n{extra}"))
+    assert str(exc.value) == (
+        "channels.sequence, channels.span_w: both set; a grid sets exactly one"
+    )
+
+
+@pytest.mark.parametrize("section, line", [
+    ("channels", "placement = uniform"),
+    ("grid", "t0_ns = -16.0"),
+])
+def test_the_removed_placement_and_window_keys_are_unknown(section, line):
+    text = bundled_text("uniform5").replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert str(exc.value) == f"{section}.{line.split()[0]}: unknown key"
+
+
+@pytest.mark.parametrize("count", [10**7, 10**20])
+def test_a_channel_count_past_the_grid_fails_before_any_channel_is_built(count):
+    # n = 2048 holds 1024 bins from 0 Hz up to the Nyquist edge, one per channel
+    start = time.perf_counter()
+    with pytest.raises(ConfigError) as exc:
+        config(sequence=None, span_w=float(count), channel_count=count)
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value) == (
+        f"channels.count: {count} channels exceed the 1024 frequency bins below the "
+        "Nyquist edge (grid.n = 2048)"
+    )
+    # n = 8 has bins at 0, 8, 16 and 24 GHz: four channels fit, one on each
+    four = config(n=8, sequence=None, span_w=25.0, channel_count=4)
+    assert len(four.channels().intervals) == 4
+    with pytest.raises(ConfigError, match=r"^channels\.count: 5 channels exceed the 4 "):
+        dataclasses.replace(four, channel_count=5)
 
 
 def test_uniform_single_channel():
-    cfg = config(placement="uniform", channel_count=1, span_w=1.0)
+    cfg = config(sequence=None, channel_count=1, span_w=1.0)
     (channel,) = cfg.channels().intervals
     assert channel == pytest.approx((0.0, cfg.width_ghz * GHZ))
 
@@ -390,7 +434,7 @@ def test_unpinned_draw_is_seeded_and_bounded():
 
 def test_launch_field_energy_is_sum_of_channel_energies():
     # channel spectra are disjoint, so energies add with no cross terms
-    cfg = sidon_cfg(n=512, dt_ps=15.625, t0_ns=-4.0, channel_count=2,
+    cfg = sidon_cfg(n=512, dt_ps=15.625, channel_count=2,
                     width_ghz=4.0, sequence=(1, 2), energies_pj=(0.06, 0.11),
                     phases_rad=(0.4, -1.0))
     f = cfg.launch_field()
@@ -398,13 +442,24 @@ def test_launch_field_energy_is_sum_of_channel_energies():
     assert energy == pytest.approx(0.17e-12, rel=1e-12)
 
 
+@pytest.mark.parametrize("name", ["sidon5", "uniform5"])
+@pytest.mark.parametrize("n, dt_ps", [(2048, 15.625), (512, 15.625), (4096, 7.8125),
+                                      (1024, 20.0)])
+def test_the_launch_window_is_centred_on_zero(name, n, dt_ps):
+    f = dataclasses.replace(resolve_config(name), n=n, dt_ps=dt_ps).launch_field()
+    dt = dt_ps * 1e-12
+    assert f.dt == dt and f.t0 == -(n // 2) * dt
+    if (n, dt_ps) == (2048, 15.625):  # the bundled window starts at -16 ns, to the bit
+        assert f.t0 == -16e-9
+
+
 # ---------------------------------------------------------------- bundled
 
 
 def test_bundled_configs_resolve_and_validate():
-    sidon5 = resolve_config("sidon5")
-    assert sidon5.placement == "sequence"
-    assert resolve_config("uniform5.cfg").placement == "uniform"
+    sidon5, uniform5 = resolve_config("sidon5"), resolve_config("uniform5.cfg")
+    assert sidon5.sequence == (1, 2, 5, 10, 12) and sidon5.span_w is None
+    assert uniform5.span_w == 23.0 and uniform5.sequence is None
     # the .cfg files are the only copy of the bundled runs: no field list spells one
     with pytest.raises(TypeError):
         ExperimentConfig()
@@ -428,10 +483,8 @@ def short_cfg(**kw) -> ExperimentConfig:
         alpha0_db_per_km=0.2,
         n=512,
         dt_ps=15.625,
-        t0_ns=-4.0,
         channel_count=2,
         width_ghz=4.0,
-        placement="sequence",
         sequence=(1, 2),
         z_total_km=1.0,
         dz_km=0.05,
@@ -553,7 +606,7 @@ def test_cli_simulate_names_a_step_that_does_not_divide(tmp_path, capsys, line, 
     "name, line, bad_line, key",
     [
         ("uniform5", "span_w = 23.0", "span_w = 5.0", "channels.span_w"),
-        ("uniform5", "span_w = 23.0\n", "", "channels.span_w"),
+        ("uniform5", "span_w = 23.0\n", "", "channels.sequence, channels.span_w"),
         ("sidon5", "sequence = 1 2 5 10 12", "sequence = 5 1 2 10 12", "channels.sequence"),
         ("sidon5", "width_ghz = 1.0", "width_ghz = 2.0", "channels.width_ghz"),
         ("sidon5", "width_ghz = 1.0", "width_ghz = 0.01", "channels.width_ghz"),
@@ -568,14 +621,16 @@ def test_cli_simulate_names_a_step_that_does_not_divide(tmp_path, capsys, line, 
         ("sidon5", "[fiber]", "[DEFAULT]\nseed = 2\n\n[fiber]", "DEFAULT"),
         # a misspelled required key is unknown, not the required one missing
         ("sidon5", "n = 2048", "nn = 2048", "grid.nn"),
-        ("sidon5", "placement = sequence", "placement = sidon", "channels.placement"),
+        ("sidon5", "sequence = 1 2 5 10 12", "sequence = 1 2 5 10 12\nspan_w = 99",
+         "channels.sequence, channels.span_w"),
         ("sidon5", "dt_ps = 15.625", "dt_ps = 15.625%", "grid.dt_ps"),
         ("sidon5", "dt_ps = 15.625", "dt_ps = %(n)s", "grid.dt_ps"),
     ],
     ids=["touching", "no-span", "unsorted", "outside-window", "narrower-than-a-bin",
          "slot-past-the-largest-float", "unknown-key",
          "unknown-section", "negative-seed", "negative-alpha0", "default-section",
-         "misspelled-required-key", "sidon-placement", "percent-sign", "interpolation"],
+         "misspelled-required-key", "both-grid-keys", "percent-sign",
+         "interpolation"],
 )
 def test_cli_simulate_names_a_bad_channel_grid(tmp_path, capsys, name, line, bad_line, key):
     # also a bad key, section or value outside the grid: each fails naming it
@@ -804,10 +859,12 @@ def test_cli_simulate_takes_every_setting_from_its_config(capsys):
     assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def test_readme_cli_examples_parse(capsys):
     # every example command in README's CLI section names only options that exist
-    readme = Path(__file__).resolve().parent.parent / "README.md"
-    block = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("```")[1]
+    block = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("```")[1]
     examples = [line.split() for line in block.splitlines() if line.startswith("fiberband ")]
     assert len(examples) == 6
     for argv in examples:
@@ -821,9 +878,8 @@ def test_readme_cli_examples_parse(capsys):
 def test_readme_names_every_optional_key():
     # README's sentence on the keys a file may omit names every field with a
     # default, and no other, with the value each gets unless it is None
-    readme = Path(__file__).resolve().parent.parent / "README.md"
     (sentence,) = [" ".join(paragraph.split())
-                   for paragraph in readme.read_text(encoding="utf-8").split("\n\n")
+                   for paragraph in README.read_text(encoding="utf-8").split("\n\n")
                    if paragraph.startswith("A file may omit ")]
     optional = [f for f in dataclasses.fields(ExperimentConfig)
                 if f.default is not dataclasses.MISSING]
@@ -831,6 +887,16 @@ def test_readme_names_every_optional_key():
     for f in optional:
         if f.default is not None:
             assert f"`{f.metadata['key']}` ({f.default!r}" in sentence
+
+
+def test_readme_names_only_schema_keys():
+    # a backticked `section.key` in README is a key a config file can set
+    keys = {f.metadata["key"] for f in dataclasses.fields(ExperimentConfig)}
+    sections = {key.split(".")[0] for key in keys}
+    named = {name for name in re.findall(r"`(\w+\.\w+)`", README.read_text(encoding="utf-8"))
+             if name.split(".")[0] in sections}
+    assert len(named) > 10
+    assert named - keys == set()
 
 
 def test_cli_bounds_table(capsys):

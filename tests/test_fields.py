@@ -227,7 +227,7 @@ def test_window_rule_is_shared_by_mask_pulse_and_config(width_ghz, inside):
     checks = [  # each on the channel [0, w]
         (lambda: band_mask(n, dt, make_bandset([(0.0, w)])), BandOutOfRange),
         (lambda: rrc_pulse((0.0, w), 0.15, 1.0, 0.0, dt, n, -16e-9), BandOutOfRange),
-        (lambda: replace(resolve_config("sidon5"), n=n, dt_ps=dt_ps, placement="uniform",
+        (lambda: replace(resolve_config("sidon5"), n=n, dt_ps=dt_ps, sequence=None,
                          channel_count=1, span_w=1.0, width_ghz=width_ghz, energies_pj=None,
                          phases_rad=None), ConfigError),
     ]
