@@ -57,7 +57,7 @@ def make_bandset(intervals) -> BandSet:
 
     Raises EmptyBandSet on an empty list, OverlappingIntervals if any
     two intervals intersect (shared endpoints count as intersecting;
-    `fields.band_mask` also rejects a bin in two intervals), and
+    `fields.bin_ranges` also rejects a bin in two intervals), and
     BandError if a bound is not finite (an int past the largest float
     is not) or some lo >= hi.
     """

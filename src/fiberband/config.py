@@ -42,7 +42,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .bands import BandError, BandSet, OverlappingIntervals, _bound, make_bandset
-from .fields import BandOutOfRange, SampledField, band_mask, rrc_pulse
+from .fields import BandOutOfRange, GridTooCoarse, SampledField, bin_ranges, rrc_on_bins, rrc_pulse
 from .planner import NotIncreasing, plan_channels
 from .propagation import FILTERS, FiberParams, FilterMode, step_count
 
@@ -151,7 +151,7 @@ class ExperimentConfig:
             above_nyquist(top_ghz)
         try:
             grid = self.channels()
-            rows = band_mask(self.n, dt, grid)
+            ranges = bin_ranges(self.n, dt, grid)
         except BandOutOfRange:
             above_nyquist(grid.hi / GHZ)
         except OverlappingIntervals as exc:
@@ -164,15 +164,19 @@ class ExperimentConfig:
             fail(grid_name, f"channels {a} and {b} GHz overlap")
         except (BandError, NotIncreasing) as exc:
             fail(grid_name, str(exc))
-        # launch_field gives each pulse its whole channel as support, and
-        # rrc_pulse needs a bin in that support
-        for number, ((lo, hi), row) in enumerate(zip(grid.intervals, rows), start=1):
-            if not row.any():
-                fail("width_ghz", f"channel {number} [{lo / GHZ:g}, {hi / GHZ:g}] GHz "
-                     f"holds no frequency bin: width {self.width_ghz!r} GHz against a bin "
-                     f"spacing of {spacing / GHZ:g} GHz ({setting('n')}, {setting('dt_ps')})")
         if not 0.0 <= self.rolloff <= 1.0:
             fail("rolloff", "must lie in [0, 1]")
+        # launch_field gives each pulse its whole channel as support, and
+        # rrc_pulse needs a bin in that support where the pulse is not zero
+        for number, ((lo, hi), bins) in enumerate(zip(grid.intervals, ranges), start=1):
+            try:
+                rrc_on_bins((lo, hi), self.rolloff, bins, self.n, dt)
+            except GridTooCoarse:
+                why = ("holds no frequency bin" if bins[0] > bins[1] else "cannot carry a pulse: "
+                       "the RRC amplitude is zero on its bins, which lie on its edges")
+                fail("width_ghz", f"channel {number} [{lo / GHZ:g}, {hi / GHZ:g}] GHz {why}: "
+                     f"width {self.width_ghz!r} GHz against a bin spacing of {spacing / GHZ:g} "
+                     f"GHz ({setting('n')}, {setting('dt_ps')})")
         for name in ("energies_pj", "phases_rad"):
             vals = getattr(self, name)
             if vals is not None and len(vals) != self.channel_count:

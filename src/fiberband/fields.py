@@ -1,4 +1,4 @@
-"""Sampled complex fields, spectra, band masks, band energies and launch pulses.
+"""Sampled complex fields, spectra, channel bin ranges and launch pulses.
 
 Conventions
 -----------
@@ -23,9 +23,10 @@ EDGE_TOL of it, which absorbs last-ulp noise when channel edges are
 constructed to land exactly on bin centers.
 
 This module alone knows the spectral bookkeeping: `bin_omegas` builds
-the bin grid, `band_mask` a mask row per channel and the one window
-check, and `band_energy` the energy of masked bins. The propagator uses
-them as they are; brick-wall filtering is a propagator step.
+the bin grid, `bin_ranges` each channel's bins as one range k_lo..k_hi
+of signed integer frequencies with the one window check and the
+one-bin-one-channel check, and `rrc_on_bins` the one rule for a channel
+that can carry a pulse. Brick-wall filtering is a propagator step.
 """
 
 from __future__ import annotations
@@ -151,61 +152,61 @@ def inverse(s: Spectrum) -> SampledField:
     return SampledField(q, dt, s.t0)
 
 
-def band_mask(n: int, dt: float, band: BandSet) -> np.ndarray:
-    """Bool rows, one per interval of `band`, in the FFT order of
-    `bin_omegas(n, dt)`: row i masks the bins whose centers lie in
-    closed interval i. A bin in two rows raises OverlappingIntervals
-    naming both intervals. The grid represents
-    [-(n//2)*domega, (n//2)*domega); a band reaching outside it raises
-    BandOutOfRange.
+def bin_ranges(n: int, dt: float, band: BandSet) -> list[tuple[int, int]]:
+    """Each interval's bins as (k_lo, k_hi), the signed integer
+    frequencies of its lowest and highest bin; k_hi = k_lo - 1 when the
+    interval holds none. Bin k sits at k*domega, at index k % n of an
+    FFT-order spectrum, and lies in a closed interval when its center
+    is within EDGE_TOL of a bin spacing of it. Two intervals that share
+    a bin raise OverlappingIntervals naming the lowest such pair. The
+    grid represents [-(n//2)*domega, (n//2)*domega); a band reaching
+    outside it raises BandOutOfRange.
     """
     domega = _bin_spacing(n, dt)
     half_span = (n // 2) * domega
     if band.lo < -half_span or band.hi >= half_span:
-        raise BandOutOfRange(
-            f"band [{band.lo:g}, {band.hi:g}] exceeds represented "
-            f"[-{half_span:g}, {half_span:g}) rad/s"
-        )
+        raise BandOutOfRange(f"band [{band.lo:g}, {band.hi:g}] exceeds represented "
+                             f"[-{half_span:g}, {half_span:g}) rad/s")
     tol = EDGE_TOL * domega
-    lo, hi = np.array(band.intervals).T[:, :, None]  # columns against the bins
-    omegas = bin_omegas(n, dt)
-    rows = (omegas >= lo - tol) & (omegas <= hi + tol)
-    if (count := rows.sum(axis=0)).max() > 1:  # a bin in two rows
-        a, b = np.flatnonzero(rows[:, count.argmax()])[:2]
-        raise OverlappingIntervals(band.intervals[a], band.intervals[b])
-    return rows
+    lo, hi = np.array(band.intervals).T
+    # the centers of `bin_omegas`, sorted: bin k is in when lo - tol <= center <= hi + tol
+    centers = np.arange(-(n // 2), n // 2) * domega
+    k_lo = np.searchsorted(centers, lo - tol) - n // 2
+    k_hi = np.searchsorted(centers, hi + tol, side="right") - 1 - n // 2
+    # the ranges are sorted, so a shared bin is shared by two neighbours
+    if (shared := np.flatnonzero(k_lo[1:] <= k_hi[:-1])).size:
+        raise OverlappingIntervals(*band.intervals[shared[0] : shared[0] + 2])
+    return list(zip(k_lo.tolist(), k_hi.tolist()))
 
 
-def band_energy(power: np.ndarray, mask: np.ndarray, dt: float) -> float:
-    """Energy in J of the bins `mask` selects from power = |fft(q)|^2.
+def rrc_on_bins(
+    channel: tuple[float, float], rolloff: float, bins: tuple[int, int], n: int, dt: float
+) -> np.ndarray:
+    """Root raised cosine |H| of `channel`'s pulse on its `bin_ranges`
+    bins k_lo..k_hi, at the offsets k*domega - center from its center.
 
-    Both are in FFT order, as `band_mask`'s rows are.
-    """
-    return float(np.sum(power[mask])) * (dt / power.size)
-
-
-def rrc_spectral_amplitude(offset: np.ndarray, bandwidth: float, rolloff: float) -> np.ndarray:
-    """Root raised cosine |H(w)| at angular offsets from the carrier.
-
-    The pulse occupies the two-sided bandwidth `bandwidth` (rad/s), so
-    the symbol period is T = 2*pi*(1+rolloff)/bandwidth and the response
-    is the square root of the standard raised-cosine taper: flat at
-    sqrt(T) out to (1-rolloff)/(2T) Hz, a cosine quarter-wave to exactly
-    zero at (1+rolloff)/(2T) Hz.
+    The pulse occupies the channel's width W = hi - lo (rad/s), so the
+    symbol period is T = 2*pi*(1+rolloff)/W and the response is the
+    square root of the standard raised-cosine taper: flat at sqrt(T) out
+    to (1-rolloff)/(2T) Hz, a cosine quarter-wave to exactly zero at
+    (1+rolloff)/(2T) Hz, the channel edge. The one rule for a channel
+    that can carry a pulse: GridTooCoarse when |H| is zero on every bin,
+    as on a channel that holds no bin, or only bins on its edges.
     """
     if not 0.0 <= rolloff <= 1.0:
         raise FieldError(f"rolloff {rolloff} outside [0, 1]")
-    T = 2.0 * np.pi * (1.0 + rolloff) / bandwidth
-    f = np.abs(np.asarray(offset, dtype=float)) / (2.0 * np.pi)
+    (lo, hi), (k_lo, k_hi) = channel, bins
+    T = 2.0 * np.pi * (1.0 + rolloff) / (hi - lo)
+    f = np.abs(np.arange(k_lo, k_hi + 1) * _bin_spacing(n, dt) - 0.5 * (lo + hi)) / (2.0 * np.pi)
     f_flat = (1.0 - rolloff) / (2.0 * T)
     f_stop = (1.0 + rolloff) / (2.0 * T)
     amp = np.zeros_like(f)
     amp[f <= f_flat] = np.sqrt(T)
     if rolloff > 0.0:
         taper = (f > f_flat) & (f <= f_stop)
-        amp[taper] = np.sqrt(T) * np.cos(
-            np.pi * T / (2.0 * rolloff) * (f[taper] - f_flat)
-        )
+        amp[taper] = np.sqrt(T) * np.cos(np.pi * T / (2.0 * rolloff) * (f[taper] - f_flat))
+    if not amp.any():
+        raise GridTooCoarse(f"the pulse is zero on every bin of its {hi - lo:g} rad/s support")
     return amp
 
 
@@ -229,33 +230,24 @@ def rrc_pulse(
     The pulse is synthesized directly in the frequency domain, so its
     spectrum is identically zero outside the channel. The pulse peak
     sits at the center of the time window. Raises BandOutOfRange when
-    the channel leaves the window `band_mask` represents, GridTooCoarse
-    when no bin falls inside the channel, and FieldError naming energy
-    or phase when energy is negative or either is not finite.
+    the channel leaves the window `bin_ranges` represents, GridTooCoarse
+    by the rule of `rrc_on_bins`, and FieldError naming energy or phase
+    when energy is negative or either is not finite.
     """
     if not 0 <= energy < np.inf:
         raise FieldError(f"energy = {energy} must be finite and nonnegative")
     if not np.isfinite(phase):
         raise FieldError(f"phase = {phase} must be finite")
-    lo, hi = channel
-    center, width = 0.5 * (lo + hi), hi - lo
     _check_pow2(n)
     # the window check and the support; raises BandOutOfRange
-    (support,) = band_mask(n, dt, make_bandset([channel]))
-
-    omegas = bin_omegas(n, dt)
+    ((k_lo, k_hi),) = bin_ranges(n, dt, make_bandset([channel]))
     amp = np.zeros(n)
-    amp[support] = rrc_spectral_amplitude(
-        omegas[support] - center, width, rolloff
-    )
+    # a negative frequency k indexes from the end: index k % n, FFT order
+    amp[np.arange(k_lo, k_hi + 1)] = rrc_on_bins(channel, rolloff, (k_lo, k_hi), n, dt)
     raw = np.sum(amp**2) * _bin_spacing(n, dt) / (2.0 * np.pi)
-    if raw == 0.0:
-        raise GridTooCoarse(
-            f"no spectral bin falls inside the {width:g} rad/s pulse support"
-        )
     t_center = t0 + (n // 2) * dt
     scale = np.sqrt(energy / raw)
-    coeff = scale * np.exp(1j * phase) * amp * np.exp(-1j * omegas * t_center)
+    coeff = scale * np.exp(1j * phase) * amp * np.exp(-1j * bin_omegas(n, dt) * t_center)
     return inverse(Spectrum(coeff, dt, t0))
 
 

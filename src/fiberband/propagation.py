@@ -24,10 +24,10 @@ every trace stays bit-identical, and which buffers a step writes.
 `propagate` drives `_step_kernel`, the only code that steps or filters
 a field; a single filtered step is `propagate` with z_total = dz =
 record_every and a distributed filter mode. Both work on the grid of
-`fields.bin_omegas` and the channel rows of one `fields.band_mask` call,
-which are in the FFT order of `numpy.fft`, as given: the filter is the
-union of the rows the trace books, and every band energy recorded here
-is `fields.band_energy`.
+`fields.bin_omegas`, in the FFT order of `numpy.fft`, and on the bin
+ranges of one `fields.bin_ranges` call: the filter is the union of the
+ranges the trace books, and a channel's recorded energy is the sum of
+|FFT q|^2 over its bins in index order, times dt / n.
 The trace's total is the full-spectrum energy at every record, in every
 filter mode: the sum over all bins, in band or not.
 
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bands import BandSet
-from .fields import SampledField, band_energy, band_mask, bin_omegas
+from .fields import SampledField, bin_omegas, bin_ranges
 
 FILTERS = ("distributed", "lumped", "none")  # FilterMode kinds; config checks run.filter too
 
@@ -188,7 +188,7 @@ def propagate(
     """Propagate over z_total, recording an EnergyTrace.
 
     channels is the channel grid: its intervals, in frequency order, are
-    the channels of the trace, and the union of their `band_mask` rows is
+    the channels of the trace, and the union of their `bin_ranges` is
     the filter; channels that share a bin raise OverlappingIntervals.
     `mode` is one stride of steps between filter sites: 1 distributed,
     spacing / dz lumped, 0 (never) unfiltered. dz must be positive and
@@ -215,7 +215,9 @@ def propagate(
         filt_stride = stride(mode.spacing, "filter spacing")
     n, dt, t0 = f0.n, f0.dt, f0.t0
 
-    channel_masks = band_mask(n, dt, channels)
+    # each channel's FFT indices in index order: from 0 Hz up, then those below 0 Hz
+    channel_bins = [np.r_[max(lo, 0) : hi + 1, n + lo : n + min(hi + 1, 0)]
+                    for lo, hi in bin_ranges(n, dt, channels)]
     scale = dt / n  # |FFT(q)|^2 summed equals n * sum|q|^2; scale restores joules
 
     omegas = bin_omegas(n, dt)
@@ -223,7 +225,8 @@ def propagate(
     # dispersion, the ifft's 1/n and attenuation; x / n * 1.0 is x / n to the bit
     linear = np.exp(0.5j * params.beta2 * dz * omegas**2) / n * decay
     gdz = params.gamma * dz
-    oob = np.flatnonzero(~channel_masks.any(axis=0))  # the bins the filter stops
+    # the bins no channel holds, which the filter stops
+    oob = np.flatnonzero(np.bincount(np.concatenate(channel_bins), minlength=n) == 0)
 
     rows = []
 
@@ -231,7 +234,7 @@ def propagate(
         spec = np.fft.fft(q)
         power = np.abs(spec) ** 2
         total = float(np.sum(power)) * scale
-        chans = [band_energy(power, m, dt) for m in channel_masks]
+        chans = [float(np.sum(power[b])) * scale for b in channel_bins]
         rows.append((step_idx * dz, total, *chans, discarded_so_far))
 
     # the kernel's scratch, and its working field: the launch is read-only

@@ -3,6 +3,9 @@
 None of these is called by the program; each computes a quantity the
 program also produces, by a route that shares no stepping code with it:
 
+- `band_mask` and `band_energy`: a channel's bins as a bool row per
+  interval, and the energy of the bins a row selects, against
+  `fields.bin_ranges` and the per-channel energies `propagate` records;
 - `channel_energy_rhs`: dE_n/dz of one channel from the spectral mixing
   integral, against the slope of a propagated per-channel trace;
 - `integrate_tones`: the three-tone coupled-mode model under fixed-step
@@ -32,10 +35,51 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fiberband.bands import BandSet
-from fiberband.fields import SampledField, Spectrum, band_mask, bin_omegas, transform
+from fiberband.bands import BandSet, OverlappingIntervals
+from fiberband.fields import (
+    EDGE_TOL,
+    BandOutOfRange,
+    SampledField,
+    Spectrum,
+    _bin_spacing,
+    bin_omegas,
+    transform,
+)
 from fiberband.planner import NotIncreasing
 from fiberband.propagation import FiberParams, step_count
+
+
+def band_mask(n: int, dt: float, band: BandSet) -> np.ndarray:
+    """Bool rows, one per interval of `band`, in the FFT order of
+    `bin_omegas(n, dt)`: row i masks the bins whose centers lie in
+    closed interval i. A bin in two rows raises OverlappingIntervals
+    naming both intervals. The grid represents
+    [-(n//2)*domega, (n//2)*domega); a band reaching outside it raises
+    BandOutOfRange.
+    """
+    domega = _bin_spacing(n, dt)
+    half_span = (n // 2) * domega
+    if band.lo < -half_span or band.hi >= half_span:
+        raise BandOutOfRange(
+            f"band [{band.lo:g}, {band.hi:g}] exceeds represented "
+            f"[-{half_span:g}, {half_span:g}) rad/s"
+        )
+    tol = EDGE_TOL * domega
+    lo, hi = np.array(band.intervals).T[:, :, None]  # columns against the bins
+    omegas = bin_omegas(n, dt)
+    rows = (omegas >= lo - tol) & (omegas <= hi + tol)
+    if (count := rows.sum(axis=0)).max() > 1:  # a bin in two rows
+        a, b = np.flatnonzero(rows[:, count.argmax()])[:2]
+        raise OverlappingIntervals(band.intervals[a], band.intervals[b])
+    return rows
+
+
+def band_energy(power: np.ndarray, mask: np.ndarray, dt: float) -> float:
+    """Energy in J of the bins `mask` selects from power = |fft(q)|^2.
+
+    Both are in FFT order, as `band_mask`'s rows are.
+    """
+    return float(np.sum(power[mask])) * (dt / power.size)
 
 
 def channel_energy_rhs(

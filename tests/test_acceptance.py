@@ -16,8 +16,6 @@ import pytest
 from fiberband.cli import resolve_config
 from fiberband.fields import (
     SampledField,
-    band_energy,
-    band_mask,
     inverse,
     parseval_residual,
     transform,
@@ -32,7 +30,15 @@ from fiberband.planner import (
 )
 from fiberband.propagation import FilterMode, propagate
 
-from oracles import ToneState, channel_energy_rhs, integrate_tones, is_sidon, power_rhs
+from oracles import (
+    ToneState,
+    band_energy,
+    band_mask,
+    channel_energy_rhs,
+    integrate_tones,
+    is_sidon,
+    power_rhs,
+)
 
 KM = 1e3
 RUN_KM = 160.0

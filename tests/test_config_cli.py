@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -162,6 +163,9 @@ def test_parse_rejects_garbage():
         (dict(sequence=None, span_w=23.0, width_ghz=1e300), "channels.width_ghz"),
         # 1e310 steps of 0.1 um: the step count is past the largest float
         (dict(z_total_km=1e300, dz_km=1e-10), "run.dz_km"),
+        # the rolloff is checked before the rule that a channel carries a pulse
+        (dict(sequence=None, channel_count=2, span_w=5.0, width_ghz=0.015625, rolloff=1.5),
+         "pulses.rolloff"),
     ],
 )
 def test_validate_reports_the_offending_key(changes, field):
@@ -242,6 +246,36 @@ def test_channels_wider_than_a_bin_launch():
     # 50 MHz channels on a 31.25 MHz bin grid hold one or two bins each
     cfg = sidon_cfg(width_ghz=0.05)
     assert cfg.launch_field().energy() == pytest.approx(sum(cfg.energies_pj) * 1e-12)
+
+
+def test_a_channel_that_cannot_carry_a_pulse_fails_naming_the_width():
+    # two half-bin channels, 15.625 MHz wide and 78.125 MHz apart on 31.25 MHz
+    # bins: channel 2, [62.5, 78.125] MHz, holds one bin, on its lower edge,
+    # where the RRC amplitude is zero, so it cannot carry a pulse
+    with pytest.raises(ConfigError) as exc:
+        dataclasses.replace(resolve_config("uniform5"), channel_count=2, span_w=5.0,
+                            width_ghz=0.015625, energies_pj=None, phases_rad=None)
+    assert str(exc.value) == (
+        "channels.width_ghz: channel 2 [0.0625, 0.078125] GHz cannot carry a pulse: the RRC "
+        "amplitude is zero on its bins, which lie on its edges: width 0.015625 GHz against a "
+        "bin spacing of 0.03125 GHz (grid.n = 2048, grid.dt_ps = 15.625)"
+    )
+
+
+def test_a_grid_of_2048_channels_is_checked_without_a_mask_per_channel():
+    # n = 4096 and 2048 channels of 1 MHz on 15.625 MHz bins: a (count, n)
+    # bool array alone takes 8.4 MB, the channels' bin ranges tens of kB.
+    # Most of these channels hold one bin, on an edge, so the grid fails.
+    uniform5 = resolve_config("uniform5")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"^channels\.width_ghz: channel 2 .* cannot carry"):
+            dataclasses.replace(uniform5, n=4096, channel_count=2048, width_ghz=0.001,
+                                span_w=31985.375, energies_pj=None, phases_rad=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 NAN, INF = float("nan"), float("inf")

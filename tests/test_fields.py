@@ -1,4 +1,4 @@
-"""Transform pair, band masks and energies, pulse synthesis.
+"""Transform pair, channel bin ranges, band energies, pulse synthesis.
 
 Frozen reference values come from the closed-form Gaussian transform
 pair exp(-t^2/(2s^2)) <-> s*sqrt(2*pi)*exp(-s^2 w^2/2). Everything else
@@ -10,26 +10,28 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from fiberband.bands import BandSet, OverlappingIntervals, make_bandset
+from fiberband.bands import BandError, BandSet, OverlappingIntervals, make_bandset
 from fiberband.cli import resolve_config
 from fiberband.config import GHZ, ConfigError
 from fiberband.fields import (
+    EDGE_TOL,
     BandOutOfRange,
     FieldError,
     GridTooCoarse,
     SampledField,
     _bin_spacing,
-    band_energy,
-    band_mask,
     bin_omegas,
+    bin_ranges,
     inverse,
     parseval_residual,
+    rrc_on_bins,
     rrc_pulse,
-    rrc_spectral_amplitude,
     transform,
 )
+
+from oracles import band_energy, band_mask
 
 SQRT_2PI = 2.5066282746310002
 
@@ -148,44 +150,129 @@ def test_a_tone_on_bin_k_sits_at_index_k_of_every_spectrum(k):
         assert list(np.flatnonzero(np.abs(spectrum) > 1e-9 * peak)) == [index]
     assert s.omegas()[index] == k * domega
     # a channel around the tone holds its bin and no other
-    (row,) = band_mask(n, dt, make_bandset([((k - 0.4) * domega, (k + 0.4) * domega)]))
-    assert list(np.flatnonzero(row)) == [index]
+    assert bin_ranges(n, dt, make_bandset([((k - 0.4) * domega, (k + 0.4) * domega)])) == [(k, k)]
 
 
-def test_a_channel_across_zero_hz_wraps_to_both_ends():
+def test_a_channel_across_zero_hz_is_one_signed_range():
     domega = _bin_spacing(16, 1.0)
+    assert bin_ranges(16, 1.0, make_bandset([(-2 * domega, 2 * domega)])) == [(-2, 2)]
     (row,) = band_mask(16, 1.0, make_bandset([(-2 * domega, 2 * domega)]))
-    assert list(np.flatnonzero(row)) == [0, 1, 2, 14, 15]
+    assert list(np.flatnonzero(row)) == [0, 1, 2, 14, 15]  # indices k % n, both ends
 
 
-def test_band_mask_closed_interval_with_edge_snap():
+def test_bin_ranges_closed_interval_with_edge_snap():
     # dt = 1: 8 bins at k*pi/4 in FFT order, 0 .. 3pi/4 then -pi .. -pi/4
-    (m,) = band_mask(8, 1.0, make_bandset([(0.0, np.pi / 4)]))
-    assert list(np.nonzero(m)[0]) == [0, 1]
+    assert bin_ranges(8, 1.0, make_bandset([(0.0, np.pi / 4)])) == [(0, 1)]
     # an edge a hair inside the bin still owns it
-    (m2,) = band_mask(8, 1.0, make_bandset([(1e-12, np.pi / 4 - 1e-12)]))
-    assert np.array_equal(m2, m)
+    assert bin_ranges(8, 1.0, make_bandset([(1e-12, np.pi / 4 - 1e-12)])) == [(0, 1)]
     # but half a bin away it does not
-    (m3,) = band_mask(8, 1.0, make_bandset([(np.pi / 8, np.pi / 4)]))
-    assert list(np.nonzero(m3)[0]) == [1]
+    assert bin_ranges(8, 1.0, make_bandset([(np.pi / 8, np.pi / 4)])) == [(1, 1)]
+    # and a channel between two bins holds none: k_hi = k_lo - 1
+    assert bin_ranges(8, 1.0, make_bandset([(np.pi / 16, np.pi / 8)])) == [(1, 0)]
 
 
-def test_band_mask_range_check():
+def test_bin_ranges_range_check():
     with pytest.raises(BandOutOfRange):
-        band_mask(8, 1.0, make_bandset([(3 * np.pi / 4, np.pi)]))  # hits Nyquist
-    band_mask(8, 1.0, make_bandset([(-np.pi, -np.pi / 2)]))  # -pi is represented
+        bin_ranges(8, 1.0, make_bandset([(3 * np.pi / 4, np.pi)]))  # hits Nyquist
+    # -pi is represented
+    assert bin_ranges(8, 1.0, make_bandset([(-np.pi, -np.pi / 2)])) == [(-4, -2)]
 
 
-def test_band_mask_has_a_row_per_interval_and_books_a_bin_once():
+# dt = 1, n = 8: the top edge is inside the window but within EDGE_TOL of
+# the Nyquist edge pi, whose bin is -pi at index 4; the range stops at 3
+NYQUIST_CLAMP = (8, 1.0, [(0.75 * np.pi, np.pi * (1 - 1e-12))])
+
+
+def test_bin_ranges_clamp_below_nyquist():
+    n, dt, intervals = NYQUIST_CLAMP
+    assert bin_ranges(n, dt, make_bandset(intervals)) == [(3, 3)]
+    (row,) = band_mask(n, dt, make_bandset(intervals))
+    assert list(np.flatnonzero(row)) == [3]
+
+
+def test_bin_ranges_has_one_range_per_interval_and_books_a_bin_once():
     # dt = 1: 8 bins at k*pi/4 in FFT order, 0 .. 3pi/4 then -pi .. -pi/4
-    rows = band_mask(8, 1.0, make_bandset([(0.0, np.pi / 4), (-np.pi, -np.pi / 2)]))
-    assert rows.shape == (2, 8)
-    assert [list(np.nonzero(r)[0]) for r in rows] == [[4, 5, 6], [0, 1]]
+    ranges = bin_ranges(8, 1.0, make_bandset([(0.0, np.pi / 4), (-np.pi, -np.pi / 2)]))
+    assert ranges == [(-4, -2), (0, 1)]  # in frequency order, as the intervals are
     # disjoint, but both edges fall within EDGE_TOL of the bin at pi/4
     a, b = (0.0, np.pi / 4), (np.pi / 4 * (1 + 1e-12), np.pi / 2)
     with pytest.raises(OverlappingIntervals) as exc:
-        band_mask(8, 1.0, make_bandset([a, b]))
+        bin_ranges(8, 1.0, make_bandset([a, b]))
     assert exc.value.pair == (a, b)
+
+
+def _named_pairs(n, band):
+    picks = []
+    for find in (bin_ranges, band_mask):
+        with pytest.raises(OverlappingIntervals) as exc:
+            find(n, 1.0, band)
+        picks.append(exc.value.pair)
+    return picks
+
+
+def test_a_shared_bin_is_named_at_the_lowest_frequency():
+    # the ranges name the lowest pair that shares a bin; the mask oracle
+    # named a pair at the bin most intervals share, the lowest FFT index first
+    w = np.pi / 4  # n = 8, dt = 1: the bin spacing
+    a, b = (-2 * w, -w), (-w * (1 - 1e-12), -w / 2)  # share the bin at -w
+    c, d = (0.0, w), (w * (1 + 1e-12), 2 * w)  # share the bin at w, index 1
+    assert _named_pairs(8, make_bandset([a, b, c, d])) == [(a, b), (c, d)]
+    # n = 16: the bin at 4w is shared by three intervals, the bin at w by two
+    w = np.pi / 8
+    a, b = (0.0, w), (w * (1 + 1e-12), 2 * w)
+    c, d = (3 * w, 4 * w), (4 * w * (1 + 1e-12), 4 * w * (1 + 2e-12))
+    e = (4 * w * (1 + 3e-12), 5 * w)
+    assert _named_pairs(16, make_bandset([a, b, c, d, e])) == [(a, b), (c, d)]
+
+
+# edge offsets from a bin center, in bin spacings: on it, within EDGE_TOL
+# of it on either side, at the tolerance itself, and well between bins
+EDGE_OFFSETS = (0.0, EDGE_TOL, -EDGE_TOL, 0.5 * EDGE_TOL, -0.5 * EDGE_TOL, 0.3, 0.5, 0.8)
+
+
+@st.composite
+def bin_grids(draw):
+    """(n, dt, intervals) with n from 2 to 256 and edges near bin centers
+    across the whole window, 0 Hz and both Nyquist ends included."""
+    n = 2 ** draw(st.integers(1, 8))
+    dt = draw(st.sampled_from([1.0, 0.3, 15.625e-12, 20e-12, 7.3e-9]))
+    domega = _bin_spacing(n, dt)
+    edges = []
+    for _ in range(2 * draw(st.integers(1, 4))):
+        k = draw(st.integers(-(n // 2) - 1, n // 2))
+        x = k * domega + draw(st.sampled_from(EDGE_OFFSETS)) * domega
+        ulps = draw(st.integers(-3, 3))  # and a few ulps off
+        for _ in range(abs(ulps)):
+            x = np.nextafter(x, np.copysign(np.inf, ulps))
+        edges.append(float(x))
+    edges.sort()
+    return n, dt, list(zip(edges[::2], edges[1::2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bin_grids())
+@example(NYQUIST_CLAMP)
+def test_bin_ranges_match_the_mask_rows(grid):
+    n, dt, intervals = grid
+    try:
+        band = make_bandset(intervals)
+    except BandError:
+        assume(False)
+    try:
+        rows = band_mask(n, dt, band)
+    except (BandOutOfRange, OverlappingIntervals) as exc:
+        with pytest.raises(type(exc)) as got:
+            bin_ranges(n, dt, band)
+        if isinstance(exc, OverlappingIntervals):  # the oracle finds the named pair's bin
+            with pytest.raises(OverlappingIntervals):
+                band_mask(n, dt, make_bandset(got.value.pair))
+        return
+    ranges = bin_ranges(n, dt, band)
+    assert all(k_lo - 1 <= k_hi < n // 2 for k_lo, k_hi in ranges)
+    ranged = np.zeros_like(rows)
+    for row, (k_lo, k_hi) in zip(ranged, ranges):
+        row[np.arange(k_lo, k_hi + 1)] = True  # bin k at index k % n
+    assert np.array_equal(ranged, rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -217,7 +304,7 @@ def test_band_energy_splits_the_field_energy(log2n, dt, k, seed):
 # 24.9755859375 GHz, and the Nyquist edge one bin higher, at exactly
 # 25 GHz in floating point too, is not represented
 @pytest.mark.parametrize("width_ghz, inside", [(24.9755859375, True), (25.0, False)])
-def test_window_rule_is_shared_by_mask_pulse_and_config(width_ghz, inside):
+def test_window_rule_is_shared_by_ranges_pulse_and_config(width_ghz, inside):
     n, dt_ps = 2048, 20.0
     dt, w = dt_ps * 1e-12, width_ghz * GHZ
     if inside:
@@ -225,7 +312,7 @@ def test_window_rule_is_shared_by_mask_pulse_and_config(width_ghz, inside):
     else:
         assert w == -bin_omegas(n, dt)[n // 2]
     checks = [  # each on the channel [0, w]
-        (lambda: band_mask(n, dt, make_bandset([(0.0, w)])), BandOutOfRange),
+        (lambda: bin_ranges(n, dt, make_bandset([(0.0, w)])), BandOutOfRange),
         (lambda: rrc_pulse((0.0, w), 0.15, 1.0, 0.0, dt, n, -16e-9), BandOutOfRange),
         (lambda: replace(resolve_config("sidon5"), n=n, dt_ps=dt_ps, sequence=None,
                          channel_count=1, span_w=1.0, width_ghz=width_ghz, energies_pj=None,
@@ -240,18 +327,22 @@ def test_window_rule_is_shared_by_mask_pulse_and_config(width_ghz, inside):
 
 
 def test_rrc_amplitude_profile():
-    W, beta = 8.0, 0.25
+    # dt = 2*pi/64 puts 64 bins exactly 1 rad/s apart; the channel (-10, 10)
+    # holds bins -10..10, index k + 10 of the result
+    n, dt, W, beta = 64, 2 * np.pi / 64, 20.0, 0.25
+    assert _bin_spacing(n, dt) == 1.0
+    amp = rrc_on_bins((-W / 2, W / 2), beta, (-10, 10), n, dt)
     T = 2 * np.pi * (1 + beta) / W
-    flat = rrc_spectral_amplitude(np.array([0.0]), W, beta)[0]
-    assert flat == pytest.approx(np.sqrt(T), rel=1e-14)
-    # flat out to (1-beta)/(1+beta) of the half width, zero at the edge
-    w_flat = 0.5 * W * (1 - beta) / (1 + beta)
-    assert rrc_spectral_amplitude(np.array([w_flat]), W, beta)[0] == pytest.approx(
-        np.sqrt(T), rel=1e-12
-    )
-    assert abs(rrc_spectral_amplitude(np.array([W / 2]), W, beta)[0]) < 1e-12
+    assert amp[10] == pytest.approx(np.sqrt(T), rel=1e-14)
+    # flat out to (1-beta)/(1+beta) of the half width, bin 6, zero at the edges
+    assert amp[10 + 6] == pytest.approx(np.sqrt(T), rel=1e-12)
+    assert abs(amp[0]) < 1e-12 and abs(amp[20]) < 1e-12
     with pytest.raises(FieldError):
-        rrc_spectral_amplitude(np.array([0.0]), W, rolloff=1.5)
+        rrc_on_bins((-W / 2, W / 2), 1.5, (-10, 10), n, dt)
+    # no bin, or bins past the taper's end only, carry no pulse
+    for bins in [(1, 0), (11, 12)]:
+        with pytest.raises(GridTooCoarse):
+            rrc_on_bins((-W / 2, W / 2), beta, bins, n, dt)
 
 
 def test_rrc_pulse_energy_band_and_peak():

@@ -14,7 +14,7 @@ import pytest
 from fiberband import propagation
 from fiberband.bands import make_bandset
 from fiberband.cli import resolve_config
-from fiberband.fields import SampledField, band_energy, band_mask, rrc_pulse, transform
+from fiberband.fields import SampledField, rrc_pulse, transform
 from fiberband.propagation import (
     EnergyTrace,
     FiberParams,
@@ -24,7 +24,7 @@ from fiberband.propagation import (
     step_count,
 )
 
-from oracles import channel_energy_rhs
+from oracles import band_energy, band_mask, channel_energy_rhs
 
 N, DT = 512, 15.625e-12
 T0 = -0.5 * N * DT
@@ -225,6 +225,28 @@ def test_trace_total_is_the_full_spectrum_energy(kind, spacing_km):
     assert len(tr.total) == 2
     assert tr.total[0] == energy(launch.samples)
     assert tr.total[-1] == energy(out.samples)
+
+
+@pytest.mark.parametrize("grid", ["sidon5", "across-0-Hz"])
+def test_records_are_the_mask_oracle_to_the_bit(grid):
+    # one distributed step: every per-channel record is the oracle's
+    # band_energy over the band_mask rows of the same spectrum, to the bit
+    if grid == "sidon5":
+        cfg = dataclasses.replace(resolve_config("sidon5"), z_total_km=0.1, record_every_km=0.1)
+        f, band, params = cfg.launch_field(), cfg.channels(), cfg.fiber()
+    else:
+        rng = np.random.default_rng(5)
+        f = SampledField(rng.normal(size=N) + 1j * rng.normal(size=N), DT, T0)
+        band = make_bandset([(-140 * DOMEGA, -90.5 * DOMEGA), (-67 * DOMEGA, 72.3 * DOMEGA),
+                             (80 * DOMEGA, 161 * DOMEGA)])
+        params = FiberParams(beta2=-21.667e-27, gamma=1.2578e-3)
+        assert band.intervals[1][0] < 0 < band.intervals[1][1]
+    out, tr = propagate(f, 100.0, 100.0, params, FilterMode("distributed"), band, 100.0)
+    assert len(tr.per_channel) == 2
+    for record, g in zip(tr.per_channel, (f, out)):
+        power = np.abs(np.fft.fft(g.samples)) ** 2
+        rows = band_mask(g.n, g.dt, band)
+        assert np.array_equal(record, [band_energy(power, row, g.dt) for row in rows])
 
 
 def test_lumped_discards_only_at_filters():

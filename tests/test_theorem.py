@@ -42,10 +42,10 @@ import pytest
 
 from fiberband.bands import make_bandset
 from fiberband.cli import resolve_config
-from fiberband.fields import band_energy, band_mask, bin_omegas
+from fiberband.fields import bin_omegas
 from fiberband.propagation import propagate
 
-from oracles import rk4ip
+from oracles import band_energy, band_mask, rk4ip
 
 KM = 1e3
 RUN_KM = 40.0
