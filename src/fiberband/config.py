@@ -20,7 +20,7 @@ hand the propagator m, s, rad/s, W and J.
 
 A grid is a sequence grid when `channels.sequence` is set and a uniform
 grid when `channels.span_w` is; a config sets exactly one of the two.
-`launch_field` centres every run's time window on t = 0.
+A `grid.n` above GRID_BUDGET fails before any array is built.
 
 Pulse energies and phases may be omitted; they are then drawn from a
 seeded generator so a run remains reproducible from its config alone.
@@ -47,6 +47,10 @@ from .planner import NotIncreasing, plan_channels
 from .propagation import FILTERS, FiberParams, FilterMode, step_count
 
 GHZ = 2.0 * math.pi * 1e9  # rad/s per GHz of ordinary frequency
+
+# Largest `grid.n` a config accepts: a one-step `propagate` peaked at 73 and
+# 200 MB resident for n = 2**18 and 2**20, about 170 bytes a sample over 29 MB.
+GRID_BUDGET = 2**20
 
 
 class ConfigError(ValueError):
@@ -111,6 +115,8 @@ class ExperimentConfig:
             fail("alpha0_db_per_km", f"must be nonnegative, got {self.alpha0_db_per_km}")
         if self.n < 2 or self.n & (self.n - 1):
             fail("n", f"{self.n} is not a power of two >= 2")
+        if self.n > GRID_BUDGET:
+            fail("n", f"{self.n} samples exceed the grid budget of {GRID_BUDGET}")
         if self.dt_ps <= 0:
             fail("dt_ps", "must be positive")
         dt = self.dt_ps * 1e-12
@@ -167,7 +173,7 @@ class ExperimentConfig:
         if not 0.0 <= self.rolloff <= 1.0:
             fail("rolloff", "must lie in [0, 1]")
         # launch_field gives each pulse its whole channel as support, and
-        # rrc_pulse needs a bin in that support where the pulse is not zero
+        # rrc_pulse needs a bin in that support off its edges
         for number, ((lo, hi), bins) in enumerate(zip(grid.intervals, ranges), start=1):
             try:
                 rrc_on_bins((lo, hi), self.rolloff, bins, self.n, dt)
@@ -251,12 +257,11 @@ class ExperimentConfig:
 
     def launch_field(self) -> SampledField:
         dt = self.dt_ps * 1e-12
-        t0 = -(self.n // 2) * dt  # the window centred on t = 0
         energies, phases = self.pulse_parameters()
         total = np.zeros(self.n, dtype=complex)
         for channel, energy, phase in zip(self.channels().intervals, energies, phases):
-            total = total + rrc_pulse(channel, self.rolloff, energy, phase, dt, self.n, t0).samples
-        return SampledField(total, dt, t0)
+            total = total + rrc_pulse(channel, self.rolloff, energy, phase, dt, self.n).samples
+        return SampledField(total, dt)
 
     def run_lengths(self) -> tuple[float, float, float]:
         """(z_total, dz, record_every) in meters."""

@@ -2,9 +2,9 @@
 
 Conventions
 -----------
-A field q(t) is sampled on a uniform grid t_i = t0 + i*dt, i = 0..n-1,
-with n a power of two. Amplitudes are in sqrt(W), so sum(|q|^2)*dt is an
-energy in J.
+A field is its samples and dt: q(t) on the one time grid, centred on
+t = 0, t_i = (i - n//2)*dt for i = 0..n-1 with n a power of two.
+Amplitudes are in sqrt(W), so sum(|q|^2)*dt is an energy in J.
 
 Spectra are in numpy's FFT order, the package's only bin order: index
 k holds the bin w_k = k*dw for k < n/2 and (k - n)*dw above, with
@@ -73,14 +73,12 @@ def bin_omegas(n: int, dt: float) -> np.ndarray:
 class SampledField:
     """Complex baseband field on a uniform time grid.
 
-    samples : complex amplitudes in sqrt(W)
+    samples : complex amplitudes in sqrt(W), sample i at t = (i - n//2)*dt
     dt      : sample spacing in s
-    t0      : time of the first sample in s
     """
 
     samples: np.ndarray
     dt: float
-    t0: float
 
     def __post_init__(self):
         arr = np.array(self.samples, dtype=np.complex128)
@@ -89,8 +87,6 @@ class SampledField:
             raise FieldError("samples must be finite")
         if not 0 < self.dt < np.inf:
             raise FieldError(f"dt = {self.dt} must be finite and positive")
-        if not np.isfinite(self.t0):
-            raise FieldError(f"t0 = {self.t0} must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
@@ -114,7 +110,6 @@ class Spectrum:
 
     coefficients: np.ndarray
     dt: float
-    t0: float
 
     def __post_init__(self):
         arr = np.array(self.coefficients, dtype=np.complex128)
@@ -138,18 +133,22 @@ class Spectrum:
         return float(np.sum(np.abs(self.coefficients) ** 2) * self.domega / (2.0 * np.pi))
 
 
+def _window_start(n: int, dt: float) -> float:
+    return -(n // 2) * dt  # the time of sample 0, on the window centred on t = 0
+
+
 def transform(f: SampledField) -> Spectrum:
     """Forward transform, the dt-scaled DFT phased to the time origin."""
     omegas = bin_omegas(f.n, f.dt)
-    coeff = f.dt * np.exp(-1j * omegas * f.t0) * np.fft.fft(f.samples)
-    return Spectrum(coeff, f.dt, f.t0)
+    coeff = f.dt * np.exp(-1j * omegas * _window_start(f.n, f.dt)) * np.fft.fft(f.samples)
+    return Spectrum(coeff, f.dt)
 
 
 def inverse(s: Spectrum) -> SampledField:
     """Inverse transform; exact round trip with `transform`."""
     dt = s.dt
-    q = np.fft.ifft(s.coefficients * np.exp(1j * s.omegas() * s.t0)) / dt
-    return SampledField(q, dt, s.t0)
+    q = np.fft.ifft(s.coefficients * np.exp(1j * s.omegas() * _window_start(s.n, dt))) / dt
+    return SampledField(q, dt)
 
 
 def bin_ranges(n: int, dt: float, band: BandSet) -> list[tuple[int, int]]:
@@ -190,14 +189,19 @@ def rrc_on_bins(
     square root of the standard raised-cosine taper: flat at sqrt(T) out
     to (1-rolloff)/(2T) Hz, a cosine quarter-wave to exactly zero at
     (1+rolloff)/(2T) Hz, the channel edge. The one rule for a channel
-    that can carry a pulse: GridTooCoarse when |H| is zero on every bin,
-    as on a channel that holds no bin, or only bins on its edges.
+    that can carry a pulse, by bin position: GridTooCoarse unless a bin
+    lies more than EDGE_TOL of a bin spacing inside both of its edges.
     """
     if not 0.0 <= rolloff <= 1.0:
         raise FieldError(f"rolloff {rolloff} outside [0, 1]")
     (lo, hi), (k_lo, k_hi) = channel, bins
+    domega = _bin_spacing(n, dt)
+    omegas = np.arange(k_lo, k_hi + 1) * domega  # the centers `bin_ranges` compares
+    tol = EDGE_TOL * domega
+    if not np.any((omegas > lo + tol) & (omegas < hi - tol)):
+        raise GridTooCoarse(f"no bin lies inside the edges of its {hi - lo:g} rad/s support")
     T = 2.0 * np.pi * (1.0 + rolloff) / (hi - lo)
-    f = np.abs(np.arange(k_lo, k_hi + 1) * _bin_spacing(n, dt) - 0.5 * (lo + hi)) / (2.0 * np.pi)
+    f = np.abs(omegas - 0.5 * (lo + hi)) / (2.0 * np.pi)
     f_flat = (1.0 - rolloff) / (2.0 * T)
     f_stop = (1.0 + rolloff) / (2.0 * T)
     amp = np.zeros_like(f)
@@ -205,19 +209,11 @@ def rrc_on_bins(
     if rolloff > 0.0:
         taper = (f > f_flat) & (f <= f_stop)
         amp[taper] = np.sqrt(T) * np.cos(np.pi * T / (2.0 * rolloff) * (f[taper] - f_flat))
-    if not amp.any():
-        raise GridTooCoarse(f"the pulse is zero on every bin of its {hi - lo:g} rad/s support")
     return amp
 
 
 def rrc_pulse(
-    channel: tuple[float, float],
-    rolloff: float,
-    energy: float,
-    phase: float,
-    dt: float,
-    n: int,
-    t0: float,
+    channel: tuple[float, float], rolloff: float, energy: float, phase: float, dt: float, n: int
 ) -> SampledField:
     """Band-limited root-raised-cosine launch pulse for one channel.
 
@@ -229,7 +225,7 @@ def rrc_pulse(
 
     The pulse is synthesized directly in the frequency domain, so its
     spectrum is identically zero outside the channel. The pulse peak
-    sits at the center of the time window. Raises BandOutOfRange when
+    sits at t = 0, sample n//2. Raises BandOutOfRange when
     the channel leaves the window `bin_ranges` represents, GridTooCoarse
     by the rule of `rrc_on_bins`, and FieldError naming energy or phase
     when energy is negative or either is not finite.
@@ -245,10 +241,7 @@ def rrc_pulse(
     # a negative frequency k indexes from the end: index k % n, FFT order
     amp[np.arange(k_lo, k_hi + 1)] = rrc_on_bins(channel, rolloff, (k_lo, k_hi), n, dt)
     raw = np.sum(amp**2) * _bin_spacing(n, dt) / (2.0 * np.pi)
-    t_center = t0 + (n // 2) * dt
-    scale = np.sqrt(energy / raw)
-    coeff = scale * np.exp(1j * phase) * amp * np.exp(-1j * bin_omegas(n, dt) * t_center)
-    return inverse(Spectrum(coeff, dt, t0))
+    return inverse(Spectrum(np.sqrt(energy / raw) * np.exp(1j * phase) * amp, dt))
 
 
 def parseval_residual(f: SampledField) -> float:

@@ -29,7 +29,8 @@ ranges of one `fields.bin_ranges` call: the filter is the union of the
 ranges the trace books, and a channel's recorded energy is the sum of
 |FFT q|^2 over its bins in index order, times dt / n.
 The trace's total is the full-spectrum energy at every record, in every
-filter mode: the sum over all bins, in band or not.
+filter mode: the sum over all bins, in band or not. The returned
+field, like the launch, is its samples and dt on `fields`' one grid.
 
 All quantities are SI: m, s, rad/s, W, J; `config` converts a run's
 engineering units.
@@ -213,7 +214,7 @@ def propagate(
     filt_stride = int(mode.kind == "distributed")  # 0 never filters
     if mode.kind == "lumped":
         filt_stride = stride(mode.spacing, "filter spacing")
-    n, dt, t0 = f0.n, f0.dt, f0.t0
+    n, dt = f0.n, f0.dt
 
     # each channel's FFT indices in index order: from 0 Hz up, then those below 0 Hz
     channel_bins = [np.r_[max(lo, 0) : hi + 1, n + lo : n + min(hi + 1, 0)]
@@ -250,5 +251,5 @@ def propagate(
             record(s, q, discarded_total)
 
     cols = np.array(rows).T  # z, total, the channels, discarded
-    return SampledField(q, dt, t0), EnergyTrace(cols[0], cols[1], cols[2:-1].T, cols[-1])
+    return SampledField(q, dt), EnergyTrace(cols[0], cols[1], cols[2:-1].T, cols[-1])
 

@@ -121,7 +121,7 @@ def channel_energy_rhs(
     conv_chan = np.fft.ifft(padded_fft(q_chan) * full_f) * dw
 
     integral = np.sum(conv_full * np.conj(conv_chan)) * dw
-    energy_n = Spectrum(q_chan, s.dt, s.t0).energy()
+    energy_n = Spectrum(q_chan, s.dt).energy()
     return -alpha0 * energy_n - gamma / (4.0 * np.pi**3) * float(np.imag(integral))
 
 

@@ -75,9 +75,8 @@ def test_criterion_01_transform_energy_suite():
     for _ in range(100):
         n = int(rng.choice([2**10, 2**11, 2**12, 2**13, 2**14]))
         dt = float(rng.uniform(0.05e-12, 50e-12))
-        t0 = float(rng.uniform(-1.0, 0.0)) * n * dt
         samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        f = SampledField(samples, dt, t0)
+        f = SampledField(samples, dt)
         worst_parseval = max(worst_parseval, parseval_residual(f))
         back = inverse(transform(f))
         err = np.linalg.norm(back.samples - f.samples) / np.linalg.norm(f.samples)

@@ -20,20 +20,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fiberband import cli
 from fiberband.bands import OverlappingIntervals, make_bandset
 from fiberband.cli import cmd_check, main, resolve_config
 from fiberband.config import (
     GHZ,
+    GRID_BUDGET,
     ConfigError,
     ExperimentConfig,
     emit_config,
     parse_config,
 )
-from fiberband.fields import SampledField
+from fiberband.fields import SampledField, bin_omegas
 from fiberband.planner import BOSE_BUDGET
-from fiberband.propagation import FiberParams, FilterMode, propagate
+from fiberband.propagation import FILTERS, FiberParams, FilterMode, propagate
+
+from oracles import band_mask
 
 
 # the bundled sidon5 run with its launch left to seed 0, as keyword arguments
@@ -192,11 +196,11 @@ def test_grid_errors_speak_in_ghz():
         "edge 32 GHz of grid.dt_ps = 15.625"
     )
     # bins are 1 / (2048 * 15.625 ps) = 31.25 MHz apart; a 10 MHz channel
-    # at [20, 30] MHz falls between the bins at 0 and 31.25 MHz
+    # in slot 2, at [20, 30] MHz, falls between the bins at 0 and 31.25 MHz
     with pytest.raises(ConfigError) as exc:
-        sidon_cfg(width_ghz=0.01)
+        sidon_cfg(width_ghz=0.01, sequence=(2, 3, 6, 11, 13))
     assert str(exc.value) == (
-        "channels.width_ghz: channel 2 [0.02, 0.03] GHz holds no frequency bin: width "
+        "channels.width_ghz: channel 1 [0.02, 0.03] GHz holds no frequency bin: width "
         "0.01 GHz against a bin spacing of 0.03125 GHz (grid.n = 2048, grid.dt_ps = 15.625)"
     )
     # 23 widths of 1e298 GHz overflow in rad/s, not in GHz
@@ -229,7 +233,7 @@ def test_channels_that_share_a_bin_fail_naming_the_grid_key():
     step = ((5.0 + 1e-12) * w - w) / 4
     centers = [0.5 * w + i * step for i in range(5)]
     chans = make_bandset([(c - 0.5 * w, c + 0.5 * w) for c in centers])
-    launch = SampledField(np.zeros(2048), 15.625e-12, -16e-9)
+    launch = SampledField(np.zeros(2048), 15.625e-12)
     with pytest.raises(OverlappingIntervals):
         propagate(launch, 1e3, 1e3, FiberParams(), FilterMode("distributed"), chans, 1e3)
 
@@ -248,15 +252,22 @@ def test_channels_wider_than_a_bin_launch():
     assert cfg.launch_field().energy() == pytest.approx(sum(cfg.energies_pj) * 1e-12)
 
 
-def test_a_channel_that_cannot_carry_a_pulse_fails_naming_the_width():
-    # two half-bin channels, 15.625 MHz wide and 78.125 MHz apart on 31.25 MHz
-    # bins: channel 2, [62.5, 78.125] MHz, holds one bin, on its lower edge,
-    # where the RRC amplitude is zero, so it cannot carry a pulse
+# half-bin channels, 15.625 MHz wide on 31.25 MHz bins: channel 1, [0, 15.625]
+# MHz, holds one bin, on its lower edge, where the RRC amplitude is zero
+# (it rounds to 3.8e-19), so it cannot carry a pulse; channel 2 of the
+# two-channel grid, [62.5, 78.125] MHz, holds one bin on its lower edge too
+EDGE_BIN_GRIDS = [
+    dict(channel_count=2, span_w=5.0, width_ghz=0.015625, energies_pj=None, phases_rad=None),
+    dict(channel_count=1, span_w=1.0, width_ghz=0.015625, energies_pj=(1.0,), phases_rad=(0.0,)),
+]
+
+
+@pytest.mark.parametrize("grid", EDGE_BIN_GRIDS, ids=["two-channels", "one-channel"])
+def test_a_channel_that_cannot_carry_a_pulse_fails_naming_the_width(grid):
     with pytest.raises(ConfigError) as exc:
-        dataclasses.replace(resolve_config("uniform5"), channel_count=2, span_w=5.0,
-                            width_ghz=0.015625, energies_pj=None, phases_rad=None)
+        dataclasses.replace(resolve_config("uniform5"), **grid)
     assert str(exc.value) == (
-        "channels.width_ghz: channel 2 [0.0625, 0.078125] GHz cannot carry a pulse: the RRC "
+        "channels.width_ghz: channel 1 [0, 0.015625] GHz cannot carry a pulse: the RRC "
         "amplitude is zero on its bins, which lie on its edges: width 0.015625 GHz against a "
         "bin spacing of 0.03125 GHz (grid.n = 2048, grid.dt_ps = 15.625)"
     )
@@ -269,13 +280,77 @@ def test_a_grid_of_2048_channels_is_checked_without_a_mask_per_channel():
     uniform5 = resolve_config("uniform5")
     tracemalloc.start()
     try:
-        with pytest.raises(ConfigError, match=r"^channels\.width_ghz: channel 2 .* cannot carry"):
+        with pytest.raises(ConfigError, match=r"^channels\.width_ghz: channel 1 .* cannot carry"):
             dataclasses.replace(uniform5, n=4096, channel_count=2048, width_ghz=0.001,
                                 span_w=31985.375, energies_pj=None, phases_rad=None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+SCHEMA_KEYS = {f.metadata["key"] for f in dataclasses.fields(ExperimentConfig)}
+
+
+def _ulps_off(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def small_grids(draw):
+    """Changes to uniform5 for a grid of 2 to 256 samples: widths at
+    quarter-bin multiples and a few ulps off them, counts up to n // 2,
+    either grid key, every filter mode, three rolloffs, and a launch
+    pinned or drawn by seed."""
+    n = 2 ** draw(st.integers(1, 8))
+    dt_ps = draw(st.sampled_from([15.625, 20.0, 7.3]))
+    bin_ghz = 1e3 / (n * dt_ps)
+    # half the draws are wide enough, and have few enough channels, that
+    # channel 1 holds a bin off its edges and the grid fits below Nyquist
+    quarters = draw(st.one_of(st.integers(5, 8), st.integers(1, 12)))
+    width = _ulps_off(quarters / 4 * bin_ghz, draw(st.integers(-3, 3)))
+    count = draw(st.one_of(st.integers(1, min(3, n // 2)), st.integers(1, n // 2)))
+    if draw(st.booleans()):
+        slots = draw(st.sets(st.integers(1, count + 2), min_size=count, max_size=count))
+        grid = dict(sequence=tuple(sorted(slots)), span_w=None)
+    else:
+        span = count + draw(st.integers(-1, 4 * count)) / 4
+        grid = dict(sequence=None, span_w=_ulps_off(span, draw(st.integers(-3, 3))))
+    mode = draw(st.sampled_from(FILTERS))
+    launch = dict(energies_pj=None, phases_rad=None, seed=draw(st.integers(0, 99)))
+    if draw(st.booleans()):
+        launch.update(energies_pj=tuple(draw(st.lists(st.floats(0.01, 2.0), min_size=count,
+                                                      max_size=count))),
+                      phases_rad=tuple(draw(st.lists(st.floats(-math.pi, math.pi),
+                                                     min_size=count, max_size=count))))
+    return dict(n=n, dt_ps=dt_ps, width_ghz=width, channel_count=count, **grid,
+                rolloff=draw(st.sampled_from([0.0, 0.15, 1.0])), filter=mode,
+                filter_spacing_km=10.0 if mode == "lumped" else None, **launch)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_grids())
+@example(EDGE_BIN_GRIDS[0])
+@example(EDGE_BIN_GRIDS[1])
+def test_a_config_that_validates_also_runs(changes):
+    # either the config fails naming schema keys, or it launches and steps
+    # to finite samples with every channel's pulse on bins strictly inside it
+    try:
+        cfg = dataclasses.replace(resolve_config("uniform5"), **changes)
+    except ConfigError as exc:
+        assert set(str(exc).split(": ")[0].split(", ")) <= SCHEMA_KEYS, str(exc)
+        return
+    f, dz, channels = cfg.launch_field(), cfg.run_lengths()[1], cfg.channels()
+    g, trace = propagate(f, dz, dz, cfg.fiber(), cfg.filter_mode(), channels, dz)
+    assert np.all(np.isfinite(g.samples)) and np.all(np.isfinite(trace.per_channel))
+    power, omegas = np.abs(np.fft.fft(f.samples)) ** 2, bin_omegas(f.n, f.dt)
+    for (lo, hi), held in zip(channels.intervals, band_mask(f.n, f.dt, channels)):
+        inside = (lo < omegas) & (omegas < hi)
+        # a bin strictly inside the channel is its strongest, or ties it at
+        # rolloff 0, where the edge bins carry the flat amplitude too
+        assert inside.any() and power[inside].max() >= (1 - 1e-9) * power[held].max()
 
 
 NAN, INF = float("nan"), float("inf")
@@ -432,11 +507,13 @@ def test_a_channel_count_past_the_grid_fails_before_any_channel_is_built(count):
         f"channels.count: {count} channels exceed the 1024 frequency bins below the "
         "Nyquist edge (grid.n = 2048)"
     )
-    # n = 8 has bins at 0, 8, 16 and 24 GHz: four channels fit, one on each
-    four = config(n=8, sequence=None, span_w=25.0, channel_count=4)
-    assert len(four.channels().intervals) == 4
+    # n = 8 has bins at 0, 8, 16 and 24 GHz; channel 1 holds the bin at 0 Hz
+    # on its edge, so only three 9 GHz channels carry a pulse, at [0, 9],
+    # [11.25, 20.25] and [22.5, 31.5] GHz, and five exceed the bins
+    three = config(n=8, sequence=None, width_ghz=9.0, span_w=3.5, channel_count=3)
+    assert len(three.channels().intervals) == 3
     with pytest.raises(ConfigError, match=r"^channels\.count: 5 channels exceed the 4 "):
-        dataclasses.replace(four, channel_count=5)
+        dataclasses.replace(three, channel_count=5)
 
 
 def test_uniform_single_channel():
@@ -480,11 +557,15 @@ def test_launch_field_energy_is_sum_of_channel_energies():
 @pytest.mark.parametrize("n, dt_ps", [(2048, 15.625), (512, 15.625), (4096, 7.8125),
                                       (1024, 20.0)])
 def test_the_launch_window_is_centred_on_zero(name, n, dt_ps):
-    f = dataclasses.replace(resolve_config(name), n=n, dt_ps=dt_ps).launch_field()
-    dt = dt_ps * 1e-12
-    assert f.dt == dt and f.t0 == -(n // 2) * dt
-    if (n, dt_ps) == (2048, 15.625):  # the bundled window starts at -16 ns, to the bit
-        assert f.t0 == -16e-9
+    # one channel of the config's grid, alone: its pulse peaks at t = 0,
+    # sample n // 2, with the pinned phase
+    cfg = resolve_config(name)
+    grid = dict(sequence=cfg.sequence[:1]) if cfg.sequence else dict(span_w=1.0)
+    f = dataclasses.replace(cfg, n=n, dt_ps=dt_ps, channel_count=1, energies_pj=(0.5,),
+                            phases_rad=(1.1,), **grid).launch_field()
+    assert f.dt == dt_ps * 1e-12
+    assert int(np.argmax(np.abs(f.samples))) == n // 2
+    assert np.angle(f.samples[n // 2]) == pytest.approx(1.1, abs=1e-9)
 
 
 # ---------------------------------------------------------------- bundled
@@ -685,6 +766,18 @@ def test_cli_simulate_names_a_sample_spacing_too_small_for_a_grid(tmp_path, caps
     assert captured.out == ""
     assert captured.err == (f"error: grid.dt_ps: {dt_ps} ps is too small for a finite "
                             "frequency grid (grid.n = 2048)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [2**40, 2**64])
+def test_cli_simulate_names_a_grid_past_the_budget(tmp_path, capsys, n):
+    # a power of two, but its arrays would not fit: 2**64 samples
+    # overflowed numpy's size check, and 2**40 ran out of memory
+    path = edited_config(tmp_path, bundled_text("sidon5"), "n = 2048", f"n = {n}")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: grid.n: {n} samples exceed the grid budget of {GRID_BUDGET}\n")
     assert not out.exists()
 
 

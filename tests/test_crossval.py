@@ -30,14 +30,13 @@ def test_three_tone_model_matches_full_propagator():
     # the truncated model is expected to track within a tenth of the
     # exchange (measured: 6.7 percent of it).
     n, dt = 512, 0.5e-12
-    t0 = -0.5 * n * dt
     domega = 2 * np.pi / (n * dt)
     spacing = 32 * domega
     amps = (0.7 * np.exp(0.3j), 1.0 + 0.0j, 0.6 * np.exp(-1.2j))
 
-    t = t0 + dt * np.arange(n)
+    t = dt * (np.arange(n) - n // 2)  # the window centred on t = 0
     q = sum(a * np.exp(1j * m * spacing * t) for a, m in zip(amps, (-1, 0, 1)))
-    field = SampledField(np.asarray(q, dtype=complex), dt, t0)
+    field = SampledField(np.asarray(q, dtype=complex), dt)
     chans = make_bandset(
         [(m * spacing - 8 * domega, m * spacing + 8 * domega) for m in (-1, 0, 1)]
     )

@@ -27,7 +27,6 @@ from fiberband.propagation import (
 from oracles import band_energy, band_mask, channel_energy_rhs
 
 N, DT = 512, 15.625e-12
-T0 = -0.5 * N * DT
 DOMEGA = 2 * np.pi / (N * DT)
 W = 32 * DOMEGA  # channel width, 32 bins
 
@@ -39,12 +38,11 @@ def energy_in(f, band):
 
 def two_channel_launch(n=N):
     """Two RRC channels on an n-sample window of spacing DT, centred on t = 0."""
-    t0 = -0.5 * n * DT
     chans = make_bandset([(0.0, W), (2 * W, 3 * W)])
     q = np.zeros(n, dtype=complex)
     for channel, e_pj, ph in zip(chans.intervals, (0.06, 0.11), (0.4, -1.0)):
-        q = q + rrc_pulse(channel, 0.15, e_pj * 1e-12, ph, DT, n, t0).samples
-    return SampledField(q, DT, t0), chans
+        q = q + rrc_pulse(channel, 0.15, e_pj * 1e-12, ph, DT, n).samples
+    return SampledField(q, DT), chans
 
 
 def test_engineering_conversions():
@@ -123,7 +121,7 @@ def one_step(f, dz, params, band):
 def test_one_step_filter_bookkeeping():
     f, chans = two_channel_launch()
     # widen the launch so the Kerr step leaks measurable energy out of band
-    g = SampledField(f.samples * 3e3, DT, T0)
+    g = SampledField(f.samples * 3e3, DT)
     params = FiberParams(alpha0=4.6e-5, beta2=-21.667e-27, gamma=1.2578e-3)
     out, discarded = one_step(g, 100.0, params, chans)
     assert discarded > 0
@@ -134,7 +132,7 @@ def test_one_step_filter_bookkeeping():
 
 def test_one_step_mask_bookkeeping():
     rng = np.random.default_rng(11)
-    f = SampledField(rng.normal(size=256) + 1j * rng.normal(size=256), 1.0, 0.0)
+    f = SampledField(rng.normal(size=256) + 1j * rng.normal(size=256), 1.0)
     band = make_bandset([(-1.0, -0.5), (0.2, 1.7)])
     filtered, discarded = one_step(f, 1.0, FiberParams(), band)
     assert discarded > 0
@@ -147,7 +145,7 @@ def test_one_step_mask_bookkeeping():
 
 def test_one_step_discards_before_decay():
     rng = np.random.default_rng(12)
-    f = SampledField(rng.normal(size=256) + 1j * rng.normal(size=256), 1.0, 0.0)
+    f = SampledField(rng.normal(size=256) + 1j * rng.normal(size=256), 1.0)
     band = make_bandset([(-0.9, 1.1)])
     alpha0, dz = 0.046, 3.0
     filtered, discarded = one_step(f, dz, FiberParams(alpha0=alpha0), band)
@@ -236,7 +234,7 @@ def test_records_are_the_mask_oracle_to_the_bit(grid):
         f, band, params = cfg.launch_field(), cfg.channels(), cfg.fiber()
     else:
         rng = np.random.default_rng(5)
-        f = SampledField(rng.normal(size=N) + 1j * rng.normal(size=N), DT, T0)
+        f = SampledField(rng.normal(size=N) + 1j * rng.normal(size=N), DT)
         band = make_bandset([(-140 * DOMEGA, -90.5 * DOMEGA), (-67 * DOMEGA, 72.3 * DOMEGA),
                              (80 * DOMEGA, 161 * DOMEGA)])
         params = FiberParams(beta2=-21.667e-27, gamma=1.2578e-3)
@@ -251,7 +249,7 @@ def test_records_are_the_mask_oracle_to_the_bit(grid):
 
 def test_lumped_discards_only_at_filters():
     f, chans = two_channel_launch()
-    g = SampledField(f.samples * 3e3, DT, T0)
+    g = SampledField(f.samples * 3e3, DT)
     params = FiberParams(gamma=1.2578e-3)
     mode = FilterMode("lumped", 400.0)
     _, tr = propagate(g, 2e3, 100.0, params, mode, chans, 100.0)
@@ -265,7 +263,7 @@ def test_lumped_discards_only_at_filters():
 
 def test_distributed_keeps_field_in_band():
     f, chans = two_channel_launch()
-    g = SampledField(f.samples * 3e3, DT, T0)
+    g = SampledField(f.samples * 3e3, DT)
     params = FiberParams(gamma=1.2578e-3)
     out, tr = propagate(g, 2e3, 100.0, params, FilterMode("distributed"), chans, 2e3)
     assert energy_in(out, chans) == pytest.approx(out.energy(), rel=1e-12)
@@ -302,7 +300,7 @@ def test_step_kernel_matches_reference_formula(monkeypatch, mode, n):
     f, chans = two_channel_launch(n)
     # Kerr phases up to about 13 rad per step, and alpha0 > 0 so the
     # linear factor attenuates
-    g = SampledField(f.samples * 3e2, DT, f.t0)
+    g = SampledField(f.samples * 3e2, DT)
     params = FiberParams(alpha0=4.6e-5, beta2=-21.667e-27, gamma=1.2578e-3)
     runs = []
     for kernel in (propagation._step_kernel, reference_step):
@@ -337,7 +335,7 @@ def test_step_kernel_works_in_place(oob):
 
 def test_propagate_scratch_is_per_call():
     f, chans = two_channel_launch()
-    g = SampledField(f.samples * 3e2, DT, T0)
+    g = SampledField(f.samples * 3e2, DT)
     launch = g.samples.copy()
     params = FiberParams(alpha0=4.6e-5, beta2=-21.667e-27, gamma=1.2578e-3)
     for mode in (FilterMode("distributed"), FilterMode("lumped", 400.0), FilterMode("none")):
@@ -353,7 +351,7 @@ def test_propagate_scratch_is_per_call():
 
 def test_distributed_filter_is_lumped_at_spacing_dz():
     f, chans = two_channel_launch()
-    g = SampledField(f.samples * 3e2, DT, T0)
+    g = SampledField(f.samples * 3e2, DT)
     params = FiberParams(alpha0=4.6e-5, beta2=-21.667e-27, gamma=1.2578e-3)
     (out, tr), (lumped_out, lumped_tr) = (
         propagate(g, 2e3, 100.0, params, mode, chans, 400.0)
@@ -377,11 +375,12 @@ def test_channel_rhs_is_unchanged_by_a_shift_across_zero_hz():
     # and its grid down 64 bins, so the grid straddles 0 Hz and the rows
     # wrap around the FFT-order array, leaves every channel's rhs
     chans = make_bandset([(0.0, W), (1.5 * W, 2.5 * W), (3 * W, 4 * W)])
-    q = sum(rrc_pulse(c, 0.15, 5e-14, ph, DT, N, T0).samples
+    q = sum(rrc_pulse(c, 0.15, 5e-14, ph, DT, N).samples
             for c, ph in zip(chans.intervals, (0.4, -1.0, 2.0)))
-    f = SampledField(q, DT, T0)
+    f = SampledField(q, DT)
     down = 64 * DOMEGA
-    moved = SampledField(q * np.exp(-1j * down * (T0 + DT * np.arange(N))), DT, T0)
+    t = DT * (np.arange(N) - N // 2)  # the window centred on t = 0
+    moved = SampledField(q * np.exp(-1j * down * t), DT)
     moved_chans = make_bandset([(lo - down, hi - down) for lo, hi in chans.intervals])
     assert moved_chans.lo < 0 < moved_chans.hi
     rhs, moved_rhs = (
@@ -395,7 +394,7 @@ def test_channel_rhs_is_unchanged_by_a_shift_across_zero_hz():
 def test_channel_rhs_single_channel_is_pure_decay():
     _, chans = two_channel_launch()
     lone = make_bandset(chans.intervals[:1])
-    p = rrc_pulse(lone.intervals[0], 0.15, 1e-13, 0.0, DT, N, T0)
+    p = rrc_pulse(lone.intervals[0], 0.15, 1e-13, 0.0, DT, N)
     e = energy_in(p, lone)
     alpha0 = 4.6e-5
     rhs = channel_energy_rhs(p, 0, lone, gamma=1.2578e-3, alpha0=alpha0)
