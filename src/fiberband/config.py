@@ -128,9 +128,9 @@ class ExperimentConfig:
         nyquist, spacing = edge / GHZ, edge / (self.n // 2)  # a power of two: exact
         if self.channel_count < 1:
             fail("channel_count", f"must be at least 1, got {self.channel_count}")
-        if self.channel_count > self.n // 2:  # from 0 Hz up, one bin per channel
-            fail("channel_count", f"{self.channel_count} channels exceed the {self.n // 2} "
-                 f"frequency bins below the Nyquist edge ({setting('n')})")
+        if self.channel_count > self.n // 2 - 1:  # each needs a bin strictly inside, above 0 Hz
+            fail("channel_count", f"{self.channel_count} channels exceed the {self.n // 2 - 1} "
+                 f"frequency bins strictly between 0 Hz and the Nyquist edge ({setting('n')})")
         if self.width_ghz <= 0:
             fail("width_ghz", "must be positive")
         grids = [name for name in ("sequence", "span_w") if getattr(self, name) is not None]
@@ -178,8 +178,8 @@ class ExperimentConfig:
             try:
                 rrc_on_bins((lo, hi), self.rolloff, bins, self.n, dt)
             except GridTooCoarse:
-                why = ("holds no frequency bin" if bins[0] > bins[1] else "cannot carry a pulse: "
-                       "the RRC amplitude is zero on its bins, which lie on its edges")
+                why = ("holds no frequency bin" if bins[0] > bins[1]
+                       else "cannot carry a pulse: its bins all lie on its edges")
                 fail("width_ghz", f"channel {number} [{lo / GHZ:g}, {hi / GHZ:g}] GHz {why}: "
                      f"width {self.width_ghz!r} GHz against a bin spacing of {spacing / GHZ:g} "
                      f"GHz ({setting('n')}, {setting('dt_ps')})")

@@ -6,12 +6,14 @@ A field is its samples and dt: q(t) on the one time grid, centred on
 t = 0, t_i = (i - n//2)*dt for i = 0..n-1 with n a power of two.
 Amplitudes are in sqrt(W), so sum(|q|^2)*dt is an energy in J.
 
-Spectra are in numpy's FFT order, the package's only bin order: index
-k holds the bin w_k = k*dw for k < n/2 and (k - n)*dw above, with
-dw = 2*pi/(n*dt), so bin k of `np.fft.fft` is index k everywhere. The
-forward transform approximates Q(w) = integral q(t) exp(-jwt) dt as dt
-times the DFT on those bins. The inverse carries the 1/(2*pi), so the
-continuous Parseval identity
+A spectrum is a complex array in numpy's FFT order, the package's only
+bin order: index k holds the bin w_k = k*dw for k < n/2 and (k - n)*dw
+above, with dw = 2*pi/(n*dt), so bin k of `np.fft.fft` is index k
+everywhere. It carries no dt: `inverse` takes the dt its caller holds,
+so a round trip gives back that dt exactly. The forward transform
+approximates Q(w) = integral q(t) exp(-jwt) dt as dt times the DFT on
+those bins. The inverse carries the 1/(2*pi), so the continuous
+Parseval identity
 
     sum |q|^2 dt  =  (1/2*pi) sum |Q|^2 dw
 
@@ -99,55 +101,23 @@ class SampledField:
         return float(np.sum(np.abs(self.samples) ** 2) * self.dt)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Field spectrum on the bins of `bin_omegas`, in FFT order.
-
-    Stores the dt of the sampled field, so a round trip through
-    `inverse` gives back that dt exactly; 2*pi/(n*domega) is not always
-    dt to the bit.
-    """
-
-    coefficients: np.ndarray
-    dt: float
-
-    def __post_init__(self):
-        arr = np.array(self.coefficients, dtype=np.complex128)
-        _check_pow2(arr.size)
-        arr.flags.writeable = False
-        object.__setattr__(self, "coefficients", arr)
-
-    @property
-    def n(self) -> int:
-        return self.coefficients.size
-
-    @property
-    def domega(self) -> float:
-        return _bin_spacing(self.n, self.dt)
-
-    def omegas(self) -> np.ndarray:
-        return bin_omegas(self.n, self.dt)
-
-    def energy(self) -> float:
-        """Total energy in J, computed in the frequency domain."""
-        return float(np.sum(np.abs(self.coefficients) ** 2) * self.domega / (2.0 * np.pi))
-
-
 def _window_start(n: int, dt: float) -> float:
     return -(n // 2) * dt  # the time of sample 0, on the window centred on t = 0
 
 
-def transform(f: SampledField) -> Spectrum:
-    """Forward transform, the dt-scaled DFT phased to the time origin."""
+def transform(f: SampledField) -> np.ndarray:
+    """Forward transform, the dt-scaled DFT phased to the time origin,
+    on the bins of `bin_omegas(f.n, f.dt)`."""
     omegas = bin_omegas(f.n, f.dt)
-    coeff = f.dt * np.exp(-1j * omegas * _window_start(f.n, f.dt)) * np.fft.fft(f.samples)
-    return Spectrum(coeff, f.dt)
+    return f.dt * np.exp(-1j * omegas * _window_start(f.n, f.dt)) * np.fft.fft(f.samples)
 
 
-def inverse(s: Spectrum) -> SampledField:
-    """Inverse transform; exact round trip with `transform`."""
-    dt = s.dt
-    q = np.fft.ifft(s.coefficients * np.exp(1j * s.omegas() * _window_start(s.n, dt))) / dt
+def inverse(coefficients: np.ndarray, dt: float) -> SampledField:
+    """Inverse transform of a spectrum on the bins of `bin_omegas(n, dt)`;
+    exact round trip with `transform`."""
+    n = len(coefficients)
+    _check_pow2(n)
+    q = np.fft.ifft(coefficients * np.exp(1j * bin_omegas(n, dt) * _window_start(n, dt))) / dt
     return SampledField(q, dt)
 
 
@@ -241,13 +211,13 @@ def rrc_pulse(
     # a negative frequency k indexes from the end: index k % n, FFT order
     amp[np.arange(k_lo, k_hi + 1)] = rrc_on_bins(channel, rolloff, (k_lo, k_hi), n, dt)
     raw = np.sum(amp**2) * _bin_spacing(n, dt) / (2.0 * np.pi)
-    return inverse(Spectrum(np.sqrt(energy / raw) * np.exp(1j * phase) * amp, dt))
+    return inverse(np.sqrt(energy / raw) * np.exp(1j * phase) * amp, dt)
 
 
 def parseval_residual(f: SampledField) -> float:
     """Relative disagreement between time- and frequency-domain energy."""
     et = f.energy()
-    ef = transform(f).energy()
+    ef = float(np.sum(np.abs(transform(f)) ** 2) * _bin_spacing(f.n, f.dt) / (2.0 * np.pi))
     if et == 0.0 and ef == 0.0:
         return 0.0
     return abs(et - ef) / max(et, ef)

@@ -40,7 +40,6 @@ from fiberband.fields import (
     EDGE_TOL,
     BandOutOfRange,
     SampledField,
-    Spectrum,
     _bin_spacing,
     bin_omegas,
     transform,
@@ -108,20 +107,20 @@ def channel_energy_rhs(
     count = len(channels.intervals)
     if not 0 <= n_channel < count:
         raise ValueError(f"n_channel = {n_channel} is outside the channels 0..{count - 1}")
-    s = transform(f)
-    q_full = s.coefficients
-    q_chan = np.where(band_mask(s.n, s.dt, channels)[n_channel], q_full, 0.0)
-    dw = s.domega
+    n = f.n
+    q_full = transform(f)
+    q_chan = np.where(band_mask(n, f.dt, channels)[n_channel], q_full, 0.0)
+    dw = _bin_spacing(n, f.dt)
 
     def padded_fft(q):
-        return np.fft.fft(np.insert(q, s.n // 2, np.zeros(s.n)))
+        return np.fft.fft(np.insert(q, n // 2, np.zeros(n)))
 
     full_f = padded_fft(q_full)
     conv_full = np.fft.ifft(full_f * full_f) * dw
     conv_chan = np.fft.ifft(padded_fft(q_chan) * full_f) * dw
 
     integral = np.sum(conv_full * np.conj(conv_chan)) * dw
-    energy_n = Spectrum(q_chan, s.dt).energy()
+    energy_n = float(np.sum(np.abs(q_chan) ** 2) * dw / (2.0 * np.pi))
     return -alpha0 * energy_n - gamma / (4.0 * np.pi**3) * float(np.imag(integral))
 
 

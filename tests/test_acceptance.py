@@ -78,7 +78,7 @@ def test_criterion_01_transform_energy_suite():
         samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         f = SampledField(samples, dt)
         worst_parseval = max(worst_parseval, parseval_residual(f))
-        back = inverse(transform(f))
+        back = inverse(transform(f), dt)
         err = np.linalg.norm(back.samples - f.samples) / np.linalg.norm(f.samples)
         worst_roundtrip = max(worst_roundtrip, float(err))
     elapsed = time.perf_counter() - start

@@ -238,10 +238,14 @@ def test_channels_that_share_a_bin_fail_naming_the_grid_key():
         propagate(launch, 1e3, 1e3, FiberParams(), FilterMode("distributed"), chans, 1e3)
 
 
-def test_a_two_sample_grid_names_the_channel_without_a_bin():
-    # bins at -32 and 0 GHz: a 1 MHz channel in slot 2, at [2, 3] MHz, holds neither
-    with pytest.raises(ConfigError, match=r"^channels\.width_ghz: channel 1 .* "
-                       r"bin spacing of 32 GHz \(grid\.n = 2,"):
+def test_a_grid_names_the_channel_without_a_bin():
+    # bins at -32, -16, 0 and 16 GHz: a 1 MHz channel in slot 2, at [2, 3] MHz, holds none
+    with pytest.raises(ConfigError, match=r"^channels\.width_ghz: channel 1 .* holds no "
+                       r"frequency bin: .* bin spacing of 16 GHz \(grid\.n = 4,"):
+        config(n=4, channel_count=1, sequence=(2,), width_ghz=0.001, energies_pj=None,
+               phases_rad=None)
+    # bins at -32 and 0 GHz: no bin lies strictly between 0 Hz and the Nyquist edge
+    with pytest.raises(ConfigError, match=r"^channels\.count: 1 channels exceed the 0 "):
         config(n=2, channel_count=1, sequence=(2,), width_ghz=0.001, energies_pj=None,
                phases_rad=None)
 
@@ -253,35 +257,39 @@ def test_channels_wider_than_a_bin_launch():
 
 
 # half-bin channels, 15.625 MHz wide on 31.25 MHz bins: channel 1, [0, 15.625]
-# MHz, holds one bin, on its lower edge, where the RRC amplitude is zero
-# (it rounds to 3.8e-19), so it cannot carry a pulse; channel 2 of the
-# two-channel grid, [62.5, 78.125] MHz, holds one bin on its lower edge too
+# MHz, holds one bin, on its lower edge, so it cannot carry a pulse; channel
+# 2 of the two-channel grid, [62.5, 78.125] MHz, holds one bin on its lower
+# edge too. At rolloff 0 the RRC amplitude on an edge bin is sqrt(T), not
+# zero, and the channel still cannot carry a pulse.
 EDGE_BIN_GRIDS = [
     dict(channel_count=2, span_w=5.0, width_ghz=0.015625, energies_pj=None, phases_rad=None),
     dict(channel_count=1, span_w=1.0, width_ghz=0.015625, energies_pj=(1.0,), phases_rad=(0.0,)),
+    dict(rolloff=0.0, channel_count=1, span_w=1.0, width_ghz=0.015625, energies_pj=(1.0,),
+         phases_rad=(0.0,)),
 ]
 
 
-@pytest.mark.parametrize("grid", EDGE_BIN_GRIDS, ids=["two-channels", "one-channel"])
+@pytest.mark.parametrize("grid", EDGE_BIN_GRIDS,
+                         ids=["two-channels", "one-channel", "one-channel-rolloff-0"])
 def test_a_channel_that_cannot_carry_a_pulse_fails_naming_the_width(grid):
     with pytest.raises(ConfigError) as exc:
         dataclasses.replace(resolve_config("uniform5"), **grid)
     assert str(exc.value) == (
-        "channels.width_ghz: channel 1 [0, 0.015625] GHz cannot carry a pulse: the RRC "
-        "amplitude is zero on its bins, which lie on its edges: width 0.015625 GHz against a "
-        "bin spacing of 0.03125 GHz (grid.n = 2048, grid.dt_ps = 15.625)"
+        "channels.width_ghz: channel 1 [0, 0.015625] GHz cannot carry a pulse: its bins all "
+        "lie on its edges: width 0.015625 GHz against a bin spacing of 0.03125 GHz "
+        "(grid.n = 2048, grid.dt_ps = 15.625)"
     )
 
 
 def test_a_grid_of_2048_channels_is_checked_without_a_mask_per_channel():
-    # n = 4096 and 2048 channels of 1 MHz on 15.625 MHz bins: a (count, n)
-    # bool array alone takes 8.4 MB, the channels' bin ranges tens of kB.
+    # n = 8192 and 2048 channels of 1 MHz on 7.8125 MHz bins: a (count, n)
+    # bool array alone takes 16.8 MB, the channels' bin ranges tens of kB.
     # Most of these channels hold one bin, on an edge, so the grid fails.
     uniform5 = resolve_config("uniform5")
     tracemalloc.start()
     try:
         with pytest.raises(ConfigError, match=r"^channels\.width_ghz: channel 1 .* cannot carry"):
-            dataclasses.replace(uniform5, n=4096, channel_count=2048, width_ghz=0.001,
+            dataclasses.replace(uniform5, n=8192, channel_count=2048, width_ghz=0.001,
                                 span_w=31985.375, energies_pj=None, phases_rad=None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -498,22 +506,38 @@ def test_the_removed_placement_and_window_keys_are_unknown(section, line):
 
 @pytest.mark.parametrize("count", [10**7, 10**20])
 def test_a_channel_count_past_the_grid_fails_before_any_channel_is_built(count):
-    # n = 2048 holds 1024 bins from 0 Hz up to the Nyquist edge, one per channel
+    # n = 2048 holds 1023 bins strictly between 0 Hz and the Nyquist edge, one per channel
     start = time.perf_counter()
     with pytest.raises(ConfigError) as exc:
         config(sequence=None, span_w=float(count), channel_count=count)
     assert time.perf_counter() - start < 1.0
     assert str(exc.value) == (
-        f"channels.count: {count} channels exceed the 1024 frequency bins below the "
-        "Nyquist edge (grid.n = 2048)"
+        f"channels.count: {count} channels exceed the 1023 frequency bins strictly between "
+        "0 Hz and the Nyquist edge (grid.n = 2048)"
     )
     # n = 8 has bins at 0, 8, 16 and 24 GHz; channel 1 holds the bin at 0 Hz
     # on its edge, so only three 9 GHz channels carry a pulse, at [0, 9],
     # [11.25, 20.25] and [22.5, 31.5] GHz, and five exceed the bins
     three = config(n=8, sequence=None, width_ghz=9.0, span_w=3.5, channel_count=3)
     assert len(three.channels().intervals) == 3
-    with pytest.raises(ConfigError, match=r"^channels\.count: 5 channels exceed the 4 "):
+    with pytest.raises(ConfigError, match=r"^channels\.count: 5 channels exceed the 3 "):
         dataclasses.replace(three, channel_count=5)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_the_channel_count_bound_is_the_bins_strictly_inside_the_band(n):
+    # channels 1.02 bins wide, 1.04 bins apart: channel j holds bin j + 1
+    # strictly inside it, so n // 2 - 1 channels reach bins 1 .. n/2 - 1
+    # and launch, and one more would need the bin at the Nyquist edge
+    def uniform(count):
+        return config(n=n, sequence=None, width_ghz=1.02 * 64.0 / n, channel_count=count,
+                      span_w=((count - 1) * 1.04 + 1.02) / 1.02)
+
+    fits = uniform(n // 2 - 1)
+    assert fits.launch_field().energy() == pytest.approx(sum(fits.pulse_parameters()[0]))
+    with pytest.raises(ConfigError, match=rf"^channels\.count: {n // 2} channels exceed the "
+                       rf"{n // 2 - 1} frequency bins strictly between 0 Hz and the Nyquist edge"):
+        uniform(n // 2)
 
 
 def test_uniform_single_channel():
