@@ -2,8 +2,8 @@
 
 A band set is a finite union of pairwise-disjoint closed intervals
 [lo, hi] in rad/s. It models a multi-channel WDM occupancy mask; single
-intervals model one channel. `make_bandset` is the one place a channel
-grid is validated.
+intervals model one channel. `BandSet` checks and sorts its intervals
+when it is built, so every band set is a valid channel grid.
 """
 
 from __future__ import annotations
@@ -30,9 +30,32 @@ class OverlappingIntervals(BandError):
 
 @dataclass(frozen=True)
 class BandSet:
-    """Sorted union of disjoint closed frequency intervals (rad/s)."""
+    """Sorted union of disjoint closed frequency intervals (rad/s).
+
+    Built from any iterable of (lo, hi) pairs, which it sorts. Raises
+    EmptyBandSet on an empty list, OverlappingIntervals if any two
+    intervals intersect (shared endpoints count as intersecting;
+    `fields.bin_ranges` also rejects a bin in two intervals), and
+    BandError if a bound is not finite (an int past the largest float
+    is not) or some lo >= hi.
+    """
 
     intervals: tuple[tuple[float, float], ...]
+
+    def __post_init__(self):
+        ivs = [(_bound(lo), _bound(hi)) for lo, hi in self.intervals]
+        if not ivs:
+            raise EmptyBandSet("band set needs at least one interval")
+        for lo, hi in ivs:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise BandError(f"interval ({lo}, {hi}) has a non-finite bound")
+            if not lo < hi:
+                raise BandError(f"interval ({lo}, {hi}) has nonpositive width")
+        ivs.sort()
+        for a, b in zip(ivs, ivs[1:]):
+            if b[0] <= a[1]:
+                raise OverlappingIntervals(a, b)
+        object.__setattr__(self, "intervals", tuple(ivs))
 
     @property
     def lo(self) -> float:
@@ -50,27 +73,3 @@ def _bound(x) -> float:
         return float(x)
     except OverflowError:  # an int past the largest float
         return math.inf if x > 0 else -math.inf
-
-
-def make_bandset(intervals) -> BandSet:
-    """Validate and sort intervals into a BandSet.
-
-    Raises EmptyBandSet on an empty list, OverlappingIntervals if any
-    two intervals intersect (shared endpoints count as intersecting;
-    `fields.bin_ranges` also rejects a bin in two intervals), and
-    BandError if a bound is not finite (an int past the largest float
-    is not) or some lo >= hi.
-    """
-    ivs = [(_bound(lo), _bound(hi)) for lo, hi in intervals]
-    if not ivs:
-        raise EmptyBandSet("band set needs at least one interval")
-    for lo, hi in ivs:
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise BandError(f"interval ({lo}, {hi}) has a non-finite bound")
-        if not lo < hi:
-            raise BandError(f"interval ({lo}, {hi}) has nonpositive width")
-    ivs.sort()
-    for a, b in zip(ivs, ivs[1:]):
-        if b[0] <= a[1]:
-            raise OverlappingIntervals(a, b)
-    return BandSet(tuple(ivs))

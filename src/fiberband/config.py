@@ -41,7 +41,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .bands import BandError, BandSet, OverlappingIntervals, _bound, make_bandset
+from .bands import BandError, BandSet, OverlappingIntervals, _bound
 from .fields import BandOutOfRange, GridTooCoarse, SampledField, bin_ranges, rrc_on_bins, rrc_pulse
 from .planner import NotIncreasing, plan_channels
 from .propagation import FILTERS, FiberParams, FilterMode, step_count
@@ -145,7 +145,9 @@ class ExperimentConfig:
         else:
             if self.span_w < self.channel_count:
                 fail("span_w", "span cannot hold the channels")
-            reach = 1 if self.channel_count == 1 else self.span_w
+            if self.channel_count == 1 and self.span_w != 1:  # its top edge is the span
+                fail("span_w", f"one channel spans exactly one width, got {self.span_w!r}")
+            reach = self.span_w
 
         def above_nyquist(top_ghz: float):
             fail("width_ghz", f"top channel edge {top_ghz:g} GHz is not below "
@@ -194,12 +196,10 @@ class ExperimentConfig:
         for name in ("z_total_km", "dz_km", "record_every_km"):
             if getattr(self, name) <= 0:
                 fail(name, "must be positive")
-        if self.filter not in FILTERS:
-            fail("filter", f"{self.filter!r} not in {FILTERS}")
-        if self.filter == "lumped" and not (
-            self.filter_spacing_km and self.filter_spacing_km > 0
-        ):
-            fail("filter_spacing_km", "required and positive for lumped filtering")
+        try:
+            self.filter_mode()
+        except ValueError as exc:
+            fail("filter" if self.filter not in FILTERS else "filter_spacing_km", str(exc))
         # tested in meters, on the lengths propagate partitions
         dz = self.dz_km * 1e3
         spans = ["z_total_km", "record_every_km"]
@@ -223,17 +223,13 @@ class ExperimentConfig:
         """The channel grid in rad/s, also the filter: interval k is channel k."""
         w = self.width_ghz * GHZ
         if self.span_w is not None:
-            span = self.span_w * w
-            if self.channel_count == 1:
-                centers = [0.5 * w]
-            else:
-                step = (span - w) / (self.channel_count - 1)
-                centers = [0.5 * w + i * step for i in range(self.channel_count)]
-            return make_bandset([(c - 0.5 * w, c + 0.5 * w) for c in centers])
-        return make_bandset(plan_channels(self.sequence, w).intervals())
+            step = (self.span_w * w - w) / max(self.channel_count - 1, 1)
+            centers = [0.5 * w + i * step for i in range(self.channel_count)]
+            return BandSet([(c - 0.5 * w, c + 0.5 * w) for c in centers])
+        return BandSet(plan_channels(self.sequence, w).intervals())
 
     def filter_mode(self) -> FilterMode:
-        spacing = self.filter_spacing_km * 1e3 if self.filter == "lumped" else None
+        spacing = None if self.filter_spacing_km is None else self.filter_spacing_km * 1e3
         return FilterMode(self.filter, spacing)
 
     def pulse_parameters(self) -> tuple[tuple, tuple]:

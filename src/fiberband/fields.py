@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import BandSet, OverlappingIntervals, make_bandset
+from .bands import BandSet, OverlappingIntervals
 
 # Fraction of a bin spacing by which closed-interval membership is
 # widened. Must stay well below 1 so it can never capture a neighbour.
@@ -206,7 +206,7 @@ def rrc_pulse(
         raise FieldError(f"phase = {phase} must be finite")
     _check_pow2(n)
     # the window check and the support; raises BandOutOfRange
-    ((k_lo, k_hi),) = bin_ranges(n, dt, make_bandset([channel]))
+    ((k_lo, k_hi),) = bin_ranges(n, dt, BandSet([channel]))
     amp = np.zeros(n)
     # a negative frequency k indexes from the end: index k % n, FFT order
     amp[np.arange(k_lo, k_hi + 1)] = rrc_on_bins(channel, rolloff, (k_lo, k_hi), n, dt)

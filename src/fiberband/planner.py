@@ -19,7 +19,7 @@ from itertools import count, islice
 
 import numpy as np
 
-from .bands import BandError, _bound, make_bandset
+from .bands import BandError, BandSet, _bound
 from .gf import FieldGF, NotPrimePower, prime_power
 
 
@@ -279,7 +279,7 @@ def is_energy_decoupled(channels) -> tuple[bool, tuple | None]:
     """Certify that no two distinct channel pairs have colliding sum bands.
 
     `channels` is a sequence of (lo, hi) intervals, validated as a grid
-    by `make_bandset`. The unordered channel pairs {n1, n2} (repetition
+    by `BandSet`. The unordered channel pairs {n1, n2} (repetition
     allowed) are enumerated in caller order, and two distinct pairs
     collide when their sum intervals W_n1 + W_n2 and W_n + W_n3 share
     positive measure. Returns (True, None) or
@@ -313,7 +313,7 @@ def is_energy_decoupled(channels) -> tuple[bool, tuple | None]:
     second is the first interval after it that overlaps it.
     """
     intervals = list(channels)
-    make_bandset(intervals)  # so every bound is a finite float
+    BandSet(intervals)  # so every bound is a finite float
     lo, hi = np.array(intervals, dtype=float).T
     first, second = np.triu_indices(len(intervals))
     with np.errstate(over="ignore"):  # an overflowed edge raises below

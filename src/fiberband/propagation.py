@@ -46,7 +46,7 @@ import numpy as np
 from .bands import BandSet
 from .fields import SampledField, bin_omegas, bin_ranges
 
-FILTERS = ("distributed", "lumped", "none")  # FilterMode kinds; config checks run.filter too
+FILTERS = ("distributed", "lumped", "none")  # FilterMode kinds
 
 
 class InvalidStepPartition(ValueError):
@@ -75,7 +75,9 @@ class FilterMode:
 
     The filter is the channel grid handed to `propagate`: it passes
     exactly the channels. kind is "distributed" (every step), "lumped"
-    (every `spacing` meters), or "none" (never; attenuation only).
+    (every `spacing` meters), or "none" (never; attenuation only). Only
+    lumped filtering has a spacing; `__post_init__` is the whole rule,
+    and `ExperimentConfig.validate` asks it.
     """
 
     kind: str
@@ -83,9 +85,11 @@ class FilterMode:
 
     def __post_init__(self):
         if self.kind not in FILTERS:
-            raise ValueError(f"unknown filter kind {self.kind!r}")
+            raise ValueError(f"{self.kind!r} not in {FILTERS}")
         if self.kind == "lumped" and not (self.spacing and self.spacing > 0):
-            raise ValueError("lumped filtering needs a positive spacing")
+            raise ValueError("required and positive for lumped filtering")
+        if self.kind != "lumped" and self.spacing is not None:
+            raise ValueError(f"set only for lumped filtering, not {self.kind!r}")
 
 
 @dataclass(frozen=True)

@@ -100,6 +100,7 @@ def test_criterion_02_distributed_energy_invariance():
     cfg = replace(
         cfg,
         filter="distributed",
+        filter_spacing_km=None,
         energies_pj=tuple(0.02 * e for e in cfg.energies_pj),
     )
     dev_base = total_deviation(cfg, 0.1)
@@ -120,6 +121,7 @@ def test_criterion_03_attenuation_law():
         cfg,
         alpha0_db_per_km=0.2,
         filter="distributed",
+        filter_spacing_km=None,
         energies_pj=tuple(1e-3 * e for e in cfg.energies_pj),
     )
     _, trace = propagate(

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fiberband import cli
-from fiberband.bands import OverlappingIntervals, make_bandset
+from fiberband.bands import BandSet, OverlappingIntervals
 from fiberband.cli import cmd_check, main, resolve_config
 from fiberband.config import (
     GHZ,
@@ -180,6 +180,21 @@ def test_validate_reports_the_offending_key(changes, field):
         dataclasses.replace(sidon_cfg(), **changes)
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [dict(filter="distributed"), dict(filter="none"),
+     # 0.1-km steps do not divide 0.15 km, but no spacing outside lumped mode is read
+     dict(filter="distributed", filter_spacing_km=0.15)],
+)
+def test_validate_names_a_filter_spacing_outside_lumped_filtering(changes):
+    # sidon5 sets a 10-km spacing; only lumped filtering has one
+    with pytest.raises(ConfigError) as exc:
+        dataclasses.replace(resolve_config("sidon5"), **changes)
+    assert str(exc.value) == (
+        f"run.filter_spacing_km: set only for lumped filtering, not {changes['filter']!r}"
+    )
+
+
 @pytest.mark.parametrize("count", [0, -2])
 def test_validate_names_a_channel_count_below_one(count):
     # the planner's rule, with the value the config gave
@@ -232,7 +247,7 @@ def test_channels_that_share_a_bin_fail_naming_the_grid_key():
     w = GHZ
     step = ((5.0 + 1e-12) * w - w) / 4
     centers = [0.5 * w + i * step for i in range(5)]
-    chans = make_bandset([(c - 0.5 * w, c + 0.5 * w) for c in centers])
+    chans = BandSet([(c - 0.5 * w, c + 0.5 * w) for c in centers])
     launch = SampledField(np.zeros(2048), 15.625e-12)
     with pytest.raises(OverlappingIntervals):
         propagate(launch, 1e3, 1e3, FiberParams(), FilterMode("distributed"), chans, 1e3)
@@ -546,6 +561,15 @@ def test_uniform_single_channel():
     assert channel == pytest.approx((0.0, cfg.width_ghz * GHZ))
 
 
+@pytest.mark.parametrize("span_w", [1.5, 7.0, 23.0])
+def test_one_uniform_channel_spans_one_width(span_w):
+    # the last channel's top edge is the span, so one channel's span is its width
+    with pytest.raises(ConfigError) as exc:
+        dataclasses.replace(resolve_config("uniform5"), channel_count=1, span_w=span_w,
+                            energies_pj=(1.0,), phases_rad=(0.0,))
+    assert str(exc.value) == f"channels.span_w: one channel spans exactly one width, got {span_w!r}"
+
+
 # ---------------------------------------------------------------- pulse draw
 
 
@@ -764,12 +788,14 @@ def test_cli_simulate_names_a_step_that_does_not_divide(tmp_path, capsys, line, 
          "channels.sequence, channels.span_w"),
         ("sidon5", "dt_ps = 15.625", "dt_ps = 15.625%", "grid.dt_ps"),
         ("sidon5", "dt_ps = 15.625", "dt_ps = %(n)s", "grid.dt_ps"),
+        # the 10-km spacing stays, but only lumped filtering has one
+        ("sidon5", "filter = lumped", "filter = distributed", "run.filter_spacing_km"),
     ],
     ids=["touching", "no-span", "unsorted", "outside-window", "narrower-than-a-bin",
          "slot-past-the-largest-float", "unknown-key",
          "unknown-section", "negative-seed", "negative-alpha0", "default-section",
          "misspelled-required-key", "both-grid-keys", "percent-sign",
-         "interpolation"],
+         "interpolation", "spacing-without-lumped"],
 )
 def test_cli_simulate_names_a_bad_channel_grid(tmp_path, capsys, name, line, bad_line, key):
     # also a bad key, section or value outside the grid: each fails naming it

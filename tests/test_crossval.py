@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fiberband.bands import make_bandset
+from fiberband.bands import BandSet
 from fiberband.cli import resolve_config
 from fiberband.fields import SampledField
 from fiberband.propagation import FilterMode, propagate
@@ -37,7 +37,7 @@ def test_three_tone_model_matches_full_propagator():
     t = dt * (np.arange(n) - n // 2)  # the window centred on t = 0
     q = sum(a * np.exp(1j * m * spacing * t) for a, m in zip(amps, (-1, 0, 1)))
     field = SampledField(np.asarray(q, dtype=complex), dt)
-    chans = make_bandset(
+    chans = BandSet(
         [(m * spacing - 8 * domega, m * spacing + 8 * domega) for m in (-1, 0, 1)]
     )
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fiberband.bands import BandError, BandSet, OverlappingIntervals, make_bandset
+from fiberband.bands import BandError, BandSet, OverlappingIntervals
 from fiberband.cli import resolve_config
 from fiberband.config import GHZ, ConfigError
 from fiberband.fields import (
@@ -129,32 +129,32 @@ def test_a_tone_on_bin_k_sits_at_index_k_of_every_spectrum(k):
         assert list(np.flatnonzero(np.abs(spectrum) > 1e-9 * peak)) == [index]
     assert bin_omegas(n, dt)[index] == k * domega
     # a channel around the tone holds its bin and no other
-    assert bin_ranges(n, dt, make_bandset([((k - 0.4) * domega, (k + 0.4) * domega)])) == [(k, k)]
+    assert bin_ranges(n, dt, BandSet([((k - 0.4) * domega, (k + 0.4) * domega)])) == [(k, k)]
 
 
 def test_a_channel_across_zero_hz_is_one_signed_range():
     domega = _bin_spacing(16, 1.0)
-    assert bin_ranges(16, 1.0, make_bandset([(-2 * domega, 2 * domega)])) == [(-2, 2)]
-    (row,) = band_mask(16, 1.0, make_bandset([(-2 * domega, 2 * domega)]))
+    assert bin_ranges(16, 1.0, BandSet([(-2 * domega, 2 * domega)])) == [(-2, 2)]
+    (row,) = band_mask(16, 1.0, BandSet([(-2 * domega, 2 * domega)]))
     assert list(np.flatnonzero(row)) == [0, 1, 2, 14, 15]  # indices k % n, both ends
 
 
 def test_bin_ranges_closed_interval_with_edge_snap():
     # dt = 1: 8 bins at k*pi/4 in FFT order, 0 .. 3pi/4 then -pi .. -pi/4
-    assert bin_ranges(8, 1.0, make_bandset([(0.0, np.pi / 4)])) == [(0, 1)]
+    assert bin_ranges(8, 1.0, BandSet([(0.0, np.pi / 4)])) == [(0, 1)]
     # an edge a hair inside the bin still owns it
-    assert bin_ranges(8, 1.0, make_bandset([(1e-12, np.pi / 4 - 1e-12)])) == [(0, 1)]
+    assert bin_ranges(8, 1.0, BandSet([(1e-12, np.pi / 4 - 1e-12)])) == [(0, 1)]
     # but half a bin away it does not
-    assert bin_ranges(8, 1.0, make_bandset([(np.pi / 8, np.pi / 4)])) == [(1, 1)]
+    assert bin_ranges(8, 1.0, BandSet([(np.pi / 8, np.pi / 4)])) == [(1, 1)]
     # and a channel between two bins holds none: k_hi = k_lo - 1
-    assert bin_ranges(8, 1.0, make_bandset([(np.pi / 16, np.pi / 8)])) == [(1, 0)]
+    assert bin_ranges(8, 1.0, BandSet([(np.pi / 16, np.pi / 8)])) == [(1, 0)]
 
 
 def test_bin_ranges_range_check():
     with pytest.raises(BandOutOfRange):
-        bin_ranges(8, 1.0, make_bandset([(3 * np.pi / 4, np.pi)]))  # hits Nyquist
+        bin_ranges(8, 1.0, BandSet([(3 * np.pi / 4, np.pi)]))  # hits Nyquist
     # -pi is represented
-    assert bin_ranges(8, 1.0, make_bandset([(-np.pi, -np.pi / 2)])) == [(-4, -2)]
+    assert bin_ranges(8, 1.0, BandSet([(-np.pi, -np.pi / 2)])) == [(-4, -2)]
 
 
 # dt = 1, n = 8: the top edge is inside the window but within EDGE_TOL of
@@ -164,19 +164,19 @@ NYQUIST_CLAMP = (8, 1.0, [(0.75 * np.pi, np.pi * (1 - 1e-12))])
 
 def test_bin_ranges_clamp_below_nyquist():
     n, dt, intervals = NYQUIST_CLAMP
-    assert bin_ranges(n, dt, make_bandset(intervals)) == [(3, 3)]
-    (row,) = band_mask(n, dt, make_bandset(intervals))
+    assert bin_ranges(n, dt, BandSet(intervals)) == [(3, 3)]
+    (row,) = band_mask(n, dt, BandSet(intervals))
     assert list(np.flatnonzero(row)) == [3]
 
 
 def test_bin_ranges_has_one_range_per_interval_and_books_a_bin_once():
     # dt = 1: 8 bins at k*pi/4 in FFT order, 0 .. 3pi/4 then -pi .. -pi/4
-    ranges = bin_ranges(8, 1.0, make_bandset([(0.0, np.pi / 4), (-np.pi, -np.pi / 2)]))
+    ranges = bin_ranges(8, 1.0, BandSet([(0.0, np.pi / 4), (-np.pi, -np.pi / 2)]))
     assert ranges == [(-4, -2), (0, 1)]  # in frequency order, as the intervals are
     # disjoint, but both edges fall within EDGE_TOL of the bin at pi/4
     a, b = (0.0, np.pi / 4), (np.pi / 4 * (1 + 1e-12), np.pi / 2)
     with pytest.raises(OverlappingIntervals) as exc:
-        bin_ranges(8, 1.0, make_bandset([a, b]))
+        bin_ranges(8, 1.0, BandSet([a, b]))
     assert exc.value.pair == (a, b)
 
 
@@ -195,13 +195,13 @@ def test_a_shared_bin_is_named_at_the_lowest_frequency():
     w = np.pi / 4  # n = 8, dt = 1: the bin spacing
     a, b = (-2 * w, -w), (-w * (1 - 1e-12), -w / 2)  # share the bin at -w
     c, d = (0.0, w), (w * (1 + 1e-12), 2 * w)  # share the bin at w, index 1
-    assert _named_pairs(8, make_bandset([a, b, c, d])) == [(a, b), (c, d)]
+    assert _named_pairs(8, BandSet([a, b, c, d])) == [(a, b), (c, d)]
     # n = 16: the bin at 4w is shared by three intervals, the bin at w by two
     w = np.pi / 8
     a, b = (0.0, w), (w * (1 + 1e-12), 2 * w)
     c, d = (3 * w, 4 * w), (4 * w * (1 + 1e-12), 4 * w * (1 + 2e-12))
     e = (4 * w * (1 + 3e-12), 5 * w)
-    assert _named_pairs(16, make_bandset([a, b, c, d, e])) == [(a, b), (c, d)]
+    assert _named_pairs(16, BandSet([a, b, c, d, e])) == [(a, b), (c, d)]
 
 
 # edge offsets from a bin center, in bin spacings: on it, within EDGE_TOL
@@ -234,7 +234,7 @@ def bin_grids(draw):
 def test_bin_ranges_match_the_mask_rows(grid):
     n, dt, intervals = grid
     try:
-        band = make_bandset(intervals)
+        band = BandSet(intervals)
     except BandError:
         assume(False)
     try:
@@ -244,7 +244,7 @@ def test_bin_ranges_match_the_mask_rows(grid):
             bin_ranges(n, dt, band)
         if isinstance(exc, OverlappingIntervals):  # the oracle finds the named pair's bin
             with pytest.raises(OverlappingIntervals):
-                band_mask(n, dt, make_bandset(got.value.pair))
+                band_mask(n, dt, BandSet(got.value.pair))
         return
     ranges = bin_ranges(n, dt, band)
     assert all(k_lo - 1 <= k_hi < n // 2 for k_lo, k_hi in ranges)
@@ -270,7 +270,7 @@ def test_band_energy_splits_the_field_energy(log2n, dt, k, seed):
     # bin above one of 2k distinct bins, so every band holds a bin
     bins = np.sort(rng.choice(np.arange(-(n // 2), n // 2), size=2 * k, replace=False))
     edges = (bins + rng.uniform(0.0, 0.99, size=2 * k)) * domega
-    mask = band_mask(n, dt, make_bandset(edges.reshape(k, 2))).any(axis=0)
+    mask = band_mask(n, dt, BandSet(edges.reshape(k, 2))).any(axis=0)
     power = np.abs(np.fft.fft(f.samples)) ** 2
     inside = band_energy(power, mask, dt)
     outside = band_energy(power, ~mask, dt)
@@ -291,7 +291,7 @@ def test_window_rule_is_shared_by_ranges_pulse_and_config(width_ghz, inside):
     else:
         assert w == -bin_omegas(n, dt)[n // 2]
     checks = [  # each on the channel [0, w]
-        (lambda: bin_ranges(n, dt, make_bandset([(0.0, w)])), BandOutOfRange),
+        (lambda: bin_ranges(n, dt, BandSet([(0.0, w)])), BandOutOfRange),
         (lambda: rrc_pulse((0.0, w), 0.15, 1.0, 0.0, dt, n), BandOutOfRange),
         (lambda: replace(resolve_config("sidon5"), n=n, dt_ps=dt_ps, sequence=None,
                          channel_count=1, span_w=1.0, width_ghz=width_ghz, energies_pj=None,
@@ -347,7 +347,7 @@ def test_rrc_pulse_energy_band_and_peak():
     channel = (-24 * domega, 104 * domega)  # centered on 40 bins, 128 bins wide
     f = rrc_pulse(channel, 0.15, energy=2.5, phase=0.8, dt=dt, n=n)
     assert f.energy() == pytest.approx(2.5, rel=1e-12)
-    chan = make_bandset([channel])
+    chan = BandSet([channel])
     (mask,) = band_mask(n, dt, chan)
     power = np.abs(np.fft.fft(f.samples)) ** 2
     assert band_energy(power, mask, dt) == pytest.approx(2.5, rel=1e-12)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fiberband import propagation
-from fiberband.bands import make_bandset
+from fiberband.bands import BandSet
 from fiberband.cli import resolve_config
 from fiberband.fields import SampledField, bin_omegas, rrc_pulse, transform
 from fiberband.propagation import (
@@ -38,7 +38,7 @@ def energy_in(f, band):
 
 def two_channel_launch(n=N):
     """Two RRC channels on an n-sample window of spacing DT, centred on t = 0."""
-    chans = make_bandset([(0.0, W), (2 * W, 3 * W)])
+    chans = BandSet([(0.0, W), (2 * W, 3 * W)])
     q = np.zeros(n, dtype=complex)
     for channel, e_pj, ph in zip(chans.intervals, (0.06, 0.11), (0.4, -1.0)):
         q = q + rrc_pulse(channel, 0.15, e_pj * 1e-12, ph, DT, n).samples
@@ -67,6 +67,11 @@ def test_filter_mode_validation():
         FilterMode("sometimes")
     with pytest.raises(ValueError):
         FilterMode("lumped")
+    # only lumped filtering has a spacing
+    with pytest.raises(ValueError, match="set only for lumped filtering, not 'distributed'"):
+        FilterMode("distributed", 5e3)
+    with pytest.raises(ValueError, match="set only for lumped filtering, not 'none'"):
+        FilterMode("none", 1.0)
     assert FilterMode("lumped", 10e3).spacing == 10e3
     assert FilterMode("none").spacing is None
 
@@ -133,7 +138,7 @@ def test_one_step_filter_bookkeeping():
 def test_one_step_mask_bookkeeping():
     rng = np.random.default_rng(11)
     f = SampledField(rng.normal(size=256) + 1j * rng.normal(size=256), 1.0)
-    band = make_bandset([(-1.0, -0.5), (0.2, 1.7)])
+    band = BandSet([(-1.0, -0.5), (0.2, 1.7)])
     filtered, discarded = one_step(f, 1.0, FiberParams(), band)
     assert discarded > 0
     assert filtered.energy() + discarded == pytest.approx(f.energy(), rel=1e-12)
@@ -146,7 +151,7 @@ def test_one_step_mask_bookkeeping():
 def test_one_step_discards_before_decay():
     rng = np.random.default_rng(12)
     f = SampledField(rng.normal(size=256) + 1j * rng.normal(size=256), 1.0)
-    band = make_bandset([(-0.9, 1.1)])
+    band = BandSet([(-0.9, 1.1)])
     alpha0, dz = 0.046, 3.0
     filtered, discarded = one_step(f, dz, FiberParams(alpha0=alpha0), band)
     survived = f.energy() - discarded
@@ -235,7 +240,7 @@ def test_records_are_the_mask_oracle_to_the_bit(grid):
     else:
         rng = np.random.default_rng(5)
         f = SampledField(rng.normal(size=N) + 1j * rng.normal(size=N), DT)
-        band = make_bandset([(-140 * DOMEGA, -90.5 * DOMEGA), (-67 * DOMEGA, 72.3 * DOMEGA),
+        band = BandSet([(-140 * DOMEGA, -90.5 * DOMEGA), (-67 * DOMEGA, 72.3 * DOMEGA),
                              (80 * DOMEGA, 161 * DOMEGA)])
         params = FiberParams(beta2=-21.667e-27, gamma=1.2578e-3)
         assert band.intervals[1][0] < 0 < band.intervals[1][1]
@@ -374,14 +379,14 @@ def test_channel_rhs_is_unchanged_by_a_shift_across_zero_hz():
     # the mixing integral sees frequency differences only: moving the field
     # and its grid down 64 bins, so the grid straddles 0 Hz and the rows
     # wrap around the FFT-order array, leaves every channel's rhs
-    chans = make_bandset([(0.0, W), (1.5 * W, 2.5 * W), (3 * W, 4 * W)])
+    chans = BandSet([(0.0, W), (1.5 * W, 2.5 * W), (3 * W, 4 * W)])
     q = sum(rrc_pulse(c, 0.15, 5e-14, ph, DT, N).samples
             for c, ph in zip(chans.intervals, (0.4, -1.0, 2.0)))
     f = SampledField(q, DT)
     down = 64 * DOMEGA
     t = DT * (np.arange(N) - N // 2)  # the window centred on t = 0
     moved = SampledField(q * np.exp(-1j * down * t), DT)
-    moved_chans = make_bandset([(lo - down, hi - down) for lo, hi in chans.intervals])
+    moved_chans = BandSet([(lo - down, hi - down) for lo, hi in chans.intervals])
     assert moved_chans.lo < 0 < moved_chans.hi
     rhs, moved_rhs = (
         np.array([channel_energy_rhs(g, i, c, gamma=1.2578e-3) for i in range(3)])
@@ -393,7 +398,7 @@ def test_channel_rhs_is_unchanged_by_a_shift_across_zero_hz():
 
 def test_channel_rhs_single_channel_is_pure_decay():
     _, chans = two_channel_launch()
-    lone = make_bandset(chans.intervals[:1])
+    lone = BandSet(chans.intervals[:1])
     p = rrc_pulse(lone.intervals[0], 0.15, 1e-13, 0.0, DT, N)
     e = energy_in(p, lone)
     alpha0 = 4.6e-5

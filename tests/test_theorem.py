@@ -40,7 +40,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fiberband.bands import make_bandset
+from fiberband.bands import BandSet
 from fiberband.cli import resolve_config
 from fiberband.fields import bin_omegas
 from fiberband.propagation import propagate
@@ -54,7 +54,7 @@ RECORD_KM = 5.0
 
 def channel_deviation(name: str, dz_km: float) -> float:
     """Max per-channel deviation of a distributed-filter run of the bundled config."""
-    cfg = replace(resolve_config(name), filter="distributed")
+    cfg = replace(resolve_config(name), filter="distributed", filter_spacing_km=None)
     _, trace = propagate(
         cfg.launch_field(),
         RUN_KM * KM,
@@ -104,7 +104,7 @@ def rk4ip_deviation(name: str, z_km: float, h_km: float, shrink: bool = False) -
     n, dt = launch.n, launch.dt
     if shrink:
         half = 0.5 * bin_omegas(n, dt)[1]  # half the bin spacing
-        grid = make_bandset([(lo + half, hi - half) for lo, hi in grid.intervals])
+        grid = BandSet([(lo + half, hi - half) for lo, hi in grid.intervals])
     rows = band_mask(n, dt, grid)
 
     def energies(spec):
