@@ -253,11 +253,7 @@ class ExperimentConfig:
 
     def launch_field(self) -> SampledField:
         dt = self.dt_ps * 1e-12
-        energies, phases = self.pulse_parameters()
-        total = np.zeros(self.n, dtype=complex)
-        for channel, energy, phase in zip(self.channels().intervals, energies, phases):
-            total = total + rrc_pulse(channel, self.rolloff, energy, phase, dt, self.n).samples
-        return SampledField(total, dt)
+        return rrc_pulse(self.channels(), self.rolloff, *self.pulse_parameters(), dt, self.n)
 
     def run_lengths(self) -> tuple[float, float, float]:
         """(z_total, dz, record_every) in meters."""

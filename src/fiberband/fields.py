@@ -183,35 +183,39 @@ def rrc_on_bins(
 
 
 def rrc_pulse(
-    channel: tuple[float, float], rolloff: float, energy: float, phase: float, dt: float, n: int
+    grid: BandSet, rolloff: float, energies: tuple, phases: tuple, dt: float, n: int
 ) -> SampledField:
-    """Band-limited root-raised-cosine launch pulse for one channel.
+    """Band-limited root-raised-cosine launch, one pulse in each channel of `grid`.
 
-    channel : (lo, hi) in rad/s, one interval of a channel grid; the
-              pulse is centered on it and its two-sided bandwidth is
-              hi - lo, so the channel is the pulse support
-    energy  : band energy of the result in J (exact by construction)
-    phase   : complex phase of the pulse peak in rad
+    grid     : the channel grid in rad/s; each pulse is centered on its
+               channel, whose width is its two-sided bandwidth and support
+    energies : each channel's band energy in J (exact by construction)
+    phases   : each pulse peak's complex phase in rad
 
-    The pulse is synthesized directly in the frequency domain, so its
-    spectrum is identically zero outside the channel. The pulse peak
-    sits at t = 0, sample n//2. Raises BandOutOfRange when
-    the channel leaves the window `bin_ranges` represents, GridTooCoarse
-    by the rule of `rrc_on_bins`, and FieldError naming energy or phase
-    when energy is negative or either is not finite.
+    Each channel's `rrc_on_bins` amplitudes go to indices k % n of one
+    spectrum, transformed once, so the launch is identically zero outside
+    the channels. Every pulse peaks at t = 0, sample n//2. Raises
+    FieldError unless there is one energy and one phase per channel, and
+    naming energy or phase when an energy is negative or either is not
+    finite; BandOutOfRange when the grid leaves the window `bin_ranges`
+    represents; GridTooCoarse by the rule of `rrc_on_bins`.
     """
-    if not 0 <= energy < np.inf:
-        raise FieldError(f"energy = {energy} must be finite and nonnegative")
-    if not np.isfinite(phase):
-        raise FieldError(f"phase = {phase} must be finite")
+    if not len(energies) == len(phases) == len(grid.intervals):
+        raise FieldError(f"{len(grid.intervals)} channels need as many energies and phases, "
+                         f"got {len(energies)} and {len(phases)}")
+    for energy, phase in zip(energies, phases):
+        if not 0 <= energy < np.inf:
+            raise FieldError(f"energy = {energy} must be finite and nonnegative")
+        if not np.isfinite(phase):
+            raise FieldError(f"phase = {phase} must be finite")
     _check_pow2(n)
-    # the window check and the support; raises BandOutOfRange
-    ((k_lo, k_hi),) = bin_ranges(n, dt, BandSet([channel]))
-    amp = np.zeros(n)
-    # a negative frequency k indexes from the end: index k % n, FFT order
-    amp[np.arange(k_lo, k_hi + 1)] = rrc_on_bins(channel, rolloff, (k_lo, k_hi), n, dt)
-    raw = np.sum(amp**2) * _bin_spacing(n, dt) / (2.0 * np.pi)
-    return inverse(np.sqrt(energy / raw) * np.exp(1j * phase) * amp, dt)
+    spec = np.zeros(n, dtype=complex)
+    ranges = bin_ranges(n, dt, grid)  # the window check and the supports
+    for channel, (k_lo, k_hi), energy, phase in zip(grid.intervals, ranges, energies, phases):
+        amp = rrc_on_bins(channel, rolloff, (k_lo, k_hi), n, dt)
+        raw = np.sum(amp**2) * _bin_spacing(n, dt) / (2.0 * np.pi)
+        spec[np.arange(k_lo, k_hi + 1) % n] = np.sqrt(energy / raw) * np.exp(1j * phase) * amp
+    return inverse(spec, dt)
 
 
 def parseval_residual(f: SampledField) -> float:

@@ -221,8 +221,7 @@ def propagate(
     n, dt = f0.n, f0.dt
 
     # each channel's FFT indices in index order: from 0 Hz up, then those below 0 Hz
-    channel_bins = [np.r_[max(lo, 0) : hi + 1, n + lo : n + min(hi + 1, 0)]
-                    for lo, hi in bin_ranges(n, dt, channels)]
+    channel_bins = [np.sort(np.arange(lo, hi + 1) % n) for lo, hi in bin_ranges(n, dt, channels)]
     scale = dt / n  # |FFT(q)|^2 summed equals n * sum|q|^2; scale restores joules
 
     omegas = bin_omegas(n, dt)

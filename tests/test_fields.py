@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from fiberband import fields
 from fiberband.bands import BandError, BandSet, OverlappingIntervals
 from fiberband.cli import resolve_config
 from fiberband.config import GHZ, ConfigError
@@ -292,7 +293,7 @@ def test_window_rule_is_shared_by_ranges_pulse_and_config(width_ghz, inside):
         assert w == -bin_omegas(n, dt)[n // 2]
     checks = [  # each on the channel [0, w]
         (lambda: bin_ranges(n, dt, BandSet([(0.0, w)])), BandOutOfRange),
-        (lambda: rrc_pulse((0.0, w), 0.15, 1.0, 0.0, dt, n), BandOutOfRange),
+        (lambda: rrc_pulse(BandSet([(0.0, w)]), 0.15, (1.0,), (0.0,), dt, n), BandOutOfRange),
         (lambda: replace(resolve_config("sidon5"), n=n, dt_ps=dt_ps, sequence=None,
                          channel_count=1, span_w=1.0, width_ghz=width_ghz, energies_pj=None,
                          phases_rad=None), ConfigError),
@@ -332,20 +333,21 @@ def test_a_pulse_needs_a_bin_off_its_channel_edges():
     n, dt = 2048, 15.625e-12
     for rolloff in (0.15, 0.0):
         with pytest.raises(GridTooCoarse):
-            rrc_pulse((0.0, 0.015625 * GHZ), rolloff, 1e-12, 0.0, dt, n)
+            rrc_pulse(BandSet([(0.0, 0.015625 * GHZ)]), rolloff, (1e-12,), (0.0,), dt, n)
     # a bin 2 EDGE_TOL inside the lower edge is off it; one 0.5 EDGE_TOL inside is on it
     domega = _bin_spacing(n, dt)
-    f = rrc_pulse((-2 * EDGE_TOL * domega, 0.5 * domega), 0.15, 1e-12, 0.0, dt, n)
+    f = rrc_pulse(BandSet([(-2 * EDGE_TOL * domega, 0.5 * domega)]), 0.15, (1e-12,), (0.0,), dt, n)
     assert f.energy() == pytest.approx(1e-12, rel=1e-12)
+    on_edge = BandSet([(-0.5 * EDGE_TOL * domega, 0.5 * domega)])
     with pytest.raises(GridTooCoarse):
-        rrc_pulse((-0.5 * EDGE_TOL * domega, 0.5 * domega), 0.15, 1e-12, 0.0, dt, n)
+        rrc_pulse(on_edge, 0.15, (1e-12,), (0.0,), dt, n)
 
 
 def test_rrc_pulse_energy_band_and_peak():
     n, dt = 1024, 1.0 / 64
     domega = 2 * np.pi / (n * dt)
     channel = (-24 * domega, 104 * domega)  # centered on 40 bins, 128 bins wide
-    f = rrc_pulse(channel, 0.15, energy=2.5, phase=0.8, dt=dt, n=n)
+    f = rrc_pulse(BandSet([channel]), 0.15, energies=(2.5,), phases=(0.8,), dt=dt, n=n)
     assert f.energy() == pytest.approx(2.5, rel=1e-12)
     chan = BandSet([channel])
     (mask,) = band_mask(n, dt, chan)
@@ -361,7 +363,8 @@ def test_rrc_pulse_is_nyquist():
     n, dt = 1024, 1.0 / 64
     domega = 2 * np.pi / (n * dt)
     beta, width = 0.15, 128 * domega
-    f = rrc_pulse((-width / 2, width / 2), beta, energy=1.0, phase=0.0, dt=dt, n=n)
+    channel = BandSet([(-width / 2, width / 2)])
+    f = rrc_pulse(channel, beta, energies=(1.0,), phases=(0.0,), dt=dt, n=n)
     power = np.abs(transform(f)) ** 2
     T = 2 * np.pi * (1 + beta) / width
     for k in (1, 2, 3):
@@ -374,13 +377,14 @@ def test_rrc_pulse_guards():
     domega = 2 * np.pi / 25.6
     with pytest.raises(GridTooCoarse):
         # channel narrower than a bin, centered between bins
-        rrc_pulse((0.4 * domega, 0.6 * domega), 0.1, 1.0, 0.0, dt, n)
+        rrc_pulse(BandSet([(0.4 * domega, 0.6 * domega)]), 0.1, (1.0,), (0.0,), dt, n)
     with pytest.raises(GridTooCoarse):
         # a dark pulse needs a bin in its channel all the same
-        rrc_pulse((0.4 * domega, 0.6 * domega), 0.1, 0.0, 0.0, dt, n)
+        rrc_pulse(BandSet([(0.4 * domega, 0.6 * domega)]), 0.1, (0.0,), (0.0,), dt, n)
     with pytest.raises(BandOutOfRange):
-        rrc_pulse((np.pi / dt - 2 * domega, np.pi / dt + 2 * domega), 0.1, 1.0, 0.0, dt, n)
-    zero = rrc_pulse((-2 * domega, 2 * domega), 0.1, 0.0, 0.0, dt, n)
+        top = BandSet([(np.pi / dt - 2 * domega, np.pi / dt + 2 * domega)])
+        rrc_pulse(top, 0.1, (1.0,), (0.0,), dt, n)
+    zero = rrc_pulse(BandSet([(-2 * domega, 2 * domega)]), 0.1, (0.0,), (0.0,), dt, n)
     assert zero.energy() == 0.0
 
 
@@ -392,4 +396,46 @@ def test_rrc_pulse_guards():
 def test_rrc_pulse_names_a_bad_energy_or_phase(energy, phase, name):
     n, dt, domega = 256, 0.1, 2 * np.pi / 25.6
     with pytest.raises(FieldError, match=f"^{name} = "):
-        rrc_pulse((-2 * domega, 2 * domega), 0.1, energy, phase, dt, n)
+        rrc_pulse(BandSet([(-2 * domega, 2 * domega)]), 0.1, (energy,), (phase,), dt, n)
+
+
+@pytest.mark.parametrize("name, shift_ghz", [("sidon5", 0.0), ("uniform5", 0.0), ("sidon5", -2.5)])
+def test_a_grid_launch_is_the_sum_of_its_one_channel_launches(name, shift_ghz):
+    # one spectrum inverted once against one inverse per channel summed in
+    # time: equal up to round-off. Shifted down 2.5 GHz, sidon5 has channels
+    # on both sides of 0 Hz and one across it, at both ends of the spectrum
+    cfg = resolve_config(name)
+    n, dt, shift = cfg.n, cfg.dt_ps * 1e-12, shift_ghz * GHZ
+    grid = BandSet([(lo + shift, hi + shift) for lo, hi in cfg.channels().intervals])
+    energies, phases = cfg.pulse_parameters()
+    f = rrc_pulse(grid, cfg.rolloff, energies, phases, dt, n)
+    alone = sum(rrc_pulse(BandSet([c]), cfg.rolloff, (e,), (ph,), dt, n).samples
+                for c, e, ph in zip(grid.intervals, energies, phases))
+    assert np.max(np.abs(f.samples - alone)) <= 1e-13 * np.max(np.abs(alone))
+    power = np.abs(np.fft.fft(f.samples)) ** 2
+    for mask, energy in zip(band_mask(n, dt, grid), energies):
+        assert band_energy(power, mask, dt) == pytest.approx(energy, rel=1e-12)
+
+
+@pytest.mark.parametrize("count", [3, 200])
+def test_a_launch_takes_the_ranges_once_and_inverts_once(monkeypatch, count):
+    cfg = replace(resolve_config("uniform5"), n=4096, channel_count=count, width_ghz=0.0625,
+                  span_w=400.0, energies_pj=None, phases_rad=None)
+    calls = dict.fromkeys(["bin_ranges", "inverse"], 0)
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(fields, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(fields, name, counted)
+    f = cfg.launch_field()
+    assert calls == {"bin_ranges": 1, "inverse": 1}
+    assert f.energy() == pytest.approx(sum(cfg.pulse_parameters()[0]), rel=1e-12)
+
+
+@pytest.mark.parametrize("energies, phases", [((1.0,), (0.0, 0.0)), ((1.0, 1.0, 1.0), (0.0, 0.0)),
+                                              ((1.0, 1.0), ())])
+def test_a_launch_needs_one_energy_and_one_phase_per_channel(energies, phases):
+    n, dt, domega = 256, 0.1, 2 * np.pi / 25.6
+    grid = BandSet([(-6 * domega, -2 * domega), (2 * domega, 6 * domega)])
+    with pytest.raises(FieldError, match="^2 channels need as many energies and phases"):
+        rrc_pulse(grid, 0.1, energies, phases, dt, n)

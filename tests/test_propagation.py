@@ -39,10 +39,7 @@ def energy_in(f, band):
 def two_channel_launch(n=N):
     """Two RRC channels on an n-sample window of spacing DT, centred on t = 0."""
     chans = BandSet([(0.0, W), (2 * W, 3 * W)])
-    q = np.zeros(n, dtype=complex)
-    for channel, e_pj, ph in zip(chans.intervals, (0.06, 0.11), (0.4, -1.0)):
-        q = q + rrc_pulse(channel, 0.15, e_pj * 1e-12, ph, DT, n).samples
-    return SampledField(q, DT), chans
+    return rrc_pulse(chans, 0.15, (0.06e-12, 0.11e-12), (0.4, -1.0), DT, n), chans
 
 
 def test_engineering_conversions():
@@ -380,9 +377,8 @@ def test_channel_rhs_is_unchanged_by_a_shift_across_zero_hz():
     # and its grid down 64 bins, so the grid straddles 0 Hz and the rows
     # wrap around the FFT-order array, leaves every channel's rhs
     chans = BandSet([(0.0, W), (1.5 * W, 2.5 * W), (3 * W, 4 * W)])
-    q = sum(rrc_pulse(c, 0.15, 5e-14, ph, DT, N).samples
-            for c, ph in zip(chans.intervals, (0.4, -1.0, 2.0)))
-    f = SampledField(q, DT)
+    f = rrc_pulse(chans, 0.15, (5e-14,) * 3, (0.4, -1.0, 2.0), DT, N)
+    q = f.samples
     down = 64 * DOMEGA
     t = DT * (np.arange(N) - N // 2)  # the window centred on t = 0
     moved = SampledField(q * np.exp(-1j * down * t), DT)
@@ -399,7 +395,7 @@ def test_channel_rhs_is_unchanged_by_a_shift_across_zero_hz():
 def test_channel_rhs_single_channel_is_pure_decay():
     _, chans = two_channel_launch()
     lone = BandSet(chans.intervals[:1])
-    p = rrc_pulse(lone.intervals[0], 0.15, 1e-13, 0.0, DT, N)
+    p = rrc_pulse(lone, 0.15, (1e-13,), (0.0,), DT, N)
     e = energy_in(p, lone)
     alpha0 = 4.6e-5
     rhs = channel_energy_rhs(p, 0, lone, gamma=1.2578e-3, alpha0=alpha0)

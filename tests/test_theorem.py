@@ -35,6 +35,7 @@ and 1 km:
 The thresholds below leave margins around these and are contracts.
 """
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -42,7 +43,8 @@ import pytest
 
 from fiberband.bands import BandSet
 from fiberband.cli import resolve_config
-from fiberband.fields import bin_omegas
+from fiberband.fields import bin_omegas, bin_ranges
+from fiberband.planner import is_energy_decoupled
 from fiberband.propagation import propagate
 
 from oracles import band_energy, band_mask, rk4ip
@@ -91,6 +93,16 @@ def test_coupled_grid_trades_energy_at_every_step(deviations):
     assert abs(fine - coarse) < 0.01 * coarse
 
 
+def grid_of(cfg, shrink: bool) -> BandSet:
+    """The config's channel grid, optionally with every channel shrunk by
+    half a bin at both edges."""
+    grid = cfg.channels()
+    if not shrink:
+        return grid
+    half = 0.5 * bin_omegas(cfg.n, cfg.dt_ps * 1e-12)[1]  # half the bin spacing
+    return BandSet([(lo + half, hi - half) for lo, hi in grid.intervals])
+
+
 def rk4ip_deviation(name: str, z_km: float, h_km: float, shrink: bool = False) -> float:
     """Max per-channel end-vs-launch deviation of the projected RK4IP oracle.
 
@@ -99,12 +111,9 @@ def rk4ip_deviation(name: str, z_km: float, h_km: float, shrink: bool = False) -
     over z_km in steps of h_km with distributed filtering.
     """
     cfg = resolve_config(name)
-    launch, fiber, grid = cfg.launch_field(), cfg.fiber(), cfg.channels()
+    launch, fiber, grid = cfg.launch_field(), cfg.fiber(), grid_of(cfg, shrink)
     assert fiber.alpha0 == 0.0  # the claim is conservation: a lossless link
     n, dt = launch.n, launch.dt
-    if shrink:
-        half = 0.5 * bin_omegas(n, dt)[1]  # half the bin spacing
-        grid = BandSet([(lo + half, hi - half) for lo, hi in grid.intervals])
     rows = band_mask(n, dt, grid)
 
     def energies(spec):
@@ -149,3 +158,26 @@ def test_oracle_coupled_grid_trades_energy_at_every_step(oracle):
     devs = oracle["uniform5"]
     assert all(d > 0.10 for d in devs)
     assert all(abs(d - devs[-1]) < 0.01 * devs[-1] for d in devs)
+
+
+@pytest.mark.parametrize("name, shrink, collisions, witness", [
+    ("sidon5", False, 8, ((1, 1), (1, 2))),
+    ("uniform5", False, 7, ((1, 3), (2, 2))),
+    ("sidon5", True, 0, None),
+])
+def test_bin_collisions_are_the_quarter_bin_widened_verdict(name, shrink, collisions, witness):
+    # on bins two channel pairs collide iff their closed integer sum ranges
+    # meet: the counts the module docstring and is_energy_decoupled quote
+    cfg = resolve_config(name)
+    ranges = bin_ranges(cfg.n, cfg.dt_ps * 1e-12, grid_of(cfg, shrink))
+    pairs = list(itertools.combinations_with_replacement(range(len(ranges)), 2))  # its order
+    sums = [(ranges[a][0] + ranges[b][0], ranges[a][1] + ranges[b][1]) for a, b in pairs]
+    meet = [(i, j) for i, j in itertools.combinations(range(len(sums)), 2)
+            if max(sums[i][0], sums[j][0]) <= min(sums[i][1], sums[j][1])]
+    assert len(meet) == collisions
+    first = tuple(tuple(c + 1 for c in pairs[k]) for k in meet[0]) if meet else None
+    assert first == witness  # the first colliding pair of pairs, numbered from 1
+    # widened by a quarter bin, two sums overlap with positive measure iff the
+    # closed integer sums meet, and quarter-integers are exact in floats
+    widened = [(lo - 0.25, hi + 0.25) for lo, hi in ranges]
+    assert is_energy_decoupled(widened) == (witness is None, witness)
